@@ -39,7 +39,7 @@ from .hc import (
     threshold_sweep,
 )
 from .incidents import Incident, IncidentLimits, detect
-from .powerflow import InjectionSet, PowerFlowOptions, PowerFlowSolution, solve, solve_horizon
+from .powerflow import InjectionSet, PowerFlowOptions, PowerFlowSolution, solve
 from .qos import QosReport, qos_aggregated, qos_individual
 from .trace import SimulationTrace, TraceSummary, summarize
 
@@ -84,7 +84,6 @@ __all__ = [
     "qos_individual",
     "sensitivity_sweep",
     "solve",
-    "solve_horizon",
     "summarize",
     "threshold_sweep",
 ]

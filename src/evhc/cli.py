@@ -23,13 +23,17 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .doe import DoeParams, export_envelope_csv
+from .doe import (
+    DoeParams,
+    export_envelope_csv,
+    network_aware_horizon,
+    passive_horizon,
+)
 from .ev import (
     DEFAULT_RATED_POWER_KW,
     DEFAULT_SCENARIOS,
     EnergyScenario,
     HourDistribution,
-    generate_fleet,
     load_fleet,
     validate_scenario_set,
 )
@@ -48,6 +52,7 @@ from .hc import (
     SWEEP_EV_COUNT,
     SWEEP_POWER,
     export_sweep_csv,
+    fleet_for_scenario,
     network_aware_grid,
     network_aware_hc,
     passive_hc,
@@ -57,6 +62,7 @@ from .hc import (
 from .incidents import export_incidents_csv
 from .powerflow import household_voltage_index
 from .qos import export_qos_csv
+from .trace import fmt
 
 MODES = ("passive", "network_aware", "compare", "sweep_doe", "sweep_qos_threshold")
 
@@ -220,6 +226,13 @@ def parse_scenario(raw: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         if not fleet_file:
             raise ConfigError("fleet.source=import requires fleet.fleet_file")
         fleet_file = _resolve(str(fleet_file), "fleet")
+        try:
+            load_fleet(fleet_file)
+        except ValueError as exc:
+            raise ConfigError(f"fleet file {fleet_file}: {exc}")
+    rated_power_kw = float(fleet.get("rated_power_kw", DEFAULT_RATED_POWER_KW))
+    if rated_power_kw <= 0:
+        raise ConfigError("fleet.rated_power_kw must be > 0")
 
     doe_raw = raw.get("doe") or {}
     delta_perm = float(doe_raw.get("delta_perm", 0.05))
@@ -261,6 +274,9 @@ def parse_scenario(raw: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     dimension = str(search.get("dimension", SWEEP_POWER))
     if dimension not in (SWEEP_POWER, SWEEP_EV_COUNT):
         raise ConfigError(f"search.dimension must be '{SWEEP_POWER}' or '{SWEEP_EV_COUNT}'")
+    count_mode_power_kw = float(search.get("count_mode_power_kw", 7.4))
+    if count_mode_power_kw <= 0:
+        raise ConfigError("search.count_mode_power_kw must be > 0")
 
     sweep = raw.get("sweep") or {}
     d_min = float(sweep.get("delta_perm_min", 0.0))
@@ -296,14 +312,14 @@ def parse_scenario(raw: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         scenario_labels=tuple(str(s) for s in labels),
         fleet_source=source,
         fleet_file=fleet_file,
-        rated_power_kw=float(fleet.get("rated_power_kw", DEFAULT_RATED_POWER_KW)),
+        rated_power_kw=rated_power_kw,
         doe=doe,
         v_lower_pu=v_lower,
         v_upper_pu=v_upper,
         power_grid_kw=tuple(grid),
         qos_threshold=qos_threshold,
         dimension=dimension,
-        count_mode_power_kw=float(search.get("count_mode_power_kw", 7.4)),
+        count_mode_power_kw=count_mode_power_kw,
         delta_perm_grid=tuple(d_grid),
         factor_values=factor_values,
         qos_thresholds=qos_thresholds,
@@ -332,14 +348,10 @@ def _load_inputs(config: ScenarioConfig) -> tuple[FeederModel, tuple[BaselineLoa
     return feeder, profiles
 
 
-def _fleet(config: ScenarioConfig, feeder: FeederModel, label: str):
+def _fleet(config: ScenarioConfig, feeder: FeederModel, search: HcSearchConfig):
     if config.fleet_source == "import":
         return load_fleet(config.fleet_file)
-    scenario = config.scenario_definitions[label]
-    index = list(DEFAULT_SCENARIOS).index(label) if label in DEFAULT_SCENARIOS else 0
-    return generate_fleet(
-        scenario, feeder.household_ids, [config.seed, index], config.rated_power_kw
-    )
+    return fleet_for_scenario(feeder, config.scenario_definitions[search.scenario], search)
 
 
 def _search_config(config: ScenarioConfig, label: str) -> HcSearchConfig:
@@ -355,10 +367,6 @@ def _search_config(config: ScenarioConfig, label: str) -> HcSearchConfig:
         sweep_dimension=config.dimension,
         count_mode_power_kw=config.count_mode_power_kw,
     )
-
-
-def _fmt(x) -> str:
-    return "" if x is None else format(float(x), ".10g")
 
 
 def _write(path: Path, text: str) -> None:
@@ -392,13 +400,13 @@ def _candidates_csv(report: HcReport) -> str:
     ]
     for c in report.candidates:
         first_kind = c.incidents[0].kind if c.incidents else ""
-        min_v = "" if c.summary is None else _fmt(c.summary.overall_min_voltage_pu)
-        max_s = "" if c.summary is None else _fmt(c.summary.max_slack_kva)
+        min_v = "" if c.summary is None else fmt(c.summary.overall_min_voltage_pu)
+        max_s = "" if c.summary is None else fmt(c.summary.max_slack_kva)
         lines.append(
-            f"{_fmt(c.candidate)},{c.failure is None},{c.failure or ''},"
+            f"{fmt(c.candidate)},{c.failure is None},{c.failure or ''},"
             f"{len(c.incidents)},{first_kind},"
-            f"{_fmt(c.qos.aggregated) if c.qos else ''},"
-            f"{_fmt(c.qos.minimum) if c.qos else ''},"
+            f"{fmt(c.qos.aggregated) if c.qos else ''},"
+            f"{fmt(c.qos.minimum) if c.qos else ''},"
             f"{min_v},{max_s},{c.fixed_point_fallback_steps},{c.error or ''}"
         )
     return "\n".join(lines) + "\n"
@@ -421,8 +429,6 @@ def _write_search_outputs(
         return
 
     # trace exports at the hosting-capacity candidate
-    from .doe import network_aware_horizon, passive_horizon
-
     hc_power = report.hc if config.dimension == SWEEP_POWER else config.count_mode_power_kw
     sub_fleet = fleet if config.dimension == SWEEP_POWER else fleet[: int(report.hc)]
     na_traj, na_trace = network_aware_horizon(feeder, profiles, sub_fleet, hc_power, config.doe)
@@ -439,7 +445,7 @@ def _write_search_outputs(
     for t in range(na_trace.step_count):
         for e, h in enumerate(na_trace.household_ids):
             power_lines.append(
-                f"{t},{h},{_fmt(base_trace.ev_power_kw[t, e])},{_fmt(na_trace.ev_power_kw[t, e])}"
+                f"{t},{h},{fmt(base_trace.ev_power_kw[t, e])},{fmt(na_trace.ev_power_kw[t, e])}"
             )
     _write(out / "profiles_power.csv", "\n".join(power_lines) + "\n")
 
@@ -450,22 +456,29 @@ def _write_search_outputs(
         for h in na_trace.household_ids:
             n = vu[slot[h]]
             volt_lines.append(
-                f"{t},{h},{_fmt(base_trace.voltage_pu[t, n])},{_fmt(na_trace.voltage_pu[t, n])}"
+                f"{t},{h},{fmt(base_trace.voltage_pu[t, n])},{fmt(na_trace.voltage_pu[t, n])}"
             )
     _write(out / "profiles_voltage.csv", "\n".join(volt_lines) + "\n")
 
-    # per-customer QoS across the whole candidate grid (locational analysis)
-    grid_results = network_aware_grid(feeder, profiles, fleet, _search_config(config, report.scenario))
+    # per-customer QoS across the whole candidate power grid (locational
+    # analysis): a power search's own candidates, then the grid after them
+    search = _search_config(config, report.scenario)
+    grid_results = list(report.candidates) if config.dimension == SWEEP_POWER else []
+    rest = search.power_grid_kw[len(grid_results):]
+    if rest:
+        grid_results += network_aware_grid(
+            feeder, profiles, fleet, replace(search, power_grid_kw=rest)
+        )
     qos_lines = ["candidate_kw,household,node,e_baseline_kwh,e_network_aware_kwh,qos"]
     for result in grid_results:
         if result.qos is None:
             continue
         for i, h in enumerate(result.qos.households):
             qos_lines.append(
-                f"{_fmt(result.candidate)},{h},{feeder.household_node(h)},"
-                f"{_fmt(result.qos.e_baseline_kwh[i])},"
-                f"{_fmt(result.qos.e_network_aware_kwh[i])},"
-                f"{_fmt(result.qos.individual[i])}"
+                f"{fmt(result.candidate)},{h},{feeder.household_node(h)},"
+                f"{fmt(result.qos.e_baseline_kwh[i])},"
+                f"{fmt(result.qos.e_network_aware_kwh[i])},"
+                f"{fmt(result.qos.individual[i])}"
             )
     _write(out / "qos_by_power.csv", "\n".join(qos_lines) + "\n")
 
@@ -488,15 +501,15 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
     if config.mode in ("passive", "network_aware", "compare"):
         table = ["scenario,mode,hc,limiting_factor,qos_at_hc,min_qos_at_hc"]
         for label in config.scenario_labels:
-            fleet = _fleet(config, feeder, label)
             search = _search_config(config, label)
+            fleet = _fleet(config, feeder, search)
             if config.mode in ("passive", "compare"):
                 report = passive_hc(feeder, profiles, fleet, search)
                 _write_search_outputs(
                     out_dir / f"passive_{label}", report, feeder, profiles, fleet, config
                 )
                 table.append(
-                    f"{label},passive,{_fmt(report.hc)},"
+                    f"{label},passive,{fmt(report.hc)},"
                     f"{'unconstrained' if report.unconstrained else report.limiting_factor},,"
                 )
             if config.mode in ("network_aware", "compare"):
@@ -505,9 +518,9 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
                     out_dir / f"network_aware_{label}", report, feeder, profiles, fleet, config
                 )
                 table.append(
-                    f"{label},network_aware,{_fmt(report.hc)},"
+                    f"{label},network_aware,{fmt(report.hc)},"
                     f"{'unconstrained' if report.unconstrained else report.limiting_factor},"
-                    f"{_fmt(report.qos_at_hc)},{_fmt(report.min_qos_at_hc)}"
+                    f"{fmt(report.qos_at_hc)},{fmt(report.min_qos_at_hc)}"
                 )
         if config.mode == "compare":
             _write(out_dir / "table1.csv", "\n".join(table) + "\n")
@@ -537,8 +550,8 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
         lines = ["scenario,qos_threshold,nahc_kw,limiting_factor,qos_at_hc,min_qos_at_hc"]
         for p in points:
             lines.append(
-                f"{p.scenario},{_fmt(p.qos_threshold)},{_fmt(p.hc)},"
-                f"{p.limiting_factor or 'unconstrained'},{_fmt(p.qos_at_hc)},{_fmt(p.min_qos_at_hc)}"
+                f"{p.scenario},{fmt(p.qos_threshold)},{fmt(p.hc)},"
+                f"{p.limiting_factor or 'unconstrained'},{fmt(p.qos_at_hc)},{fmt(p.min_qos_at_hc)}"
             )
         _write(out_dir / "threshold_sweep.csv", "\n".join(lines) + "\n")
 
@@ -657,8 +670,11 @@ def main(argv: list[str] | None = None) -> int:
             config = replace(config, mode=args.mode)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
-        if getattr(args, "workers", None):
-            config = replace(config, workers=args.workers)
+        workers = getattr(args, "workers", None)
+        if workers is not None:
+            if workers < 1:
+                raise ConfigError(f"--workers must be >= 1, got {workers}")
+            config = replace(config, workers=workers)
         out_dir = Path(args.output_dir) if args.output_dir else Path(config.output_dir)
 
         try:

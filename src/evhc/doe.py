@@ -40,10 +40,12 @@ from .trace import (
     STEP_HOURS,
     STEPS_PER_DAY,
     ZONE_GREEN,
+    ZONE_LABELS,
     ZONE_NONE,
     ZONE_RED,
     ZONE_YELLOW,
     SimulationTrace,
+    fmt,
 )
 
 FIXED_POINT_TOL_KW = 0.01
@@ -352,12 +354,9 @@ def _apply_envelope(
 
 def export_envelope_csv(trace: SimulationTrace, feeder: FeederModel) -> str:
     """Per (step, EV) envelope record: local voltage, zone, bounds, powers."""
-    from .trace import ZONE_LABELS
-
     idx = {h: j for j, h in enumerate(feeder.household_ids)}
     vu = household_voltage_index(feeder)
     lines = ["step,household,u_pu,zone,floor_kw,cap_kw,desired_kw,granted_kw"]
-    fmt = lambda x: format(float(x), ".10g")  # noqa: E731
     for t in range(trace.step_count):
         for e, household in enumerate(trace.household_ids):
             u = trace.voltage_pu[t, vu[idx[household]]]

@@ -269,9 +269,13 @@ def load_fleet(path: str | Path) -> list[EvSession]:
     if not rows or rows[0] != header:
         raise ValueError(f"fleet file must start with header {','.join(header)}")
     sessions = []
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
+        if len(row) != len(header):
+            raise ValueError(
+                f"fleet file line {line}: expected {len(header)} fields, got {len(row)}"
+            )
         sessions.append(
             EvSession(
                 household=row[0],

@@ -8,12 +8,14 @@ below the threshold. When an incident and a QoS breach coincide, the
 incident is reported as the limiting factor (grid safety outranks service
 quality) and the QoS breach is still visible in the candidate detail.
 
-Every candidate is simulated independently of the others, so the sequential
-search returns exactly what an exhaustive per-candidate scan returns.
+Every candidate is simulated independently of the others. A search is the
+first-failure reduction of the lazily evaluated candidate stream, so it
+returns exactly what an exhaustive per-candidate scan returns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -32,7 +34,7 @@ from .feeder import BaselineLoadProfile, FeederModel
 from .incidents import Incident, IncidentLimits, KIND_DIAGNOSTIC, detect
 from .powerflow import PowerFlowOptions, VoltageCollapseError
 from .qos import QosReport, build_report
-from .trace import TraceSummary, summarize
+from .trace import TraceSummary, fmt, summarize
 
 LIMIT_AGGREGATED_QOS = "aggregated_qos"
 
@@ -77,8 +79,8 @@ class CandidateResult:
     incidents: list[Incident]
     qos: QosReport | None
     summary: TraceSummary | None
-    qos_breach: bool
-    failure: str | None            # None when the candidate passed
+    qos_breach: bool = False
+    failure: str | None = None     # None when the candidate passed
     fixed_point_fallback_steps: int = 0
     error: str | None = None
 
@@ -115,8 +117,58 @@ def _limits(feeder: FeederModel, config: HcSearchConfig) -> IncidentLimits:
     return IncidentLimits.from_feeder(feeder, config.v_lower_pu, config.v_upper_pu)
 
 
-def _baseline_energies(fleet: list[EvSession], hc_power: float) -> np.ndarray:
-    return np.array([baseline_trajectory(s, hc_power).delivered_kwh for s in fleet])
+def _failure(result: CandidateResult, qos_threshold: float) -> CandidateResult:
+    """The one failure rule: ``result`` judged at ``qos_threshold``.
+
+    A candidate fails on its first incident, else on an aggregated-QoS
+    breach. The breach flag is set either way, so a breach that coincides
+    with an incident stays visible.
+    """
+    breach = result.qos is not None and result.qos.aggregated < qos_threshold
+    if result.incidents:
+        failure = result.incidents[0].kind
+    else:
+        failure = LIMIT_AGGREGATED_QOS if breach else None
+    return replace(result, qos_breach=breach, failure=failure)
+
+
+def _evaluate(
+    feeder: FeederModel,
+    profiles: tuple[BaselineLoadProfile, ...],
+    fleet: list[EvSession],
+    hc_power: float,
+    config: HcSearchConfig,
+    mode: str,
+) -> CandidateResult:
+    """Simulate one candidate day in either regime and judge it."""
+    try:
+        if mode == "passive":
+            trajectories, trace = passive_horizon(
+                feeder, profiles, fleet, hc_power, config.pf_options
+            )
+        else:
+            trajectories, trace = network_aware_horizon(
+                feeder, profiles, fleet, hc_power, config.doe, config.pf_options
+            )
+    except VoltageCollapseError as exc:
+        incident = Incident(
+            KIND_DIAGNOSTIC, exc.step or 0, "power-flow", float(exc.min_voltage_pu)
+        )
+        result = CandidateResult(hc_power, [incident], qos=None, summary=None, error=str(exc))
+        return _failure(result, config.qos_threshold)
+    qos = None
+    if mode != "passive":
+        e_baseline = np.array([baseline_trajectory(s, hc_power).delivered_kwh for s in fleet])
+        e_na = np.array([t.delivered_kwh for t in trajectories])
+        qos = build_report(tuple(s.household for s in fleet), e_baseline, e_na)
+    result = CandidateResult(
+        candidate=hc_power,
+        incidents=detect(trace, _limits(feeder, config)),
+        qos=qos,
+        summary=summarize(trace, np.array([b.ampacity_a for b in feeder.branches])),
+        fixed_point_fallback_steps=int(trace.fixed_point_fallback.sum()),
+    )
+    return _failure(result, config.qos_threshold)
 
 
 def evaluate_passive_candidate(
@@ -127,19 +179,7 @@ def evaluate_passive_candidate(
     config: HcSearchConfig,
 ) -> CandidateResult:
     """Simulate uncontrolled charging at one candidate power."""
-    try:
-        _, trace = passive_horizon(feeder, profiles, fleet, hc_power, config.pf_options)
-    except VoltageCollapseError as exc:
-        return _collapse_result(hc_power, exc)
-    incidents = detect(trace, _limits(feeder, config))
-    return CandidateResult(
-        candidate=hc_power,
-        incidents=incidents,
-        qos=None,
-        summary=summarize(trace, np.array([b.ampacity_a for b in feeder.branches])),
-        qos_breach=False,
-        failure=incidents[0].kind if incidents else None,
-    )
+    return _evaluate(feeder, profiles, fleet, hc_power, config, "passive")
 
 
 def evaluate_network_aware_candidate(
@@ -150,93 +190,66 @@ def evaluate_network_aware_candidate(
     config: HcSearchConfig,
 ) -> CandidateResult:
     """Simulate envelope-controlled charging at one candidate power."""
-    try:
-        trajectories, trace = network_aware_horizon(
-            feeder, profiles, fleet, hc_power, config.doe, config.pf_options
-        )
-    except VoltageCollapseError as exc:
-        return _collapse_result(hc_power, exc)
-    incidents = detect(trace, _limits(feeder, config))
-    e_baseline = _baseline_energies(fleet, hc_power)
-    e_na = np.array([t.delivered_kwh for t in trajectories])
-    report = build_report(tuple(s.household for s in fleet), e_baseline, e_na)
-    breach = report.aggregated < config.qos_threshold
-    if incidents:
-        failure = incidents[0].kind
-    elif breach:
-        failure = LIMIT_AGGREGATED_QOS
-    else:
-        failure = None
-    return CandidateResult(
-        candidate=hc_power,
-        incidents=incidents,
-        qos=report,
-        summary=summarize(trace, np.array([b.ampacity_a for b in feeder.branches])),
-        qos_breach=breach,
-        failure=failure,
-        fixed_point_fallback_steps=int(trace.fixed_point_fallback.sum()),
-    )
+    return _evaluate(feeder, profiles, fleet, hc_power, config, "network_aware")
 
 
-def _collapse_result(candidate: float, exc: VoltageCollapseError) -> CandidateResult:
-    incident = Incident(
-        KIND_DIAGNOSTIC, exc.step or 0, "power-flow", float(exc.min_voltage_pu)
-    )
-    return CandidateResult(
-        candidate=candidate,
-        incidents=[incident],
-        qos=None,
-        summary=None,
-        qos_breach=False,
-        failure=KIND_DIAGNOSTIC,
-        error=str(exc),
-    )
-
-
-def _count_candidate_fleet(fleet: list[EvSession], count: int) -> list[EvSession]:
-    return fleet[:count]
-
-
-def _search(
+def _candidates(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
     fleet: list[EvSession],
     config: HcSearchConfig,
     mode: str,
-) -> HcReport:
+) -> Iterator[CandidateResult]:
+    """Evaluate the candidates of the config's dimension in order, lazily.
+
+    A power candidate charges the whole fleet at that power; an EV-count
+    candidate k charges the first k sessions at ``count_mode_power_kw``.
+    """
     if config.sweep_dimension == SWEEP_EV_COUNT:
-        candidates = [float(k) for k in range(1, len(fleet) + 1)]
+        points = [
+            (float(k), fleet[:k], config.count_mode_power_kw) for k in range(1, len(fleet) + 1)
+        ]
     else:
-        candidates = list(config.power_grid_kw)
-    results: list[CandidateResult] = []
+        points = [(p, fleet, p) for p in config.power_grid_kw]
+    for candidate, sessions, power in points:
+        result = _evaluate(feeder, profiles, sessions, power, config, mode)
+        result.candidate = candidate
+        yield result
+
+
+def reduce_candidates(
+    results: Iterable[CandidateResult],
+    qos_threshold: float,
+    mode: str,
+    scenario: str = "",
+    dimension: str = SWEEP_POWER,
+) -> HcReport:
+    """First-failure reduction of a candidate stream.
+
+    The capacity is the last candidate before the first failure. Results are
+    pulled only up to that failure, so reducing the lazy candidate stream is
+    the sequential search. Candidate results are threshold-independent, so
+    one evaluated grid can also be reduced at many thresholds.
+    """
     hc: float | None = None
     limiting: str | None = None
-    for candidate in candidates:
-        if config.sweep_dimension == SWEEP_EV_COUNT:
-            sub = _count_candidate_fleet(fleet, int(candidate))
-            power = config.count_mode_power_kw
-        else:
-            sub = fleet
-            power = candidate
-        if mode == "passive":
-            result = evaluate_passive_candidate(feeder, profiles, sub, power, config)
-        else:
-            result = evaluate_network_aware_candidate(feeder, profiles, sub, power, config)
-        result.candidate = candidate
-        results.append(result)
-        if result.failure is not None:
-            limiting = result.failure
+    kept: list[CandidateResult] = []
+    for r in results:
+        judged = _failure(r, qos_threshold)
+        kept.append(judged)
+        if judged.failure is not None:
+            limiting = judged.failure
             break
-        hc = candidate
+        hc = judged.candidate
     return HcReport(
         mode=mode,
-        dimension=config.sweep_dimension,
-        scenario=config.scenario,
+        dimension=dimension,
+        scenario=scenario,
         hc=hc,
         limiting_factor=limiting,
         unconstrained=limiting is None,
-        qos_threshold=config.qos_threshold,
-        candidates=results,
+        qos_threshold=qos_threshold,
+        candidates=kept,
     )
 
 
@@ -247,7 +260,10 @@ def passive_hc(
     config: HcSearchConfig,
 ) -> HcReport:
     """Uncontrolled hosting capacity: stop at the first network incident."""
-    return _search(feeder, profiles, fleet, config, "passive")
+    return reduce_candidates(
+        _candidates(feeder, profiles, fleet, config, "passive"),
+        config.qos_threshold, "passive", config.scenario, config.sweep_dimension,
+    )
 
 
 def network_aware_hc(
@@ -258,7 +274,10 @@ def network_aware_hc(
 ) -> HcReport:
     """Envelope-controlled hosting capacity: stop at the first unavoided
     incident or aggregated-QoS breach."""
-    return _search(feeder, profiles, fleet, config, "network_aware")
+    return reduce_candidates(
+        _candidates(feeder, profiles, fleet, config, "network_aware"),
+        config.qos_threshold, "network_aware", config.scenario, config.sweep_dimension,
+    )
 
 
 def network_aware_grid(
@@ -269,60 +288,8 @@ def network_aware_grid(
 ) -> list[CandidateResult]:
     """Evaluate every candidate power regardless of failures (for threshold
     sweeps and locational QoS tables)."""
-    return [
-        evaluate_network_aware_candidate(feeder, profiles, fleet, p, config)
-        for p in config.power_grid_kw
-    ]
-
-
-def reduce_candidates(
-    results: list[CandidateResult],
-    qos_threshold: float,
-    mode: str,
-    scenario: str = "",
-) -> HcReport:
-    """First-failure reduction of a fully evaluated candidate grid.
-
-    Candidate results are threshold-independent, so one grid evaluation can
-    be reduced at many thresholds.
-    """
-    hc: float | None = None
-    limiting: str | None = None
-    kept: list[CandidateResult] = []
-    for r in results:
-        breach = r.qos is not None and r.qos.aggregated < qos_threshold
-        if r.incidents:
-            failure = r.incidents[0].kind
-        elif breach:
-            failure = LIMIT_AGGREGATED_QOS
-        else:
-            failure = None
-        kept.append(
-            CandidateResult(
-                candidate=r.candidate,
-                incidents=r.incidents,
-                qos=r.qos,
-                summary=r.summary,
-                qos_breach=breach,
-                failure=failure,
-                fixed_point_fallback_steps=r.fixed_point_fallback_steps,
-                error=r.error,
-            )
-        )
-        if failure is not None:
-            limiting = failure
-            break
-        hc = r.candidate
-    return HcReport(
-        mode=mode,
-        dimension=SWEEP_POWER,
-        scenario=scenario,
-        hc=hc,
-        limiting_factor=limiting,
-        unconstrained=limiting is None,
-        qos_threshold=qos_threshold,
-        candidates=kept,
-    )
+    power = replace(config, sweep_dimension=SWEEP_POWER)
+    return list(_candidates(feeder, profiles, fleet, power, "network_aware"))
 
 
 @dataclass
@@ -340,11 +307,12 @@ class SweepCell:
     error: str | None = None
 
 
-def _fleet_for_scenario(
+def fleet_for_scenario(
     feeder: FeederModel,
     scenario: EnergyScenario,
     config: HcSearchConfig,
 ) -> list[EvSession]:
+    """The generated fleet of one scenario, seeded by ``[seed, scenario index]``."""
     index = list(DEFAULT_SCENARIOS).index(scenario.label) if scenario.label in DEFAULT_SCENARIOS else 0
     return generate_fleet(
         scenario,
@@ -360,7 +328,7 @@ def _evaluate_cell(args) -> SweepCell:
     try:
         doe = replace(config.doe, delta_perm=delta_perm, factor=factor)
         cell_config = replace(config, doe=doe, scenario=scenario.label)
-        fleet = _fleet_for_scenario(feeder, scenario, cell_config)
+        fleet = fleet_for_scenario(feeder, scenario, cell_config)
         report = network_aware_hc(feeder, profiles, fleet, cell_config)
         cell.hc = report.hc
         cell.limiting_factor = report.limiting_factor
@@ -420,7 +388,7 @@ def threshold_sweep(
     points = []
     for scenario in scenarios:
         cfg = replace(config, scenario=scenario.label)
-        fleet = _fleet_for_scenario(feeder, scenario, cfg)
+        fleet = fleet_for_scenario(feeder, scenario, cfg)
         grid = network_aware_grid(feeder, profiles, fleet, cfg)
         for threshold in thresholds:
             report = reduce_candidates(grid, threshold, "network_aware", scenario.label)
@@ -441,11 +409,8 @@ def export_sweep_csv(cells: list[SweepCell]) -> str:
     lines = ["scenario,delta_perm,factor,nahc_kw,limiting_factor,qos_agg,min_qos,error"]
     for c in cells:
         lines.append(
-            f"{c.scenario},{c.delta_perm:.10g},{c.factor:.10g},"
-            f"{'' if c.hc is None else format(c.hc, '.10g')},"
+            f"{c.scenario},{fmt(c.delta_perm)},{fmt(c.factor)},{fmt(c.hc)},"
             f"{'unconstrained' if c.unconstrained else (c.limiting_factor or '')},"
-            f"{'' if c.qos_at_hc is None else format(c.qos_at_hc, '.10g')},"
-            f"{'' if c.min_qos_at_hc is None else format(c.min_qos_at_hc, '.10g')},"
-            f"{c.error or ''}"
+            f"{fmt(c.qos_at_hc)},{fmt(c.min_qos_at_hc)},{c.error or ''}"
         )
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feeder import FeederModel
-from .trace import SimulationTrace
+from .trace import SimulationTrace, fmt
 
 KIND_UNDERVOLTAGE = "undervoltage"
 KIND_OVERVOLTAGE = "overvoltage"
@@ -127,5 +127,5 @@ def detect(trace: SimulationTrace, limits: IncidentLimits) -> list[Incident]:
 def export_incidents_csv(incidents: list[Incident]) -> str:
     lines = ["step,kind,element,magnitude"]
     for inc in incidents:
-        lines.append(f"{inc.step},{inc.kind},{inc.element},{format(inc.magnitude, '.10g')}")
+        lines.append(f"{inc.step},{inc.kind},{inc.element},{fmt(inc.magnitude)}")
     return "\n".join(lines) + "\n"

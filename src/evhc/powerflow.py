@@ -264,44 +264,9 @@ def solve(
     )
 
 
-def solve_horizon(
-    feeder: FeederModel,
-    injections_per_step: list[InjectionSet],
-    options: PowerFlowOptions = PowerFlowOptions(),
-) -> list[PowerFlowSolution]:
-    """Independent quasi-static solutions, one per step.
-
-    Per-step failures carry the step index.
-    """
-    solutions = []
-    for t, inj in enumerate(injections_per_step):
-        solutions.append(solve(feeder, inj, options, _step=t))
-    return solutions
-
-
 def household_voltage_index(feeder: FeederModel) -> np.ndarray:
     """Index of each household's node in ``PowerFlowSolution.voltage_pu``."""
     return np.array(
         [feeder.node_ids.index(feeder.household_node(h)) for h in feeder.household_ids],
         dtype=int,
     )
-
-
-def solution_table(solution: PowerFlowSolution, feeder: FeederModel) -> str:
-    """Tabular dump of one solution for eyeballing during debugging."""
-    lines = [
-        f"converged={solution.converged} iterations={solution.iterations} "
-        f"residual={solution.residual_pu:.3e} pu",
-        f"slack: {solution.slack_p_kw:.3f} kW {solution.slack_q_kvar:.3f} kvar "
-        f"({solution.slack_kva:.3f} kVA)",
-        "node,voltage_pu",
-    ]
-    for n, node in enumerate(solution.node_ids):
-        lines.append(f"{node},{solution.voltage_pu[n]:.6f}")
-    lines.append("branch,current_a,ampacity_a")
-    for b, branch in enumerate(feeder.branches):
-        lines.append(
-            f"{branch.from_node}->{branch.to_node},"
-            f"{solution.branch_current_a[b]:.2f},{branch.ampacity_a:.0f}"
-        )
-    return "\n".join(lines) + "\n"

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trace import fmt
+
 _REL_SLACK = 1e-9
 
 
@@ -106,7 +108,6 @@ def build_report(
 def export_qos_csv(report: QosReport, node_of: dict[str, str] | None = None) -> str:
     """Per-customer table plus a TOTAL row carrying the aggregate."""
     lines = ["customer,node,e_baseline_kwh,e_network_aware_kwh,qos"]
-    fmt = lambda x: format(float(x), ".10g")  # noqa: E731
     for i, h in enumerate(report.households):
         node = node_of.get(h, "") if node_of else ""
         lines.append(

@@ -123,31 +123,6 @@ def summarize(trace: SimulationTrace, branch_ampacity_a: np.ndarray | None = Non
     )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".10g")
-
-
-def export_voltages_csv(trace: SimulationTrace) -> str:
-    """One row per (step, node): the data behind voltage-profile figures."""
-    lines = ["step,node,voltage_pu"]
-    for t in range(trace.step_count):
-        for n, node in enumerate(trace.node_ids):
-            lines.append(f"{t},{node},{_fmt(trace.voltage_pu[t, n])}")
-    return "\n".join(lines) + "\n"
-
-
-def export_ev_csv(trace: SimulationTrace) -> str:
-    """One row per (step, household): desired/granted power and envelope."""
-    lines = ["step,household,desired_kw,granted_kw,floor_kw,cap_kw,zone"]
-    for t in range(trace.step_count):
-        for e, household in enumerate(trace.household_ids):
-            zone = ZONE_LABELS[int(trace.envelope_zone[t, e])]
-            floor = trace.envelope_floor_kw[t, e]
-            cap = trace.envelope_cap_kw[t, e]
-            lines.append(
-                f"{t},{household},{_fmt(trace.ev_desired_kw[t, e])},"
-                f"{_fmt(trace.ev_power_kw[t, e])},"
-                f"{'' if np.isnan(floor) else _fmt(floor)},"
-                f"{'' if np.isnan(cap) else _fmt(cap)},{zone}"
-            )
-    return "\n".join(lines) + "\n"
+def fmt(x: float | None) -> str:
+    """The number format of every result table; None is an empty cell."""
+    return "" if x is None else format(float(x), ".10g")

@@ -3,8 +3,12 @@
 import json
 from pathlib import Path
 
+import pytest
 import yaml
 
+import evhc.cli
+import evhc.doe
+import evhc.hc
 from evhc.cli import main
 
 BASE = {
@@ -55,22 +59,67 @@ def test_missing_fleet_file_rejected(tmp_path):
     assert main(["validate", str(path)]) == 1
 
 
+NETWORK_AWARE_FILES = (
+    "report.json",
+    "candidates.csv",
+    "incidents_next.csv",
+    "qos_at_hc.csv",
+    "envelope_trace.csv",
+    "profiles_power.csv",
+    "profiles_voltage.csv",
+    "qos_by_power.csv",
+)
+
+
+def test_count_mode_power_must_be_positive(tmp_path, capsys):
+    path = _write_scenario(tmp_path, search={**BASE["search"], "count_mode_power_kw": 0})
+    assert main(["validate", str(path)]) == 1
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "count_mode_power_kw" in capsys.readouterr().err
+
+
+def test_rated_power_must_be_positive(tmp_path, capsys):
+    path = _write_scenario(tmp_path, fleet={"rated_power_kw": -5})
+    assert main(["validate", str(path)]) == 1
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "rated_power_kw" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("house,arrive,leave,kwh,kw\nh01,70,80,5.0,22.0\n", "header"),
+        ("household,arrival_step,departure_step,requested_kwh,rated_kw\nh01,70,80\n", "line 2"),
+    ],
+    ids=["bad_header", "short_row"],
+)
+def test_malformed_fleet_file_is_config_error(tmp_path, capsys, text, message):
+    fleet_path = tmp_path / "fleet.csv"
+    fleet_path.write_text(text)
+    path = _write_scenario(
+        tmp_path, mode="passive", fleet={"source": "import", "fleet_file": str(fleet_path)}
+    )
+    assert main(["validate", str(path)]) == 1
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_override_must_be_positive(tmp_path, capsys, workers):
+    path = _write_scenario(tmp_path, mode="passive")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out), "--workers", workers]) == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_network_aware_run_writes_expected_files(tmp_path):
     path = _write_scenario(tmp_path)
     out = tmp_path / "out"
     assert main(["run", str(path), "--output-dir", str(out)]) == 0
     assert (out / "manifest.json").exists()
     sub = out / "network_aware_low"
-    for name in (
-        "report.json",
-        "candidates.csv",
-        "incidents_next.csv",
-        "qos_at_hc.csv",
-        "envelope_trace.csv",
-        "profiles_power.csv",
-        "profiles_voltage.csv",
-        "qos_by_power.csv",
-    ):
+    for name in NETWORK_AWARE_FILES:
         assert (sub / name).exists(), name
     report = json.loads((sub / "report.json").read_text())
     assert report["mode"] == "network_aware"
@@ -79,6 +128,41 @@ def test_network_aware_run_writes_expected_files(tmp_path):
     assert manifest["seed"] == 1
     assert len(manifest["config_sha256"]) == 64
     assert "timestamp" not in manifest
+
+
+def test_network_aware_run_simulates_each_grid_candidate_once(tmp_path, monkeypatch):
+    """The search's candidates are reused for qos_by_power.csv: the 12-point
+    grid costs 12 horizons, plus one to re-run the day at the capacity."""
+    calls = []
+    original = evhc.doe.network_aware_horizon
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return original(*args, **kwargs)
+
+    for module in (evhc.doe, evhc.hc, evhc.cli):
+        if getattr(module, "network_aware_horizon", None) is original:
+            monkeypatch.setattr(module, "network_aware_horizon", counting)
+    path = _write_scenario(tmp_path)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert len(calls) == 12 + 1
+
+
+def test_ev_count_run_writes_expected_files(tmp_path):
+    path = _write_scenario(
+        tmp_path, scenarios=["high"], search={**BASE["search"], "dimension": "ev_count"}
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    sub = out / "network_aware_high"
+    for name in NETWORK_AWARE_FILES:
+        assert (sub / name).exists(), name
+    report = json.loads((sub / "report.json").read_text())
+    assert report["dimension"] == "ev_count"
+    assert report["hc"] is not None and not report["unconstrained"]
+    # the locational table still spans the whole power grid
+    rows = (sub / "qos_by_power.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {str(k) for k in range(1, 13)}
 
 
 def test_compare_mode_table_structure(tmp_path):

@@ -21,7 +21,6 @@ from evhc.powerflow import (
     household_voltage_index,
     injections_from_loads,
     solve,
-    solve_horizon,
 )
 
 
@@ -146,8 +145,7 @@ def test_negative_active_injection_rejected(two_node_feeder):
 
 
 def test_horizon_all_zero(feeder):
-    sols = solve_horizon(feeder, [_zero_injection(feeder)] * 96)
-    assert len(sols) == 96
+    sols = [solve(feeder, _zero_injection(feeder)) for _ in range(96)]
     assert all(np.allclose(s.voltage_pu, 1.0) for s in sols)
 
 
@@ -157,8 +155,9 @@ def test_horizon_locality_of_single_nonzero_step(feeder):
     steps[40] = injections_from_loads(
         feeder.household_ids, np.full(n, 4.0), np.zeros(n)
     )
-    sols = solve_horizon(feeder, steps)
-    for t, sol in enumerate(sols):
+    # consecutive solves share no state: only the loaded step moves
+    for t, inj in enumerate(steps):
+        sol = solve(feeder, inj)
         flat = np.allclose(sol.voltage_pu, 1.0)
         assert flat == (t != 40)
 
@@ -167,7 +166,8 @@ def test_horizon_step_index_in_collapse_error(two_node_feeder):
     steps = [InjectionSet(("h1",), np.array([0.0]), np.array([0.0])) for _ in range(5)]
     steps[3] = InjectionSet(("h1",), np.array([500.0]), np.array([0.0]))
     with pytest.raises(VoltageCollapseError) as info:
-        solve_horizon(two_node_feeder, steps)
+        for t, inj in enumerate(steps):
+            solve(two_node_feeder, inj, _step=t)
     assert info.value.step == 3
 
 
@@ -176,15 +176,6 @@ def test_reactive_power_defaults_to_zero(two_node_feeder):
     assert np.all(inj.q_kvar == 0.0)
     sol = solve(two_node_feeder, inj)
     assert sol.converged
-
-
-def test_solution_table_dump(two_node_feeder):
-    from evhc.powerflow import solution_table
-
-    sol = solve(two_node_feeder, InjectionSet(("h1",), np.array([10.0])))
-    text = solution_table(sol, two_node_feeder)
-    assert "node,voltage_pu" in text
-    assert "tx->n1" in text
 
 
 def test_household_voltage_index(feeder):

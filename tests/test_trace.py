@@ -1,11 +1,11 @@
-"""Trace bookkeeping: conservation, completeness, summaries, exports."""
+"""Trace bookkeeping: conservation, completeness, summaries, number format."""
 
 import numpy as np
 import pytest
 
 from evhc.doe import DoeParams, network_aware_horizon, passive_horizon
 from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
-from evhc.trace import export_ev_csv, export_voltages_csv, summarize
+from evhc.trace import fmt, summarize
 
 
 @pytest.fixture(scope="module")
@@ -74,15 +74,8 @@ def test_network_aware_min_voltage_not_below_passive(feeder, profiles):
     assert na_trace.voltage_pu.min() >= passive_trace.voltage_pu.min() - 1e-9
 
 
-def test_voltage_export_schema(run):
-    _, _, trace = run
-    lines = export_voltages_csv(trace).strip().split("\n")
-    assert lines[0] == "step,node,voltage_pu"
-    assert len(lines) == 1 + 96 * 19
-
-
-def test_ev_export_schema(run):
-    _, _, trace = run
-    lines = export_ev_csv(trace).strip().split("\n")
-    assert lines[0] == "step,household,desired_kw,granted_kw,floor_kw,cap_kw,zone"
-    assert len(lines) == 1 + 96 * 12
+def test_fmt_is_ten_significant_digits_and_blank_for_none():
+    assert fmt(None) == ""
+    assert fmt(0.1) == "0.1"
+    assert fmt(np.float64(2.0)) == "2"
+    assert fmt(1.0 / 3.0) == "0.3333333333"
