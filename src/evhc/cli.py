@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -38,7 +39,6 @@ from .ev import (
     validate_scenario_set,
 )
 from .feeder import (
-    BaselineLoadProfile,
     FeederError,
     FeederModel,
     bundled_baseline_profiles,
@@ -60,7 +60,6 @@ from .hc import (
     threshold_sweep,
 )
 from .incidents import export_incidents_csv
-from .powerflow import household_voltage_index
 from .qos import export_qos_csv
 from .trace import fmt
 
@@ -151,6 +150,25 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _section(raw: dict, key: str) -> dict:
+    value = raw.get(key) or {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping")
+    return value
+
+
+def _number(section: dict, field: str, default, kind=float):
+    """Dotted ``field`` (or ``default``) through ``kind``; failures name the field."""
+    try:
+        return kind(section.get(field.rpartition(".")[2], default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
 def _hour_dist(raw: dict, context: str) -> HourDistribution:
     try:
         return HourDistribution(
@@ -199,15 +217,20 @@ def parse_scenario(raw: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         raise ConfigError("scenarios must be a non-empty list of labels")
 
     definitions = dict(DEFAULT_SCENARIOS)
-    for label, body in (raw.get("scenario_definitions") or {}).items():
+    for label, body in _section(raw, "scenario_definitions").items():
         context = f"scenario_definitions.{label}"
-        definitions[str(label)] = EnergyScenario(
-            label=str(label),
-            energy_min_kwh=float(_require(body, "energy_min_kwh", context)),
-            energy_max_kwh=float(_require(body, "energy_max_kwh", context)),
-            arrival=_hour_dist(_require(body, "arrival", context), context),
-            duration=_hour_dist(_require(body, "duration", context), context),
-        )
+        try:
+            definitions[str(label)] = EnergyScenario(
+                label=str(label),
+                energy_min_kwh=float(_require(body, "energy_min_kwh", context)),
+                energy_max_kwh=float(_require(body, "energy_max_kwh", context)),
+                arrival=_hour_dist(_require(body, "arrival", context), context),
+                duration=_hour_dist(_require(body, "duration", context), context),
+            )
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{context}: {exc}") from exc
     if set(definitions) >= {"low", "medium", "high"}:
         try:
             validate_scenario_set(definitions)
@@ -217,7 +240,17 @@ def parse_scenario(raw: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         if label not in definitions:
             raise ConfigError(f"unknown scenario label '{label}'")
 
-    fleet = raw.get("fleet") or {}
+    # the inputs must fit each other: profiles for every household, sessions
+    # only on the feeder's households and at most one per household
+    try:
+        feeder, profiles = _load_inputs(feeder_path, profiles_path)
+    except FeederError as exc:
+        raise ConfigError(str(exc)) from exc
+    missing = sorted(set(feeder.household_ids) - {p.household for p in profiles})
+    if missing:
+        raise ConfigError(f"baseline profiles missing feeder households: {missing}")
+
+    fleet = _section(raw, "fleet")
     source = str(fleet.get("source", "generate"))
     if source not in ("generate", "import"):
         raise ConfigError("fleet.source must be 'generate' or 'import'")
@@ -227,40 +260,48 @@ def parse_scenario(raw: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
             raise ConfigError("fleet.source=import requires fleet.fleet_file")
         fleet_file = _resolve(str(fleet_file), "fleet")
         try:
-            load_fleet(fleet_file)
+            sessions = Counter(s.household for s in load_fleet(fleet_file))
         except ValueError as exc:
             raise ConfigError(f"fleet file {fleet_file}: {exc}")
-    rated_power_kw = float(fleet.get("rated_power_kw", DEFAULT_RATED_POWER_KW))
+        unknown = sorted(h for h in sessions if h not in feeder.compiled.household_slot)
+        if unknown:
+            raise ConfigError(f"fleet file {fleet_file}: households not on the feeder: {unknown}")
+        repeated = sorted(h for h, n in sessions.items() if n > 1)
+        if repeated:
+            raise ConfigError(f"fleet file {fleet_file}: more than one session for {repeated}")
+    rated_power_kw = _number(fleet, "fleet.rated_power_kw", DEFAULT_RATED_POWER_KW)
     if rated_power_kw <= 0:
         raise ConfigError("fleet.rated_power_kw must be > 0")
 
-    doe_raw = raw.get("doe") or {}
-    delta_perm = float(doe_raw.get("delta_perm", 0.05))
+    doe_raw = _section(raw, "doe")
+    delta_perm = _number(doe_raw, "doe.delta_perm", 0.05)
     if not DELTA_PERM_RANGE[0] <= delta_perm <= DELTA_PERM_RANGE[1]:
         raise ConfigError(
             f"doe.delta_perm = {delta_perm} outside the valid range "
             f"[{DELTA_PERM_RANGE[0]}, {DELTA_PERM_RANGE[1]}]"
         )
+    factor = _number(doe_raw, "doe.factor", 0.5)
+    u_min = _number(doe_raw, "doe.u_min", 0.9)
     try:
         doe = DoeParams(
             delta_perm=delta_perm,
-            factor=float(doe_raw.get("factor", 0.5)),
-            u_min=float(doe_raw.get("u_min", 0.9)),
+            factor=factor,
+            u_min=u_min,
             voltage_source=str(doe_raw.get("voltage_source", "fixed_point")),
         )
     except ValueError as exc:
         raise ConfigError(f"doe: {exc}")
 
-    limits = raw.get("limits") or {}
-    v_lower = float(limits.get("v_lower_pu", 0.9))
-    v_upper = float(limits.get("v_upper_pu", 1.1))
+    limits = _section(raw, "limits")
+    v_lower = _number(limits, "limits.v_lower_pu", 0.9)
+    v_upper = _number(limits, "limits.v_upper_pu", 1.1)
     if not v_lower < 1.0 < v_upper:
         raise ConfigError("limits: v_lower_pu < 1.0 < v_upper_pu required")
 
-    search = raw.get("search") or {}
-    p_min = float(search.get("power_min_kw", 1.0))
-    p_max = float(search.get("power_max_kw", 20.0))
-    p_step = float(search.get("power_step_kw", 1.0))
+    search = _section(raw, "search")
+    p_min = _number(search, "search.power_min_kw", 1.0)
+    p_max = _number(search, "search.power_max_kw", 20.0)
+    p_step = _number(search, "search.power_step_kw", 1.0)
     if p_min <= 0 or p_max < p_min or p_step <= 0:
         raise ConfigError("search: need 0 < power_min_kw <= power_max_kw and step > 0")
     grid = []
@@ -268,20 +309,20 @@ def parse_scenario(raw: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     while p <= p_max + 1e-9:
         grid.append(round(p, 9))
         p += p_step
-    qos_threshold = float(search.get("qos_threshold", 0.8))
+    qos_threshold = _number(search, "search.qos_threshold", 0.8)
     if not 0.0 < qos_threshold <= 1.0:
         raise ConfigError("search.qos_threshold must lie in (0, 1]")
     dimension = str(search.get("dimension", SWEEP_POWER))
     if dimension not in (SWEEP_POWER, SWEEP_EV_COUNT):
         raise ConfigError(f"search.dimension must be '{SWEEP_POWER}' or '{SWEEP_EV_COUNT}'")
-    count_mode_power_kw = float(search.get("count_mode_power_kw", 7.4))
+    count_mode_power_kw = _number(search, "search.count_mode_power_kw", 7.4)
     if count_mode_power_kw <= 0:
         raise ConfigError("search.count_mode_power_kw must be > 0")
 
-    sweep = raw.get("sweep") or {}
-    d_min = float(sweep.get("delta_perm_min", 0.0))
-    d_max = float(sweep.get("delta_perm_max", 0.1))
-    d_step = float(sweep.get("delta_perm_step", 0.01))
+    sweep = _section(raw, "sweep")
+    d_min = _number(sweep, "sweep.delta_perm_min", 0.0)
+    d_max = _number(sweep, "sweep.delta_perm_max", 0.1)
+    d_step = _number(sweep, "sweep.delta_perm_step", 0.01)
     if not (DELTA_PERM_RANGE[0] <= d_min <= d_max <= DELTA_PERM_RANGE[1]) or d_step <= 0:
         raise ConfigError(
             f"sweep: delta_perm grid must stay within "
@@ -292,14 +333,14 @@ def parse_scenario(raw: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
     while d <= d_max + 1e-9:
         d_grid.append(round(d, 9))
         d += d_step
-    factor_values = tuple(float(f) for f in sweep.get("factor_values", [0.0, 0.2, 0.5]))
+    factor_values = _number(sweep, "sweep.factor_values", [0.0, 0.2, 0.5], _floats)
     if any(not 0.0 <= f <= 1.0 for f in factor_values):
         raise ConfigError("sweep.factor_values must lie in [0, 1]")
-    qos_thresholds = tuple(float(q) for q in sweep.get("qos_thresholds", [0.6, 0.7, 0.8, 0.9]))
+    qos_thresholds = _number(sweep, "sweep.qos_thresholds", [0.6, 0.7, 0.8, 0.9], _floats)
     if any(not 0.0 < q <= 1.0 for q in qos_thresholds):
         raise ConfigError("sweep.qos_thresholds must lie in (0, 1]")
 
-    workers = int(raw.get("workers", 1))
+    workers = _number(raw, "workers", 1, int)
     if workers < 1:
         raise ConfigError("workers must be >= 1")
 
@@ -308,7 +349,7 @@ def parse_scenario(raw: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
         feeder_path=feeder_path,
         profiles_path=profiles_path,
         output_dir=str(raw.get("output_dir", "results")),
-        seed=int(raw.get("seed", 1)),
+        seed=_number(raw, "seed", 1, int),
         scenario_labels=tuple(str(s) for s in labels),
         fleet_source=source,
         fleet_file=fleet_file,
@@ -338,12 +379,12 @@ def _config_hash(config: ScenarioConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _load_inputs(config: ScenarioConfig) -> tuple[FeederModel, tuple[BaselineLoadProfile, ...]]:
-    feeder = bundled_feeder() if config.feeder_path == "builtin" else load_feeder(config.feeder_path)
+def _load_inputs(feeder_path: str, profiles_path: str):
+    feeder = bundled_feeder() if feeder_path == "builtin" else load_feeder(feeder_path)
     profiles = (
         bundled_baseline_profiles()
-        if config.profiles_path == "builtin"
-        else load_baseline_profiles(config.profiles_path)
+        if profiles_path == "builtin"
+        else load_baseline_profiles(profiles_path)
     )
     return feeder, profiles
 
@@ -434,10 +475,10 @@ def _write_search_outputs(
     na_traj, na_trace = network_aware_horizon(feeder, profiles, sub_fleet, hc_power, config.doe)
     base_traj, base_trace = passive_horizon(feeder, profiles, sub_fleet, hc_power)
 
+    comp = feeder.compiled
     at_hc = next((c for c in report.candidates if c.candidate == report.hc), None)
     if at_hc is not None and at_hc.qos is not None:
-        node_of = {h: feeder.household_node(h) for h in feeder.household_ids}
-        _write(out / "qos_at_hc.csv", export_qos_csv(at_hc.qos, node_of))
+        _write(out / "qos_at_hc.csv", export_qos_csv(at_hc.qos, comp.household_node))
 
     _write(out / "envelope_trace.csv", export_envelope_csv(na_trace, feeder))
 
@@ -449,12 +490,10 @@ def _write_search_outputs(
             )
     _write(out / "profiles_power.csv", "\n".join(power_lines) + "\n")
 
-    vu = household_voltage_index(feeder)
-    slot = {h: j for j, h in enumerate(feeder.household_ids)}
+    vu = [comp.household_voltage[comp.household_slot[h]] for h in na_trace.household_ids]
     volt_lines = ["step,household,baseline_pu,network_aware_pu"]
     for t in range(na_trace.step_count):
-        for h in na_trace.household_ids:
-            n = vu[slot[h]]
+        for h, n in zip(na_trace.household_ids, vu):
             volt_lines.append(
                 f"{t},{h},{fmt(base_trace.voltage_pu[t, n])},{fmt(na_trace.voltage_pu[t, n])}"
             )
@@ -475,7 +514,7 @@ def _write_search_outputs(
             continue
         for i, h in enumerate(result.qos.households):
             qos_lines.append(
-                f"{fmt(result.candidate)},{h},{feeder.household_node(h)},"
+                f"{fmt(result.candidate)},{h},{comp.household_node[h]},"
                 f"{fmt(result.qos.e_baseline_kwh[i])},"
                 f"{fmt(result.qos.e_network_aware_kwh[i])},"
                 f"{fmt(result.qos.individual[i])}"
@@ -484,7 +523,7 @@ def _write_search_outputs(
 
 
 def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
-    feeder, profiles = _load_inputs(config)
+    feeder, profiles = _load_inputs(config.feeder_path, config.profiles_path)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = {

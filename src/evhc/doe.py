@@ -23,17 +23,17 @@ visited arrival-first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import acos, tan
 
 import numpy as np
 
-from .ev import ChargingTrajectory, EvSession, charging_power, quiet_step
+from .ev import ChargingTrajectory, EvSession, quiet_step
 from .feeder import BaselineLoadProfile, FeederModel
 from .powerflow import (
     DEFAULT_BASELINE_POWER_FACTOR,
+    InjectionSet,
     PowerFlowOptions,
     PowerFlowSolution,
-    household_voltage_index,
-    injections_from_loads,
     solve,
 )
 from .trace import (
@@ -114,19 +114,9 @@ def envelope_bound(u_t: float, p_max_kw: float, params: DoeParams) -> EnvelopeBo
     """Power interval admitted at local voltage ``u_t`` (per-unit)."""
     if u_t <= 0:
         raise ValueError("voltage must be > 0 pu")
-    p_min = floor_power(p_max_kw, params)
-    if params.degenerate:
-        # no yellow band left: step function at u_min
-        if u_t >= params.u_min:
-            return EnvelopeBound(p_min, p_max_kw, "green", degenerate=True)
-        return EnvelopeBound(p_min, p_min, "red", degenerate=True)
-    if u_t <= params.u_min:
-        return EnvelopeBound(p_min, p_min, "red")
-    if u_t >= params.green_threshold:
-        return EnvelopeBound(p_min, p_max_kw, "green")
-    ramp = (p_max_kw - p_min) * (u_t - params.u_min) / (params.green_threshold - params.u_min)
-    cap = min(max(p_min + ramp, p_min), p_max_kw)
-    return EnvelopeBound(p_min, cap, "yellow")
+    floor_power(p_max_kw, params)  # rejects p_max_kw <= 0
+    floor, cap, zone = _envelope(np.float64(u_t), np.float64(p_max_kw), params)
+    return EnvelopeBound(float(floor), float(cap), ZONE_LABELS[int(zone)], params.degenerate)
 
 
 def clamp_to_envelope(p_desired_kw: float, bound: EnvelopeBound) -> float:
@@ -137,11 +127,27 @@ def clamp_to_envelope(p_desired_kw: float, bound: EnvelopeBound) -> float:
     """
     if p_desired_kw < 0:
         raise ValueError("desired power must be >= 0")
-    lo = min(bound.floor_kw, p_desired_kw)
-    return min(max(p_desired_kw, lo), bound.cap_kw)
+    return float(_clamp(np.float64(p_desired_kw), bound.floor_kw, bound.cap_kw))
 
 
-_ZONE_CODE = {"green": ZONE_GREEN, "yellow": ZONE_YELLOW, "red": ZONE_RED}
+def _envelope(u: np.ndarray, p_max: np.ndarray, params: DoeParams) -> tuple[np.ndarray, ...]:
+    """Floor, cap and zone code of the envelope at voltages ``u``, elementwise."""
+    floor = params.factor * p_max
+    if params.degenerate:
+        # no yellow band left: step function at u_min
+        green = u >= params.u_min
+        return floor, np.where(green, p_max, floor), np.where(green, ZONE_GREEN, ZONE_RED)
+    red = u <= params.u_min
+    green = u >= params.green_threshold
+    ramp = (p_max - floor) * (u - params.u_min) / (params.green_threshold - params.u_min)
+    cap = np.minimum(np.maximum(floor + ramp, floor), p_max)
+    cap = np.where(red, floor, np.where(green, p_max, cap))
+    zone = np.where(red, ZONE_RED, np.where(green, ZONE_GREEN, ZONE_YELLOW))
+    return floor, cap, zone
+
+
+def _clamp(desired: np.ndarray, floor: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(desired, np.minimum(floor, desired)), cap)
 
 
 def baseline_matrix(
@@ -174,7 +180,7 @@ def _sessions_in_feeder_order(
     by_household = {s.household: s for s in sessions}
     if len(by_household) != len(sessions):
         raise ValueError("duplicate household in session list")
-    extra = [h for h in by_household if h not in feeder.household_ids]
+    extra = [h for h in by_household if h not in feeder.compiled.household_slot]
     if extra:
         raise ValueError(f"sessions reference unknown households: {extra}")
     return [by_household[h] for h in feeder.household_ids if h in by_household]
@@ -223,18 +229,19 @@ def _simulate_horizon(
     steps = STEPS_PER_DAY
     ordered = _sessions_in_feeder_order(feeder, sessions)
     baseline = baseline_matrix(feeder, profiles, steps)
+    baseline_q = baseline * tan(acos(baseline_power_factor))
+    comp = feeder.compiled
     ev_households = tuple(s.household for s in ordered)
-    house_slot = {h: j for j, h in enumerate(feeder.household_ids)}
-    ev_house = np.array([house_slot[h] for h in ev_households], dtype=int)
-    house_idx = household_voltage_index(feeder)[ev_house]  # EV -> voltage index
+    ev_house = np.array([comp.household_slot[h] for h in ev_households], dtype=int)
+    house_idx = comp.household_voltage[ev_house]  # EV -> voltage index
     n_ev = len(ordered)
-    n_house = len(feeder.household_ids)
-    n_nodes = len(feeder.node_ids)
-    n_branches = len(feeder.branches)
+    arrival = np.array([s.arrival_step for s in ordered], dtype=int)
+    duration = np.array([s.duration_steps for s in ordered], dtype=int)
+    requested = np.array([s.requested_kwh for s in ordered])
     p_max = np.array([min(hc_power, s.rated_kw) for s in ordered])
 
-    voltage = np.zeros((steps, n_nodes))
-    current = np.zeros((steps, n_branches))
+    voltage = np.zeros((steps, len(comp.node_ids)))
+    current = np.zeros((steps, len(feeder.branches)))
     slack_p = np.zeros(steps)
     slack_q = np.zeros(steps)
     converged = np.zeros(steps, dtype=bool)
@@ -252,34 +259,31 @@ def _simulate_horizon(
     v_house = np.ones(n_ev)  # warm start / previous-step voltages, pu
 
     def _solve_step(t: int, ev_kw: np.ndarray) -> PowerFlowSolution:
-        per_household = np.zeros(n_house)
+        per_household = np.zeros(len(comp.household_ids))
         per_household[ev_house] = ev_kw
-        inj = injections_from_loads(
-            feeder.household_ids, baseline[t], per_household, baseline_power_factor
-        )
+        inj = InjectionSet(comp.household_ids, baseline[t] + per_household, baseline_q[t])
         return solve(feeder, inj, pf_options, _step=t)
 
     for k in range(steps):
         t = (start + k) % steps
-        connected = np.array([s.is_connected(t) for s in ordered], dtype=bool)
-        desired = np.zeros(n_ev)
-        for i in np.flatnonzero(connected):
-            desired[i] = charging_power(p_max[i], ordered[i].requested_kwh - delivered[i])
+        connected = (t - arrival) % steps < duration
+        # an EV charges as fast as allowed until its request is met
+        desired = np.where(connected, np.minimum(p_max, (requested - delivered) / STEP_HOURS), 0.0)
         desired_rec[t] = desired
 
         if params is None or not connected.any():
-            ev_kw = desired.copy()
+            ev_kw = desired
             sol = _solve_step(t, ev_kw)
         elif params.voltage_source == "previous_step":
-            ev_kw, bounds = _apply_envelope(desired, connected, v_house, p_max, params)
+            ev_kw, envelope = _apply_envelope(desired, connected, v_house, p_max, params)
             sol = _solve_step(t, ev_kw)
-            _record_bounds(t, bounds, env_floor, env_cap, env_zone)
+            env_floor[t], env_cap[t], env_zone[t] = envelope
         else:
-            ev_kw, sol, ok, bounds = _fixed_point_step(
+            ev_kw, sol, ok, envelope = _fixed_point_step(
                 desired, connected, v_house, p_max, params, _solve_step, house_idx, t
             )
             fallback[t] = not ok
-            _record_bounds(t, bounds, env_floor, env_cap, env_zone)
+            env_floor[t], env_cap[t], env_zone[t] = envelope
 
         v_house = sol.voltage_pu[house_idx]
         granted[t] = ev_kw
@@ -292,23 +296,12 @@ def _simulate_horizon(
         iterations[t] = sol.iterations
         residual[t] = sol.residual_pu
 
-    trajectories = []
-    for i, s in enumerate(ordered):
-        cumulative = np.zeros(steps)
-        running = 0.0
-        for t in s.window_steps():
-            running += granted[t, i] * STEP_HOURS
-            cumulative[t] = running
-        trajectories.append(
-            ChargingTrajectory(
-                session=s,
-                power_kw=granted[:, i].copy(),
-                cumulative_kwh=cumulative,
-                delivered_kwh=running,
-            )
-        )
-    # re-derive delivered in session order so trajectory and trace agree bitwise
-    delivered = np.array([traj.delivered_kwh for traj in trajectories])
+    # the day starts on a quiet step, so each running total was summed in
+    # session order, arrival first
+    trajectories = [
+        ChargingTrajectory(s, granted[:, i].copy(), float(delivered[i]))
+        for i, s in enumerate(ordered)
+    ]
 
     trace = SimulationTrace(
         step_count=steps,
@@ -342,24 +335,28 @@ def _apply_envelope(
     v_house: np.ndarray,
     p_max: np.ndarray,
     params: DoeParams,
-) -> tuple[np.ndarray, dict[int, EnvelopeBound]]:
-    ev_kw = np.zeros_like(desired)
-    bounds: dict[int, EnvelopeBound] = {}
-    for i in np.flatnonzero(connected):
-        bound = envelope_bound(float(v_house[i]), float(p_max[i]), params)
-        bounds[i] = bound
-        ev_kw[i] = clamp_to_envelope(float(desired[i]), bound)
-    return ev_kw, bounds
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Granted power of every connected EV and its envelope (floor, cap,
+    zone) at ``v_house``; NaN and ZONE_NONE where no EV is connected."""
+    if np.any(desired < 0):
+        raise ValueError("desired power must be >= 0")
+    floor, cap, zone = _envelope(v_house, p_max, params)
+    ev_kw = np.where(connected, _clamp(desired, floor, cap), 0.0)
+    return ev_kw, (
+        np.where(connected, floor, np.nan),
+        np.where(connected, cap, np.nan),
+        np.where(connected, zone, ZONE_NONE),
+    )
 
 
 def export_envelope_csv(trace: SimulationTrace, feeder: FeederModel) -> str:
     """Per (step, EV) envelope record: local voltage, zone, bounds, powers."""
-    idx = {h: j for j, h in enumerate(feeder.household_ids)}
-    vu = household_voltage_index(feeder)
+    comp = feeder.compiled
+    vu = [comp.household_voltage[comp.household_slot[h]] for h in trace.household_ids]
     lines = ["step,household,u_pu,zone,floor_kw,cap_kw,desired_kw,granted_kw"]
     for t in range(trace.step_count):
         for e, household in enumerate(trace.household_ids):
-            u = trace.voltage_pu[t, vu[idx[household]]]
+            u = trace.voltage_pu[t, vu[e]]
             zone = ZONE_LABELS[int(trace.envelope_zone[t, e])]
             floor = trace.envelope_floor_kw[t, e]
             cap = trace.envelope_cap_kw[t, e]
@@ -372,19 +369,6 @@ def export_envelope_csv(trace: SimulationTrace, feeder: FeederModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _record_bounds(
-    t: int,
-    bounds: dict[int, EnvelopeBound],
-    env_floor: np.ndarray,
-    env_cap: np.ndarray,
-    env_zone: np.ndarray,
-) -> None:
-    for i, bound in bounds.items():
-        env_floor[t, i] = bound.floor_kw
-        env_cap[t, i] = bound.cap_kw
-        env_zone[t, i] = _ZONE_CODE[bound.zone]
-
-
 def _fixed_point_step(
     desired: np.ndarray,
     connected: np.ndarray,
@@ -394,18 +378,15 @@ def _fixed_point_step(
     solve_step,
     house_idx: np.ndarray,
     t: int,
-) -> tuple[np.ndarray, PowerFlowSolution, bool, dict[int, EnvelopeBound]]:
+) -> tuple[np.ndarray, PowerFlowSolution, bool, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Iterate bound -> clamp -> solve until EV powers stop moving."""
     house_voltage = v_start
     previous = None
-    sol = None
-    bounds: dict[int, EnvelopeBound] = {}
-    ev_kw = np.zeros_like(desired)
     for _ in range(FIXED_POINT_MAX_ITER):
-        ev_kw, bounds = _apply_envelope(desired, connected, house_voltage, p_max, params)
+        ev_kw, envelope = _apply_envelope(desired, connected, house_voltage, p_max, params)
         sol = solve_step(t, ev_kw)
         house_voltage = sol.voltage_pu[house_idx]
         if previous is not None and np.max(np.abs(ev_kw - previous)) < FIXED_POINT_TOL_KW:
-            return ev_kw, sol, True, bounds
+            return ev_kw, sol, True, envelope
         previous = ev_kw
-    return ev_kw, sol, False, bounds
+    return ev_kw, sol, False, envelope

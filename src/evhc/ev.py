@@ -148,23 +148,16 @@ class EvSession:
         return [(self.arrival_step + k) % STEPS_PER_DAY for k in range(self.duration_steps)]
 
 
-def charging_power(cap_kw: float, remaining_kwh: float, step_hours: float = STEP_HOURS) -> float:
-    """Power drawn this step by an EV that charges as fast as allowed."""
-    return min(cap_kw, remaining_kwh / step_hours)
-
-
 @dataclass
 class ChargingTrajectory:
     """Realized charging of one session over the day.
 
-    ``power_kw[t]`` is zero outside the session window; ``cumulative_kwh[t]``
-    is the running total at that session moment (scattered onto absolute
-    step indices, so it is monotone in session time, not in t).
+    ``power_kw[t]`` is zero outside the session window; ``delivered_kwh`` is
+    its energy summed in session order, arrival first.
     """
 
     session: EvSession
     power_kw: np.ndarray
-    cumulative_kwh: np.ndarray
     delivered_kwh: float
 
 
@@ -175,16 +168,12 @@ def baseline_trajectory(session: EvSession, hc_power: float) -> ChargingTrajecto
         raise ValueError("hc_power must be > 0")
     cap = min(hc_power, session.rated_kw)
     power = np.zeros(STEPS_PER_DAY)
-    cumulative = np.zeros(STEPS_PER_DAY)
     delivered = 0.0
     for t in session.window_steps():
-        p = charging_power(cap, session.requested_kwh - delivered)
+        p = min(cap, (session.requested_kwh - delivered) / STEP_HOURS)
         power[t] = p
         delivered += p * STEP_HOURS
-        cumulative[t] = delivered
-    return ChargingTrajectory(
-        session=session, power_kw=power, cumulative_kwh=cumulative, delivered_kwh=delivered
-    )
+    return ChargingTrajectory(session=session, power_kw=power, delivered_kwh=delivered)
 
 
 def generate_fleet(

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 BUNDLED_FEEDER = "feeder_19node.yaml"
@@ -75,23 +76,105 @@ class FeederModel:
     transformer_kva: float
     base_voltage_v: float
 
+    @cached_property
+    def compiled(self) -> CompiledFeeder:
+        """The tree index that every solve and day simulation reads, built
+        on first use and kept for the life of the model."""
+        return _compile(self)
+
+    def __getstate__(self) -> dict:
+        # the index is rebuilt on demand: unpickled arrays would be writable
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @property
     def slack_id(self) -> str:
-        return next(n.id for n in self.nodes if n.is_slack)
+        return self.compiled.slack_id
 
     @property
     def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes)
+        return self.compiled.node_ids
 
     @property
     def household_ids(self) -> tuple[str, ...]:
-        return tuple(h.id for h in self.households)
+        return self.compiled.household_ids
 
     def household_node(self, household_id: str) -> str:
-        for h in self.households:
-            if h.id == household_id:
-                return h.node
-        raise FeederError(f"unknown household id: {household_id}")
+        try:
+            return self.compiled.household_node[household_id]
+        except KeyError:
+            raise FeederError(f"unknown household id: {household_id}") from None
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledFeeder:
+    """A feeder reduced to lookup maps and index arrays by one walk from the
+    slack. Node positions number the non-slack nodes parents before children.
+    The arrays are read-only, so no caller can alter what a later solve reads.
+    """
+
+    slack_id: str
+    node_ids: tuple[str, ...]
+    household_ids: tuple[str, ...]
+    household_slot: dict[str, int]          # household id -> index into household_ids
+    household_node: dict[str, str]          # household id -> attachment node id
+    parent: dict[str, tuple[str, Branch]]   # non-slack node -> (parent node, branch)
+    impedance: np.ndarray        # (m, m) complex, impedance shared by two nodes' slack paths, ohm
+    branch_path: np.ndarray      # (m, m) float, [b, i] = 1 when node b's branch is on node i's path
+    branch_of_child: np.ndarray  # feeder branch order -> position of its child node
+    house_pos: np.ndarray        # household -> position of its node
+    voltage_slot: np.ndarray     # node position -> index into node_ids
+    household_voltage: np.ndarray  # household -> index into node_ids
+    ampacity_a: np.ndarray       # feeder branch order
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
+def _compile(feeder: FeederModel) -> CompiledFeeder:
+    """Index a validated feeder: one breadth-first walk from the slack."""
+    node_ids = tuple(n.id for n in feeder.nodes)
+    node_slot = {n: i for i, n in enumerate(node_ids)}
+    slack = next(n.id for n in feeder.nodes if n.is_slack)
+    adjacency = _adjacency(node_ids, feeder.branches)
+    m = len(node_ids) - 1
+    parent: dict[str, tuple[str, Branch]] = {}
+    pos: dict[str, int] = {}
+    path = np.zeros((m, m), dtype=bool)  # path[i, j]: node j's branch is on node i's path
+    z = np.zeros(m, dtype=complex)
+    branch_of_child = np.zeros(len(feeder.branches), dtype=int)
+    frontier = [slack]
+    for current in frontier:
+        for child, bi in sorted(adjacency[current], key=lambda e: node_slot[e[0]]):
+            if child == slack or child in pos:
+                continue
+            i = pos[child] = len(pos)
+            branch = feeder.branches[bi]
+            parent[child] = (current, branch)
+            if current != slack:
+                path[i] = path[pos[current]]
+            path[i, i] = True
+            z[i] = complex(branch.r_ohm, branch.x_ohm)
+            branch_of_child[bi] = i
+            frontier.append(child)
+
+    branch_path = path.T.astype(float)
+    return CompiledFeeder(
+        slack_id=slack,
+        node_ids=node_ids,
+        household_ids=tuple(h.id for h in feeder.households),
+        household_slot={h.id: j for j, h in enumerate(feeder.households)},
+        household_node={h.id: h.node for h in feeder.households},
+        parent=parent,
+        impedance=(path * z[np.newaxis, :]) @ branch_path,
+        branch_path=branch_path,
+        branch_of_child=branch_of_child,
+        house_pos=np.array([pos[h.node] for h in feeder.households], dtype=int),
+        voltage_slot=np.array([node_slot[n] for n in pos], dtype=int),
+        household_voltage=np.array([node_slot[h.node] for h in feeder.households], dtype=int),
+        ampacity_a=np.array([b.ampacity_a for b in feeder.branches], dtype=float),
+    )
 
 
 @dataclass(frozen=True)
@@ -102,7 +185,17 @@ class BaselineLoadProfile:
     power_kw: tuple[float, ...]
 
 
-def _validate_topology(nodes: tuple[Node, ...], branches: tuple[Branch, ...]) -> None:
+def _adjacency(node_ids, branches: tuple[Branch, ...]) -> dict[str, list[tuple[str, int]]]:
+    """Each node's (neighbor, branch index) pairs, in branch order."""
+    adjacency: dict[str, list[tuple[str, int]]] = {n: [] for n in node_ids}
+    for bi, b in enumerate(branches):
+        adjacency[b.from_node].append((b.to_node, bi))
+        adjacency[b.to_node].append((b.from_node, bi))
+    return adjacency
+
+
+def _validate_topology(nodes: tuple[Node, ...], branches: tuple[Branch, ...]) -> str:
+    """Check the tree and return the slack node id."""
     ids = [n.id for n in nodes]
     dup = {i for i in ids if ids.count(i) > 1}
     if dup:
@@ -126,10 +219,7 @@ def _validate_topology(nodes: tuple[Node, ...], branches: tuple[Branch, ...]) ->
     # touching an already-visited node closes a cycle, and nodes never
     # reached are disconnected. Cycles are diagnosed before the branch-count
     # check so the offending branch gets named.
-    adjacency: dict[str, list[tuple[str, int]]] = {i: [] for i in ids}
-    for bi, b in enumerate(branches):
-        adjacency[b.from_node].append((b.to_node, bi))
-        adjacency[b.to_node].append((b.from_node, bi))
+    adjacency = _adjacency(ids, branches)
     entered_via: dict[str, int | None] = {slacks[0]: None}
     frontier = [slacks[0]]
     while frontier:
@@ -151,16 +241,16 @@ def _validate_topology(nodes: tuple[Node, ...], branches: tuple[Branch, ...]) ->
     missing = id_set - entered_via.keys()
     if missing:
         raise FeederError(f"nodes not connected to the slack: {sorted(missing)}")
+    return slacks[0]
 
 
 def _validate(model: FeederModel) -> None:
-    _validate_topology(model.nodes, model.branches)
+    slack = _validate_topology(model.nodes, model.branches)
     if model.transformer_kva <= 0:
         raise FeederError("transformer rating must be > 0 kVA")
     if model.base_voltage_v <= 0:
         raise FeederError("base voltage must be > 0 V")
-    slack = model.slack_id
-    node_set = set(model.node_ids)
+    node_set = {n.id for n in model.nodes}
     hids = [h.id for h in model.households]
     dup = {i for i in hids if hids.count(i) > 1}
     if dup:
@@ -266,37 +356,16 @@ def save_feeder(model: FeederModel, path: str | Path) -> None:
     Path(path).write_text(serialize_feeder(model), encoding="utf-8")
 
 
-@lru_cache(maxsize=32)
-def _tree_index(feeder: FeederModel) -> dict[str, tuple[str, Branch]]:
-    """Map each non-slack node to (parent node id, connecting branch)."""
-    adjacency: dict[str, list[tuple[str, Branch]]] = {n.id: [] for n in feeder.nodes}
-    for b in feeder.branches:
-        adjacency[b.from_node].append((b.to_node, b))
-        adjacency[b.to_node].append((b.from_node, b))
-    parent: dict[str, tuple[str, Branch]] = {}
-    frontier = [feeder.slack_id]
-    seen = {feeder.slack_id}
-    while frontier:
-        current = frontier.pop(0)
-        for neighbor, b in adjacency[current]:
-            if neighbor not in seen:
-                parent[neighbor] = (current, b)
-                seen.add(neighbor)
-                frontier.append(neighbor)
-    return parent
-
-
 def path_to_slack(feeder: FeederModel, node_id: str) -> tuple[Branch, ...]:
     """Ordered branch path from ``node_id`` up to the slack (empty for slack)."""
-    if node_id not in set(feeder.node_ids):
+    index = feeder.compiled
+    if node_id != index.slack_id and node_id not in index.parent:
         raise FeederError(f"unknown node id: {node_id}")
-    parent = _tree_index(feeder)
     path: list[Branch] = []
     current = node_id
-    while current != feeder.slack_id:
-        up, branch = parent[current]
+    while current != index.slack_id:
+        current, branch = index.parent[current]
         path.append(branch)
-        current = up
     return tuple(path)
 
 

@@ -113,10 +113,6 @@ class HcReport:
         return None
 
 
-def _limits(feeder: FeederModel, config: HcSearchConfig) -> IncidentLimits:
-    return IncidentLimits.from_feeder(feeder, config.v_lower_pu, config.v_upper_pu)
-
-
 def _failure(result: CandidateResult, qos_threshold: float) -> CandidateResult:
     """The one failure rule: ``result`` judged at ``qos_threshold``.
 
@@ -163,9 +159,11 @@ def _evaluate(
         qos = build_report(tuple(s.household for s in fleet), e_baseline, e_na)
     result = CandidateResult(
         candidate=hc_power,
-        incidents=detect(trace, _limits(feeder, config)),
+        incidents=detect(
+            trace, IncidentLimits.from_feeder(feeder, config.v_lower_pu, config.v_upper_pu)
+        ),
         qos=qos,
-        summary=summarize(trace, np.array([b.ampacity_a for b in feeder.branches])),
+        summary=summarize(trace, feeder.compiled.ampacity_a),
         fixed_point_fallback_steps=int(trace.fixed_point_fallback.sum()),
     )
     return _failure(result, config.qos_threshold)

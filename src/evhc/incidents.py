@@ -27,13 +27,13 @@ KIND_DIAGNOSTIC = "diagnostic"
 class IncidentLimits:
     """Operating limits checked against a trace.
 
-    Voltage limits are per-unit; ampacities and the transformer rating come
-    from the feeder model.
+    Voltage limits are per-unit; ampacities (feeder branch order) and the
+    transformer rating come from the feeder model.
     """
 
     v_lower_pu: float
     v_upper_pu: float
-    branch_ampacity_a: tuple[float, ...]
+    branch_ampacity_a: tuple[float, ...] | np.ndarray
     transformer_kva: float
 
     def __post_init__(self) -> None:
@@ -47,7 +47,7 @@ class IncidentLimits:
         return cls(
             v_lower_pu=v_lower_pu,
             v_upper_pu=v_upper_pu,
-            branch_ampacity_a=tuple(b.ampacity_a for b in feeder.branches),
+            branch_ampacity_a=feeder.compiled.ampacity_a,
             transformer_kva=feeder.transformer_kva,
         )
 

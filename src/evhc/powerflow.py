@@ -16,7 +16,6 @@ divided over the three phases of the balanced equivalent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import acos, tan
 
 import numpy as np
@@ -124,82 +123,6 @@ class PowerFlowSolution:
         return float(self.voltage_pu[self.node_ids.index(node_id)])
 
 
-@dataclass
-class _CompiledFeeder:
-    """Feeder reduced to index arrays and the path-impedance matrix."""
-
-    node_ids: tuple[str, ...]
-    order: list[str]                 # non-slack nodes, parents before children
-    node_pos: dict[str, int]         # node id -> index into ``order``
-    impedance: np.ndarray            # (m, m) complex shared-path matrix, ohm
-    path_mask: np.ndarray            # (m, m) bool, path_mask[i, b]: branch b on path of i
-    branch_of_child: np.ndarray      # feeder branch order -> child-node index
-    house_idx: np.ndarray            # household -> index into ``order``
-    voltage_slot: np.ndarray         # ``order`` -> index into feeder.node_ids
-
-
-@lru_cache(maxsize=32)
-def _compile(feeder: FeederModel) -> _CompiledFeeder:
-    from .feeder import _tree_index
-
-    parent = _tree_index(feeder)
-    slack = feeder.slack_id
-
-    order: list[str] = []
-    frontier = [slack]
-    children: dict[str, list[str]] = {n.id: [] for n in feeder.nodes}
-    for child, (up, _) in parent.items():
-        children[up].append(child)
-    while frontier:
-        current = frontier.pop(0)
-        if current != slack:
-            order.append(current)
-        frontier.extend(sorted(children[current], key=feeder.node_ids.index))
-    node_pos = {n: i for i, n in enumerate(order)}
-
-    m = len(order)
-    path_mask = np.zeros((m, m), dtype=bool)
-    for node in order:
-        i = node_pos[node]
-        current = node
-        while current != slack:
-            path_mask[i, node_pos[current]] = True
-            current = parent[current][0]
-
-    z = np.array(
-        [complex(parent[n][1].r_ohm, parent[n][1].x_ohm) for n in order],
-        dtype=complex,
-    )
-    impedance = (path_mask * z[np.newaxis, :]) @ path_mask.T.astype(float)
-
-    branch_key = {}
-    for node in order:
-        b = parent[node][1]
-        branch_key[(b.from_node, b.to_node, b.r_ohm, b.x_ohm, b.ampacity_a)] = node_pos[node]
-    branch_of_child = np.array(
-        [
-            branch_key[(b.from_node, b.to_node, b.r_ohm, b.x_ohm, b.ampacity_a)]
-            for b in feeder.branches
-        ],
-        dtype=int,
-    )
-
-    house_idx = np.array(
-        [node_pos[feeder.household_node(h)] for h in feeder.household_ids], dtype=int
-    )
-    voltage_slot = np.array([feeder.node_ids.index(n) for n in order], dtype=int)
-    return _CompiledFeeder(
-        node_ids=feeder.node_ids,
-        order=order,
-        node_pos=node_pos,
-        impedance=impedance,
-        path_mask=path_mask,
-        branch_of_child=branch_of_child,
-        house_idx=house_idx,
-        voltage_slot=voltage_slot,
-    )
-
-
 def solve(
     feeder: FeederModel,
     injections: InjectionSet,
@@ -208,18 +131,18 @@ def solve(
 ) -> PowerFlowSolution:
     """Solve one step. Non-convergence is reported in the solution, voltage
     collapse below the floor raises ``VoltageCollapseError``."""
-    comp = _compile(feeder)
-    if injections.households != feeder.household_ids:
+    comp = feeder.compiled
+    if injections.households != comp.household_ids:
         raise ValueError("injections must cover the feeder households in order")
 
     v_base = feeder.base_voltage_v
-    m = len(comp.order)
+    m = comp.impedance.shape[0]
 
     # per-phase complex power per node, VA
     s_node = np.zeros(m, dtype=complex)
     np.add.at(
         s_node,
-        comp.house_idx,
+        comp.house_pos,
         (injections.p_kw + 1j * injections.q_kvar) * (1000.0 / 3.0),
     )
 
@@ -243,7 +166,7 @@ def solve(
             converged = True
             break
 
-    i_branch = comp.path_mask.T.astype(float) @ i_node
+    i_branch = comp.branch_path @ i_node
     current_a = np.abs(i_branch)[comp.branch_of_child]
 
     s_slack_phase = v0 * np.conj(np.sum(i_node))
@@ -265,8 +188,6 @@ def solve(
 
 
 def household_voltage_index(feeder: FeederModel) -> np.ndarray:
-    """Index of each household's node in ``PowerFlowSolution.voltage_pu``."""
-    return np.array(
-        [feeder.node_ids.index(feeder.household_node(h)) for h in feeder.household_ids],
-        dtype=int,
-    )
+    """Index of each household's node in ``PowerFlowSolution.voltage_pu``
+    (read-only)."""
+    return feeder.compiled.household_voltage

@@ -1,6 +1,7 @@
 """CLI verbs, exit codes, result files, and rerun determinism."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,63 @@ def test_malformed_fleet_file_is_config_error(tmp_path, capsys, text, message):
     assert main(["validate", str(path)]) == 1
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"fleet": {"rated_power_kw": "abc"}}, "fleet.rated_power_kw"),
+        ({"search": {**BASE["search"], "power_min_kw": [1]}}, "search.power_min_kw"),
+        ({"seed": "x"}, "seed"),
+        ({"doe": {"delta_perm": "abc"}}, "doe.delta_perm"),
+    ],
+    ids=["rated_power", "power_min", "seed", "delta_perm"],
+)
+def test_malformed_value_is_config_error(tmp_path, capsys, overrides, field):
+    path = _write_scenario(tmp_path, mode="passive", **overrides)
+    assert main(["validate", str(path)]) == 1
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.count(f"configuration error: {field}: ") == 2
+
+
+def _assert_config_error(tmp_path, capsys, path, message):
+    assert main(["validate", str(path)]) == 1
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("configuration error: ") == 2 and message in err
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("zz9,70,80,5.0,22.0\n", "households not on the feeder: ['zz9']"),
+        ("h01,70,80,5.0,22.0\nh01,10,20,5.0,22.0\n", "more than one session for ['h01']"),
+    ],
+    ids=["unknown_household", "duplicated_household"],
+)
+def test_fleet_must_fit_the_feeder(tmp_path, capsys, rows, message):
+    fleet_path = tmp_path / "fleet.csv"
+    fleet_path.write_text("household,arrival_step,departure_step,requested_kwh,rated_kw\n" + rows)
+    path = _write_scenario(
+        tmp_path, mode="passive", fleet={"source": "import", "fleet_file": str(fleet_path)}
+    )
+    _assert_config_error(tmp_path, capsys, path, message)
+
+
+def test_profiles_must_cover_the_feeder_households(tmp_path, capsys):
+    from evhc.feeder import Household, bundled_feeder, save_feeder
+
+    feeder = bundled_feeder()
+    extra = Household("h99", feeder.households[0].node)
+    save_feeder(replace(feeder, households=feeder.households + (extra,)), tmp_path / "feeder.yaml")
+    path = _write_scenario(tmp_path, mode="passive", feeder="feeder.yaml")
+    _assert_config_error(tmp_path, capsys, path, "missing feeder households: ['h99']")
+
+
+def test_feeder_file_must_be_valid_yaml(tmp_path, capsys):
+    (tmp_path / "feeder.yaml").write_text("nodes: [unclosed\n")
+    path = _write_scenario(tmp_path, mode="passive", feeder="feeder.yaml")
+    _assert_config_error(tmp_path, capsys, path, "not valid YAML")
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

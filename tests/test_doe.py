@@ -8,9 +8,13 @@ monotone ramp in between.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import evhc.doe
 from evhc.doe import (
     DoeParams,
+    _apply_envelope,
     clamp_to_envelope,
     envelope_bound,
     floor_power,
@@ -19,6 +23,8 @@ from evhc.doe import (
 )
 from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
 from evhc.feeder import path_impedance
+from evhc.powerflow import household_voltage_index
+from evhc.trace import ZONE_GREEN, ZONE_LABELS, ZONE_NONE, ZONE_RED
 
 
 def test_floor_power_is_a_fraction_of_maximum():
@@ -128,6 +134,63 @@ def test_clamp_optimality_by_grid_search():
         assert lo - 1e-12 <= granted <= bound.cap_kw + 1e-12
         for x in np.linspace(lo, bound.cap_kw, 41):
             assert abs(desired - granted) <= abs(desired - x) + 1e-12
+
+
+@st.composite
+def _envelope_cases(draw):
+    params = draw(
+        st.builds(
+            DoeParams,
+            delta_perm=st.floats(0.0, 0.2),
+            factor=st.floats(0.0, 1.0),
+            u_min=st.floats(0.8, 0.99),
+        )
+    )
+    n = draw(st.integers(1, 12))
+    voltage = st.one_of(
+        st.floats(0.5, 1.2), st.sampled_from([params.u_min, params.green_threshold])
+    )
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)))
+
+    return (
+        params,
+        column(voltage),
+        column(st.floats(0.1, 50.0)),
+        column(st.floats(0.0, 60.0)),
+        column(st.booleans()),
+    )
+
+
+@given(_envelope_cases())
+def test_array_envelope_properties(case):
+    """The day loop's array envelope: clamp bounds, exact zone boundaries,
+    degenerate bands, and each EV equal to the one-EV public functions."""
+    params, u, p_max, desired, connected = case
+    ev_kw, (floor, cap, zone) = _apply_envelope(desired, connected, u, p_max, params)
+    off = ~connected
+    assert np.all(ev_kw[off] == 0.0) and np.all(zone[off] == ZONE_NONE)
+    assert np.all(np.isnan(floor[off])) and np.all(np.isnan(cap[off]))
+    u, p_max, desired = u[connected], p_max[connected], desired[connected]
+    ev_kw, floor, cap, zone = ev_kw[connected], floor[connected], cap[connected], zone[connected]
+    assert np.all(floor <= cap) and np.all(cap <= p_max)
+    assert np.all(np.minimum(floor, desired) <= ev_kw) and np.all(ev_kw <= cap)
+    if params.degenerate:
+        green = u >= params.u_min
+        assert np.all(zone[green] == ZONE_GREEN) and np.all(cap[green] == p_max[green])
+        assert np.all(zone[~green] == ZONE_RED) and np.all(cap[~green] == floor[~green])
+    else:
+        at_min = u == params.u_min
+        at_green = u == params.green_threshold
+        assert np.all(zone[at_min] == ZONE_RED) and np.all(cap[at_min] == floor[at_min])
+        assert np.all(zone[at_green] == ZONE_GREEN) and np.all(cap[at_green] == p_max[at_green])
+    for i in range(len(u)):
+        bound = envelope_bound(float(u[i]), float(p_max[i]), params)
+        assert (floor[i], cap[i], ZONE_LABELS[int(zone[i])]) == (
+            bound.floor_kw, bound.cap_kw, bound.zone
+        )
+        assert ev_kw[i] == clamp_to_envelope(float(desired[i]), bound)
 
 
 def test_params_validation():
@@ -269,3 +332,51 @@ def test_seeded_fleet_curtailment_concentrates_at_the_far_end(feeder, profiles):
     deep = curtailed[z >= np.quantile(z, 0.67)].mean()
     near = curtailed[z <= np.quantile(z, 0.33)].mean()
     assert deep > 2.0 * near
+
+
+@pytest.mark.parametrize(
+    "label, power, params",
+    [
+        ("low", 8.0, DoeParams(delta_perm=0.05, factor=0.2, voltage_source="previous_step")),
+        ("high", 10.0, DoeParams(delta_perm=0.1, factor=0.5, u_min=0.9)),
+    ],
+    ids=["previous_step", "degenerate_band"],
+)
+def test_recorded_envelope_is_the_scalar_envelope(
+    feeder, profiles, monkeypatch, label, power, params
+):
+    """At every connected (step, EV) the recorded floor, cap and zone are
+    ``envelope_bound`` at the voltage the envelope used, and the granted
+    power is ``clamp_to_envelope`` of the desired power, exactly."""
+    solved = []
+    original = evhc.doe.solve
+
+    def recording(feeder, injections, options, _step=None):
+        sol = original(feeder, injections, options, _step=_step)
+        solved.append((_step, sol.voltage_pu))
+        return sol
+
+    monkeypatch.setattr(evhc.doe, "solve", recording)
+    fleet = _fleet(feeder, label)
+    _, trace = network_aware_horizon(feeder, profiles, fleet, power, params)
+    # a step's last clamp used the voltage of the solve just before its last
+    # solve: the previous step's (previous_step) or the previous iterate's
+    # (fixed point)
+    used = {t: solved[k - 1][1] for k, (t, _) in enumerate(solved)}
+    vu = household_voltage_index(feeder)
+    zones = set()
+    for t in range(trace.step_count):
+        for e, session in enumerate(fleet):
+            if not session.is_connected(t):
+                assert np.isnan(trace.envelope_cap_kw[t, e])
+                assert trace.envelope_zone[t, e] == ZONE_NONE
+                continue
+            u = float(used[t][vu[e]])
+            bound = envelope_bound(u, min(power, session.rated_kw), params)
+            assert trace.envelope_floor_kw[t, e] == bound.floor_kw
+            assert trace.envelope_cap_kw[t, e] == bound.cap_kw
+            assert ZONE_LABELS[int(trace.envelope_zone[t, e])] == bound.zone
+            desired = float(trace.ev_desired_kw[t, e])
+            assert trace.ev_power_kw[t, e] == clamp_to_envelope(desired, bound)
+            zones.add(bound.zone)
+    assert "red" in zones and "green" in zones

@@ -1,10 +1,18 @@
-"""Feeder model: ingestion, validation, tree queries, round-trips."""
+"""Feeder model: ingestion, validation, tree queries, round-trips, and the
+compiled index that every solve reads."""
 
+import pickle
+
+import numpy as np
 import pytest
 
+import evhc.cli
+from evhc.doe import DoeParams, network_aware_horizon
+from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
 from evhc.feeder import (
     Branch,
     FeederError,
+    FeederModel,
     Household,
     Node,
     build_feeder,
@@ -17,6 +25,7 @@ from evhc.feeder import (
     serialize_baseline_profiles,
     serialize_feeder,
 )
+from evhc.powerflow import InjectionSet, solve
 
 
 def test_bundled_feeder_matches_reference_statistics(feeder):
@@ -192,3 +201,57 @@ def test_households_sit_on_the_electrically_farthest_nodes(feeder):
 def test_bundled_loaders_are_cached_consistent():
     assert bundled_feeder() == bundled_feeder()
     assert bundled_baseline_profiles() == bundled_baseline_profiles()
+
+
+# --- compiled index -------------------------------------------------------
+
+
+def test_day_solve_and_export_never_hash_the_feeder(tmp_path, monkeypatch):
+    """The compiled index lives on the model: nothing rehashes the frozen
+    feeder per solve, per day or per exported table."""
+
+    def no_hash(self):
+        raise AssertionError("FeederModel was hashed")
+
+    monkeypatch.setattr(FeederModel, "__hash__", no_hash)
+    feeder, profiles = bundled_feeder(), bundled_baseline_profiles()
+    n = len(feeder.household_ids)
+    assert solve(feeder, InjectionSet(feeder.household_ids, np.full(n, 2.0))).converged
+    fleet = generate_fleet(DEFAULT_SCENARIOS["low"], feeder.household_ids, seed=1)
+    _, trace = network_aware_horizon(feeder, profiles, fleet, 6.0, DoeParams())
+    assert trace.control_active
+
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(
+        "mode: compare\nscenarios: [low]\n"
+        "search: {power_min_kw: 1.0, power_max_kw: 6.0, power_step_kw: 1.0}\n"
+    )
+    out = tmp_path / "out"
+    assert evhc.cli.main(["run", str(scenario), "--output-dir", str(out)]) == 0
+    assert (out / "network_aware_low" / "envelope_trace.csv").exists()
+
+
+def test_compiled_arrays_reject_writes(feeder):
+    arrays = [v for v in vars(feeder.compiled).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 7
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    # a pickled model (as sent to sweep workers) rebuilds a read-only index
+    copy = pickle.loads(pickle.dumps(feeder))
+    assert copy == feeder
+    assert not copy.compiled.impedance.flags.writeable
+    assert np.array_equal(copy.compiled.impedance, feeder.compiled.impedance)
+
+
+def test_compiled_impedance_is_the_shared_path_impedance(feeder):
+    """Entry (i, j) is the impedance of the branches common to the slack
+    paths of nodes i and j, checked against ``path_to_slack``."""
+    comp = feeder.compiled
+    non_slack = [n for n in feeder.node_ids if n != feeder.slack_id]
+    position = {feeder.node_ids[s]: i for i, s in enumerate(comp.voltage_slot)}
+    for a in non_slack:
+        for b in non_slack:
+            shared = set(path_to_slack(feeder, a)) & set(path_to_slack(feeder, b))
+            expected = sum((complex(br.r_ohm, br.x_ohm) for br in shared), start=0j)
+            assert comp.impedance[position[a], position[b]] == pytest.approx(expected, abs=1e-12)
