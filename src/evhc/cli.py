@@ -24,12 +24,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .doe import (
-    DoeParams,
-    export_envelope_csv,
-    network_aware_horizon,
-    passive_horizon,
-)
+from .doe import DoeParams, Lane, _raised, _simulate_lanes, export_envelope_csv
 from .ev import (
     DEFAULT_RATED_POWER_KW,
     DEFAULT_SCENARIOS,
@@ -54,8 +49,7 @@ from .hc import (
     export_sweep_csv,
     fleet_for_scenario,
     network_aware_grid,
-    network_aware_hc,
-    passive_hc,
+    reduce_searches,
     sensitivity_sweep,
     threshold_sweep,
 )
@@ -472,8 +466,8 @@ def _write_search_outputs(
     # trace exports at the hosting-capacity candidate
     hc_power = report.hc if config.dimension == SWEEP_POWER else config.count_mode_power_kw
     sub_fleet = fleet if config.dimension == SWEEP_POWER else fleet[: int(report.hc)]
-    na_traj, na_trace = network_aware_horizon(feeder, profiles, sub_fleet, hc_power, config.doe)
-    base_traj, base_trace = passive_horizon(feeder, profiles, sub_fleet, hc_power)
+    lanes = [Lane(sub_fleet, hc_power, config.doe), Lane(sub_fleet, hc_power)]
+    na_trace, base_trace = (_raised(day).trace for day in _simulate_lanes(feeder, profiles, lanes))
 
     comp = feeder.compiled
     at_hc = next((c for c in report.candidates if c.candidate == report.hc), None)
@@ -538,27 +532,25 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
     _write(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
     if config.mode in ("passive", "network_aware", "compare"):
-        table = ["scenario,mode,hc,limiting_factor,qos_at_hc,min_qos_at_hc"]
+        modes = [m for m in ("passive", "network_aware") if config.mode in (m, "compare")]
+        searches = []
         for label in config.scenario_labels:
             search = _search_config(config, label)
             fleet = _fleet(config, feeder, search)
-            if config.mode in ("passive", "compare"):
-                report = passive_hc(feeder, profiles, fleet, search)
-                _write_search_outputs(
-                    out_dir / f"passive_{label}", report, feeder, profiles, fleet, config
-                )
+            searches += [(fleet, search, mode) for mode in modes]
+        table = ["scenario,mode,hc,limiting_factor,qos_at_hc,min_qos_at_hc"]
+        reports = reduce_searches(feeder, profiles, searches)
+        for (fleet, search, mode), report in zip(searches, map(_raised, reports)):
+            label = search.scenario
+            _write_search_outputs(
+                out_dir / f"{mode}_{label}", report, feeder, profiles, fleet, config
+            )
+            limiting = "unconstrained" if report.unconstrained else report.limiting_factor
+            if mode == "passive":
+                table.append(f"{label},passive,{fmt(report.hc)},{limiting},,")
+            else:
                 table.append(
-                    f"{label},passive,{fmt(report.hc)},"
-                    f"{'unconstrained' if report.unconstrained else report.limiting_factor},,"
-                )
-            if config.mode in ("network_aware", "compare"):
-                report = network_aware_hc(feeder, profiles, fleet, search)
-                _write_search_outputs(
-                    out_dir / f"network_aware_{label}", report, feeder, profiles, fleet, config
-                )
-                table.append(
-                    f"{label},network_aware,{fmt(report.hc)},"
-                    f"{'unconstrained' if report.unconstrained else report.limiting_factor},"
+                    f"{label},network_aware,{fmt(report.hc)},{limiting},"
                     f"{fmt(report.qos_at_hc)},{fmt(report.min_qos_at_hc)}"
                 )
         if config.mode == "compare":

@@ -17,25 +17,23 @@ This module also contains the day-long quasi-static simulation for both
 regimes: ``network_aware_horizon`` (envelope active, voltage fed back) and
 ``passive_horizon`` (uncontrolled charging, same bookkeeping). Both walk the
 circular day starting from a session-free step so wrapped sessions are
-visited arrival-first.
+visited arrival-first. Both are the one-lane case of ``_simulate_lanes``,
+which steps many days ("lanes") through the day together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import acos, tan
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from .ev import ChargingTrajectory, EvSession, quiet_step
 from .feeder import BaselineLoadProfile, FeederModel
-from .powerflow import (
-    DEFAULT_BASELINE_POWER_FACTOR,
-    InjectionSet,
-    PowerFlowOptions,
-    PowerFlowSolution,
-    solve,
-)
+from .incidents import Incident, IncidentLimits, crossings
+from .powerflow import DEFAULT_BASELINE_POWER_FACTOR, PowerFlowOptions, _solve_lanes
 from .trace import (
     STEP_HOURS,
     STEPS_PER_DAY,
@@ -44,7 +42,9 @@ from .trace import (
     ZONE_NONE,
     ZONE_RED,
     ZONE_YELLOW,
+    Extrema,
     SimulationTrace,
+    TraceSummary,
     fmt,
 )
 
@@ -130,19 +130,26 @@ def clamp_to_envelope(p_desired_kw: float, bound: EnvelopeBound) -> float:
     return float(_clamp(np.float64(p_desired_kw), bound.floor_kw, bound.cap_kw))
 
 
-def _envelope(u: np.ndarray, p_max: np.ndarray, params: DoeParams) -> tuple[np.ndarray, ...]:
-    """Floor, cap and zone code of the envelope at voltages ``u``, elementwise."""
+def _envelope(u: np.ndarray, p_max: np.ndarray, params) -> tuple[np.ndarray, ...]:
+    """Floor, cap and zone code of the envelope at voltages ``u``, elementwise.
+
+    ``params`` is a ``DoeParams`` or has its four shape attributes as
+    (lanes, 1) columns, so lanes with and without a yellow band are shaped
+    in one pass.
+    """
     floor = params.factor * p_max
-    if params.degenerate:
-        # no yellow band left: step function at u_min
-        green = u >= params.u_min
-        return floor, np.where(green, p_max, floor), np.where(green, ZONE_GREEN, ZONE_RED)
     red = u <= params.u_min
     green = u >= params.green_threshold
-    ramp = (p_max - floor) * (u - params.u_min) / (params.green_threshold - params.u_min)
-    cap = np.minimum(np.maximum(floor + ramp, floor), p_max)
+    # a degenerate band divides by zero or less here; its lanes take the step below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ramp = (p_max - floor) * (u - params.u_min) / (params.green_threshold - params.u_min)
+        cap = np.minimum(np.maximum(floor + ramp, floor), p_max)
     cap = np.where(red, floor, np.where(green, p_max, cap))
     zone = np.where(red, ZONE_RED, np.where(green, ZONE_GREEN, ZONE_YELLOW))
+    # no yellow band left: step function at u_min
+    above = u >= params.u_min
+    cap = np.where(params.degenerate, np.where(above, p_max, floor), cap)
+    zone = np.where(params.degenerate, np.where(above, ZONE_GREEN, ZONE_RED), zone)
     return floor, cap, zone
 
 
@@ -186,6 +193,28 @@ def _sessions_in_feeder_order(
     return [by_household[h] for h in feeder.household_ids if h in by_household]
 
 
+class Lane(NamedTuple):
+    """One day to simulate: the EV sessions, their charging power and the
+    envelope that controls them (None: uncontrolled charging)."""
+
+    sessions: list[EvSession]
+    hc_power: float
+    params: DoeParams | None = None
+
+
+@dataclass
+class LaneDay:
+    """A simulated lane. A recorded lane carries its ``trace``; a judged lane
+    carries its ``incidents`` (ordered by step) and trace ``summary``."""
+
+    sessions: list[EvSession]    # the lane's sessions in feeder order
+    delivered_kwh: np.ndarray    # per session, summed arrival first
+    fallback_steps: int
+    trace: SimulationTrace | None = None
+    incidents: list[Incident] | None = None
+    summary: TraceSummary | None = None
+
+
 def network_aware_horizon(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
@@ -196,9 +225,8 @@ def network_aware_horizon(
     baseline_power_factor: float = DEFAULT_BASELINE_POWER_FACTOR,
 ) -> tuple[list[ChargingTrajectory], SimulationTrace]:
     """Simulate one day of envelope-controlled charging."""
-    return _simulate_horizon(
-        feeder, profiles, sessions, hc_power, params, pf_options, baseline_power_factor
-    )
+    lane = Lane(sessions, hc_power, params)
+    return _one_day(feeder, profiles, lane, pf_options, baseline_power_factor)
 
 
 def passive_horizon(
@@ -210,123 +238,267 @@ def passive_horizon(
     baseline_power_factor: float = DEFAULT_BASELINE_POWER_FACTOR,
 ) -> tuple[list[ChargingTrajectory], SimulationTrace]:
     """Simulate one day of uncontrolled charging (no envelopes)."""
-    return _simulate_horizon(
-        feeder, profiles, sessions, hc_power, None, pf_options, baseline_power_factor
-    )
+    return _one_day(feeder, profiles, Lane(sessions, hc_power), pf_options, baseline_power_factor)
 
 
-def _simulate_horizon(
+def _one_day(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
-    sessions: list[EvSession],
-    hc_power: float,
-    params: DoeParams | None,
+    lane: Lane,
     pf_options: PowerFlowOptions,
     baseline_power_factor: float,
 ) -> tuple[list[ChargingTrajectory], SimulationTrace]:
-    if hc_power <= 0:
-        raise ValueError("hc_power must be > 0")
+    day = _raised(_simulate_lanes(feeder, profiles, [lane], pf_options, baseline_power_factor)[0])
+    trajectories = [
+        ChargingTrajectory(s, day.trace.ev_power_kw[:, i].copy(), float(day.delivered_kwh[i]))
+        for i, s in enumerate(day.sessions)
+    ]
+    return trajectories, day.trace
+
+
+def _raised(outcome):
+    """``outcome`` itself, unless it is the exception that ended a lane or a
+    search: then that exception is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+class _Rows(SimpleNamespace):
+    """Per-lane arrays of the lanes still running, one row per lane; the
+    envelope parameters are (lanes, 1) columns named as in ``DoeParams``."""
+
+    def keep(self, mask: np.ndarray) -> None:
+        for name, value in vars(self).items():
+            setattr(self, name, value[mask])
+
+
+def _simulate_lanes(
+    feeder: FeederModel,
+    profiles: tuple[BaselineLoadProfile, ...],
+    lanes: list[Lane],
+    pf_options: PowerFlowOptions = PowerFlowOptions(),
+    baseline_power_factor: float = DEFAULT_BASELINE_POWER_FACTOR,
+    judge: IncidentLimits | None = None,
+) -> list[LaneDay | Exception]:
+    """Simulate many independent days together, one step of all at a time.
+
+    Each lane walks the circular day from its own session-free step, so
+    wrapped sessions are visited arrival-first. A step clamps every
+    controlled lane's EVs to their envelopes and solves all lanes in one
+    batched power flow; a fixed-point lane repeats bound -> clamp -> solve
+    until its EV powers move less than ``FIXED_POINT_TOL_KW`` (or the
+    iteration cap, a fallback) while its batch-mates wait. Each lane does
+    the arithmetic of a day simulated alone.
+
+    A lane that cannot start (``ValueError``) or whose power flow collapses
+    ends as that exception; the other lanes carry on. With ``judge``, lanes
+    keep no whole-day arrays: each step's limit crossings and extrema are
+    folded in as it is solved. Without it, every lane records its trace.
+    """
     steps = STEPS_PER_DAY
-    ordered = _sessions_in_feeder_order(feeder, sessions)
-    baseline = baseline_matrix(feeder, profiles, steps)
-    baseline_q = baseline * tan(acos(baseline_power_factor))
     comp = feeder.compiled
-    ev_households = tuple(s.household for s in ordered)
-    ev_house = np.array([comp.household_slot[h] for h in ev_households], dtype=int)
-    house_idx = comp.household_voltage[ev_house]  # EV -> voltage index
-    n_ev = len(ordered)
-    arrival = np.array([s.arrival_step for s in ordered], dtype=int)
-    duration = np.array([s.duration_steps for s in ordered], dtype=int)
-    requested = np.array([s.requested_kwh for s in ordered])
-    p_max = np.array([min(hc_power, s.rated_kw) for s in ordered])
+    labels = tuple(f"{b.from_node}->{b.to_node}" for b in feeder.branches)
+    n_house, n_node, n_branch = len(comp.household_ids), len(comp.node_ids), len(labels)
+    out: list[LaneDay | Exception | None] = [None] * len(lanes)
+    try:
+        baseline, baseline_error = baseline_matrix(feeder, profiles, steps), None
+    except ValueError as exc:
+        baseline, baseline_error = None, exc
 
-    voltage = np.zeros((steps, len(comp.node_ids)))
-    current = np.zeros((steps, len(feeder.branches)))
-    slack_p = np.zeros(steps)
-    slack_q = np.zeros(steps)
-    converged = np.zeros(steps, dtype=bool)
-    iterations = np.zeros(steps, dtype=int)
-    residual = np.zeros(steps)
-    granted = np.zeros((steps, n_ev))
-    desired_rec = np.zeros((steps, n_ev))
-    env_floor = np.full((steps, n_ev), np.nan)
-    env_cap = np.full((steps, n_ev), np.nan)
-    env_zone = np.full((steps, n_ev), ZONE_NONE, dtype=np.int8)
-    fallback = np.zeros(steps, dtype=bool)
-    delivered = np.zeros(n_ev)
+    started = []  # (lane index, sessions in feeder order, first step)
+    for j, lane in enumerate(lanes):
+        try:
+            if lane.hc_power <= 0:
+                raise ValueError("hc_power must be > 0")
+            ordered = _sessions_in_feeder_order(feeder, lane.sessions)
+            if baseline_error is not None:
+                raise baseline_error
+            started.append((j, ordered, quiet_step(ordered)))
+        except ValueError as exc:
+            out[j] = exc
+    if not started:
+        return out
+    baseline_q = baseline * tan(acos(baseline_power_factor))
 
-    start = quiet_step(ordered)
-    v_house = np.ones(n_ev)  # warm start / previous-step voltages, pu
+    # EVs are indexed by household slot; a household without a session has
+    # an EV that is never connected
+    count = len(started)
+    rows = _Rows(
+        row=np.arange(count),
+        start=np.array([first for _, _, first in started]),
+        arrival=np.zeros((count, n_house), dtype=int),
+        duration=np.zeros((count, n_house), dtype=int),
+        requested=np.zeros((count, n_house)),
+        p_max=np.array([[lanes[j].hc_power] * n_house for j, _, _ in started], dtype=float),
+        delivered=np.zeros((count, n_house)),
+        v_house=np.ones((count, n_house)),  # previous-step voltages, pu
+    )
+    present = np.zeros((count, n_house), dtype=bool)
+    for r, (j, ordered, _) in enumerate(started):
+        for s in ordered:
+            h = comp.household_slot[s.household]
+            rows.arrival[r, h] = s.arrival_step
+            rows.duration[r, h] = s.duration_steps
+            rows.requested[r, h] = s.requested_kwh
+            rows.p_max[r, h] = min(lanes[j].hc_power, s.rated_kw)
+            present[r, h] = True
+    params = [lanes[j].params for j, _, _ in started]
+    shapes = [p or DoeParams() for p in params]  # uncontrolled lanes never use theirs
+    rows.controlled = np.array([p is not None for p in params])
+    rows.fixed_point = np.array(
+        [p is not None and p.voltage_source == "fixed_point" for p in params]
+    )
+    for name in ("factor", "u_min", "green_threshold", "degenerate"):
+        setattr(rows, name, np.array([[getattr(p, name)] for p in shapes]))
 
-    def _solve_step(t: int, ev_kw: np.ndarray) -> PowerFlowSolution:
-        per_household = np.zeros(len(comp.household_ids))
-        per_household[ev_house] = ev_kw
-        inj = InjectionSet(comp.household_ids, baseline[t] + per_household, baseline_q[t])
-        return solve(feeder, inj, pf_options, _step=t)
+    fallback_steps = np.zeros(count, dtype=int)
+    delivered = np.zeros((count, n_house))
+    if judge is None:
+        record = SimpleNamespace(
+            voltage=np.zeros((count, steps, n_node)),
+            current=np.zeros((count, steps, n_branch)),
+            slack_p=np.zeros((count, steps)),
+            slack_q=np.zeros((count, steps)),
+            converged=np.zeros((count, steps), dtype=bool),
+            iterations=np.zeros((count, steps), dtype=int),
+            residual=np.zeros((count, steps)),
+            granted=np.zeros((count, steps, n_house)),
+            desired=np.zeros((count, steps, n_house)),
+            floor=np.full((count, steps, n_house), np.nan),
+            cap=np.full((count, steps, n_house), np.nan),
+            zone=np.full((count, steps, n_house), ZONE_NONE, dtype=np.int8),
+            fallback=np.zeros((count, steps), dtype=bool),
+        )
+    else:
+        extrema = Extrema(count, n_node, n_branch)
+        incidents: list[list[Incident]] = [[] for _ in range(count)]
+
+    def fail(r: int, exc: Exception) -> None:
+        alive[r] = False
+        out[started[rows.row[r]][0]] = exc
 
     for k in range(steps):
-        t = (start + k) % steps
-        connected = (t - arrival) % steps < duration
+        n = len(rows.row)
+        t = (rows.start + k) % steps
+        connected = (t[:, np.newaxis] - rows.arrival) % steps < rows.duration
         # an EV charges as fast as allowed until its request is met
-        desired = np.where(connected, np.minimum(p_max, (requested - delivered) / STEP_HOURS), 0.0)
-        desired_rec[t] = desired
+        desired = np.where(
+            connected, np.minimum(rows.p_max, (rows.requested - rows.delivered) / STEP_HOURS), 0.0
+        )
+        controlled = rows.controlled & connected.any(axis=1)
+        alive = np.ones(n, dtype=bool)
+        for r in np.flatnonzero(controlled & (desired < 0).any(axis=1)):
+            fail(r, ValueError("desired power must be >= 0"))
 
-        if params is None or not connected.any():
-            ev_kw = desired
-            sol = _solve_step(t, ev_kw)
-        elif params.voltage_source == "previous_step":
-            ev_kw, envelope = _apply_envelope(desired, connected, v_house, p_max, params)
-            sol = _solve_step(t, ev_kw)
-            env_floor[t], env_cap[t], env_zone[t] = envelope
-        else:
-            ev_kw, sol, ok, envelope = _fixed_point_step(
-                desired, connected, v_house, p_max, params, _solve_step, house_idx, t
+        ev_kw = desired.copy()
+        floor = np.full((n, n_house), np.nan)
+        cap = np.full((n, n_house), np.nan)
+        zone = np.full((n, n_house), ZONE_NONE, dtype=np.int8)
+        voltage = np.zeros((n, n_node))
+        current = np.zeros((n, n_branch))
+        slack_p, slack_q, residual = np.zeros(n), np.zeros(n), np.zeros(n)
+        converged = np.zeros(n, dtype=bool)
+        iterations = np.zeros(n, dtype=int)
+        todo = np.flatnonzero(alive)
+        for it in range(FIXED_POINT_MAX_ITER):
+            clamp = todo[controlled[todo]]
+            if clamp.size:
+                kw, envelope = _apply_envelope(desired, connected, rows.v_house, rows.p_max, rows)
+                ev_kw[clamp] = kw[clamp]
+                floor[clamp], cap[clamp], zone[clamp] = (e[clamp] for e in envelope)
+            p_kw = baseline[t[todo]] + ev_kw[todo]
+            negative = (p_kw < 0).any(axis=1)
+            for r in todo[negative]:
+                fail(r, ValueError("active injections must be >= 0 (loads only)"))
+            solved = todo[~negative]
+            sol = _solve_lanes(
+                feeder, p_kw[~negative], baseline_q[t[solved]], pf_options, t[solved].tolist()
             )
-            fallback[t] = not ok
-            env_floor[t], env_cap[t], env_zone[t] = envelope
+            if any(sol.collapse):
+                for r, exc in zip(solved, sol.collapse):
+                    if exc is not None:
+                        fail(r, exc)
+            voltage[solved], current[solved] = sol.voltage_pu, sol.branch_current_a
+            slack_p[solved], slack_q[solved] = sol.slack_p_kw, sol.slack_q_kvar
+            converged[solved], iterations[solved] = sol.converged, sol.iterations
+            residual[solved] = sol.residual_pu
+            rows.v_house[solved] = sol.voltage_pu[:, comp.household_voltage]
+            iterating = solved[rows.fixed_point[solved] & controlled[solved] & alive[solved]]
+            if it:
+                moved = np.max(np.abs(ev_kw[iterating] - previous[iterating]), axis=1)
+                iterating = iterating[moved >= FIXED_POINT_TOL_KW]
+            previous = ev_kw.copy()
+            todo = iterating
+            if not todo.size:
+                break
+        fallback = np.zeros(n, dtype=bool)
+        fallback[todo] = True  # still moving at the iteration cap
+        rows.delivered += ev_kw * STEP_HOURS
 
-        v_house = sol.voltage_pu[house_idx]
-        granted[t] = ev_kw
-        delivered += ev_kw * STEP_HOURS
-        voltage[t] = sol.voltage_pu
-        current[t] = sol.branch_current_a
-        slack_p[t] = sol.slack_p_kw
-        slack_q[t] = sol.slack_q_kvar
-        converged[t] = sol.converged
-        iterations[t] = sol.iterations
-        residual[t] = sol.residual_pu
+        live = np.flatnonzero(alive)
+        lane_rows, t_live = rows.row[live], t[live]
+        if judge is None:
+            for name, value in (
+                ("voltage", voltage), ("current", current), ("slack_p", slack_p),
+                ("slack_q", slack_q), ("converged", converged), ("iterations", iterations),
+                ("residual", residual), ("granted", ev_kw), ("desired", desired),
+                ("floor", floor), ("cap", cap), ("zone", zone), ("fallback", fallback),
+            ):
+                getattr(record, name)[lane_rows, t_live] = value[live]
+        else:
+            block = (
+                t_live[:, np.newaxis],
+                voltage[live, np.newaxis],
+                current[live, np.newaxis],
+                np.hypot(slack_p, slack_q)[live, np.newaxis],
+                converged[live, np.newaxis],
+            )
+            found = crossings(judge, comp.node_ids, labels, *block, residual[live, np.newaxis])
+            for r, crossed in zip(lane_rows, found):
+                incidents[r].extend(crossed)
+            extrema.add(lane_rows, *block)
+        fallback_steps[lane_rows] += fallback[live]
+        if not alive.all():
+            rows.keep(alive)
+            if not len(rows.row):
+                break
+    delivered[rows.row] = rows.delivered
 
-    # the day starts on a quiet step, so each running total was summed in
-    # session order, arrival first
-    trajectories = [
-        ChargingTrajectory(s, granted[:, i].copy(), float(delivered[i]))
-        for i, s in enumerate(ordered)
-    ]
-
-    trace = SimulationTrace(
-        step_count=steps,
-        step_hours=STEP_HOURS,
-        node_ids=feeder.node_ids,
-        branch_labels=tuple(f"{b.from_node}->{b.to_node}" for b in feeder.branches),
-        household_ids=ev_households,
-        voltage_pu=voltage,
-        branch_current_a=current,
-        slack_p_kw=slack_p,
-        slack_q_kvar=slack_q,
-        converged=converged,
-        iterations=iterations,
-        residual_pu=residual,
-        ev_power_kw=granted,
-        ev_desired_kw=desired_rec,
-        envelope_floor_kw=env_floor,
-        envelope_cap_kw=env_cap,
-        envelope_zone=env_zone,
-        delivered_kwh=delivered,
-        control_active=params is not None,
-        fixed_point_fallback=fallback,
-    )
-    trace.validate()
-    return trajectories, trace
+    for r, (j, ordered, _) in enumerate(started):
+        if out[j] is not None:
+            continue
+        ev = present[r]
+        day = LaneDay(ordered, delivered[r, ev], int(fallback_steps[r]))
+        if judge is None:
+            day.trace = SimulationTrace(
+                step_count=steps,
+                step_hours=STEP_HOURS,
+                node_ids=comp.node_ids,
+                branch_labels=labels,
+                household_ids=tuple(s.household for s in ordered),
+                voltage_pu=record.voltage[r],
+                branch_current_a=record.current[r],
+                slack_p_kw=record.slack_p[r],
+                slack_q_kvar=record.slack_q[r],
+                converged=record.converged[r],
+                iterations=record.iterations[r],
+                residual_pu=record.residual[r],
+                ev_power_kw=record.granted[r][:, ev],
+                ev_desired_kw=record.desired[r][:, ev],
+                envelope_floor_kw=record.floor[r][:, ev],
+                envelope_cap_kw=record.cap[r][:, ev],
+                envelope_zone=record.zone[r][:, ev],
+                delivered_kwh=day.delivered_kwh,
+                control_active=lanes[j].params is not None,
+                fixed_point_fallback=record.fallback[r],
+            )
+            day.trace.validate()
+        else:
+            day.incidents = sorted(incidents[r], key=lambda inc: inc.step)
+            day.summary = extrema.summary(r, comp.node_ids, comp.ampacity_a, day.delivered_kwh)
+        out[j] = day
+    return out
 
 
 def _apply_envelope(
@@ -334,12 +506,10 @@ def _apply_envelope(
     connected: np.ndarray,
     v_house: np.ndarray,
     p_max: np.ndarray,
-    params: DoeParams,
+    params,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Granted power of every connected EV and its envelope (floor, cap,
     zone) at ``v_house``; NaN and ZONE_NONE where no EV is connected."""
-    if np.any(desired < 0):
-        raise ValueError("desired power must be >= 0")
     floor, cap, zone = _envelope(v_house, p_max, params)
     ev_kw = np.where(connected, _clamp(desired, floor, cap), 0.0)
     return ev_kw, (
@@ -367,26 +537,3 @@ def export_envelope_csv(trace: SimulationTrace, feeder: FeederModel) -> str:
                 f"{fmt(trace.ev_desired_kw[t, e])},{fmt(trace.ev_power_kw[t, e])}"
             )
     return "\n".join(lines) + "\n"
-
-
-def _fixed_point_step(
-    desired: np.ndarray,
-    connected: np.ndarray,
-    v_start: np.ndarray,
-    p_max: np.ndarray,
-    params: DoeParams,
-    solve_step,
-    house_idx: np.ndarray,
-    t: int,
-) -> tuple[np.ndarray, PowerFlowSolution, bool, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Iterate bound -> clamp -> solve until EV powers stop moving."""
-    house_voltage = v_start
-    previous = None
-    for _ in range(FIXED_POINT_MAX_ITER):
-        ev_kw, envelope = _apply_envelope(desired, connected, house_voltage, p_max, params)
-        sol = solve_step(t, ev_kw)
-        house_voltage = sol.voltage_pu[house_idx]
-        if previous is not None and np.max(np.abs(ev_kw - previous)) < FIXED_POINT_TOL_KW:
-            return ev_kw, sol, True, envelope
-        previous = ev_kw
-    return ev_kw, sol, False, envelope

@@ -9,19 +9,21 @@ incident is reported as the limiting factor (grid safety outranks service
 quality) and the QoS breach is still visible in the candidate detail.
 
 Every candidate is simulated independently of the others. A search is the
-first-failure reduction of the lazily evaluated candidate stream, so it
-returns exactly what an exhaustive per-candidate scan returns.
+first-failure reduction of its candidates, so it returns exactly what an
+exhaustive per-candidate scan returns. Searches run in candidate rounds:
+round k simulates candidate k of every search still running, all in one
+batched kernel call (``doe._simulate_lanes``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .doe import DoeParams, network_aware_horizon, passive_horizon
+from .doe import DoeParams, Lane, LaneDay, _raised, _simulate_lanes
 from .ev import (
     DEFAULT_RATED_POWER_KW,
     DEFAULT_SCENARIOS,
@@ -31,10 +33,10 @@ from .ev import (
     generate_fleet,
 )
 from .feeder import BaselineLoadProfile, FeederModel
-from .incidents import Incident, IncidentLimits, KIND_DIAGNOSTIC, detect
+from .incidents import Incident, IncidentLimits, KIND_DIAGNOSTIC
 from .powerflow import PowerFlowOptions, VoltageCollapseError
-from .qos import QosReport, build_report
-from .trace import TraceSummary, fmt, summarize
+from .qos import QosError, QosReport, build_report
+from .trace import TraceSummary, fmt
 
 LIMIT_AGGREGATED_QOS = "aggregated_qos"
 
@@ -131,40 +133,53 @@ def _failure(result: CandidateResult, qos_threshold: float) -> CandidateResult:
 def _evaluate(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
-    fleet: list[EvSession],
-    hc_power: float,
+    jobs: list[tuple[tuple[float, list[EvSession], float], HcSearchConfig, str]],
+) -> list[CandidateResult | Exception]:
+    """Simulate candidate days in one kernel call and judge each.
+
+    A job is a candidate point ``(candidate, sessions, power)``, its search
+    config and mode. The jobs share the first config's limits and solver
+    options. A candidate whose day cannot be simulated or judged is the
+    exception that stopped it; a collapse is a diagnostic incident.
+    """
+    config = jobs[0][1]
+    lanes = [
+        Lane(sessions, power, None if mode == "passive" else cfg.doe)
+        for (_, sessions, power), cfg, mode in jobs
+    ]
+    days = _simulate_lanes(
+        feeder, profiles, lanes, config.pf_options,
+        judge=IncidentLimits.from_feeder(feeder, config.v_lower_pu, config.v_upper_pu),
+    )
+    return [_judge(day, *job) for day, job in zip(days, jobs)]
+
+
+def _judge(
+    day: LaneDay | Exception,
+    point: tuple[float, list[EvSession], float],
     config: HcSearchConfig,
     mode: str,
-) -> CandidateResult:
-    """Simulate one candidate day in either regime and judge it."""
-    try:
-        if mode == "passive":
-            trajectories, trace = passive_horizon(
-                feeder, profiles, fleet, hc_power, config.pf_options
-            )
-        else:
-            trajectories, trace = network_aware_horizon(
-                feeder, profiles, fleet, hc_power, config.doe, config.pf_options
-            )
-    except VoltageCollapseError as exc:
-        incident = Incident(
-            KIND_DIAGNOSTIC, exc.step or 0, "power-flow", float(exc.min_voltage_pu)
-        )
-        result = CandidateResult(hc_power, [incident], qos=None, summary=None, error=str(exc))
+) -> CandidateResult | Exception:
+    candidate, sessions, power = point
+    if isinstance(day, VoltageCollapseError):
+        incident = Incident(KIND_DIAGNOSTIC, day.step or 0, "power-flow", float(day.min_voltage_pu))
+        result = CandidateResult(candidate, [incident], qos=None, summary=None, error=str(day))
         return _failure(result, config.qos_threshold)
+    if isinstance(day, Exception):
+        return day
     qos = None
     if mode != "passive":
-        e_baseline = np.array([baseline_trajectory(s, hc_power).delivered_kwh for s in fleet])
-        e_na = np.array([t.delivered_kwh for t in trajectories])
-        qos = build_report(tuple(s.household for s in fleet), e_baseline, e_na)
+        e_baseline = np.array([baseline_trajectory(s, power).delivered_kwh for s in sessions])
+        try:
+            qos = build_report(tuple(s.household for s in sessions), e_baseline, day.delivered_kwh)
+        except QosError as exc:
+            return exc
     result = CandidateResult(
-        candidate=hc_power,
-        incidents=detect(
-            trace, IncidentLimits.from_feeder(feeder, config.v_lower_pu, config.v_upper_pu)
-        ),
+        candidate=candidate,
+        incidents=day.incidents,
         qos=qos,
-        summary=summarize(trace, feeder.compiled.ampacity_a),
-        fixed_point_fallback_steps=int(trace.fixed_point_fallback.sum()),
+        summary=day.summary,
+        fixed_point_fallback_steps=day.fallback_steps,
     )
     return _failure(result, config.qos_threshold)
 
@@ -177,7 +192,8 @@ def evaluate_passive_candidate(
     config: HcSearchConfig,
 ) -> CandidateResult:
     """Simulate uncontrolled charging at one candidate power."""
-    return _evaluate(feeder, profiles, fleet, hc_power, config, "passive")
+    jobs = [((hc_power, fleet, hc_power), config, "passive")]
+    return _raised(_evaluate(feeder, profiles, jobs)[0])
 
 
 def evaluate_network_aware_candidate(
@@ -188,31 +204,60 @@ def evaluate_network_aware_candidate(
     config: HcSearchConfig,
 ) -> CandidateResult:
     """Simulate envelope-controlled charging at one candidate power."""
-    return _evaluate(feeder, profiles, fleet, hc_power, config, "network_aware")
+    jobs = [((hc_power, fleet, hc_power), config, "network_aware")]
+    return _raised(_evaluate(feeder, profiles, jobs)[0])
 
 
-def _candidates(
-    feeder: FeederModel,
-    profiles: tuple[BaselineLoadProfile, ...],
-    fleet: list[EvSession],
-    config: HcSearchConfig,
-    mode: str,
-) -> Iterator[CandidateResult]:
-    """Evaluate the candidates of the config's dimension in order, lazily.
+def _points(
+    fleet: list[EvSession], config: HcSearchConfig
+) -> list[tuple[float, list[EvSession], float]]:
+    """The candidate points ``(candidate, sessions, power)`` of the config's
+    dimension, in search order.
 
     A power candidate charges the whole fleet at that power; an EV-count
     candidate k charges the first k sessions at ``count_mode_power_kw``.
     """
     if config.sweep_dimension == SWEEP_EV_COUNT:
-        points = [
-            (float(k), fleet[:k], config.count_mode_power_kw) for k in range(1, len(fleet) + 1)
+        return [(float(k), fleet[:k], config.count_mode_power_kw) for k in range(1, len(fleet) + 1)]
+    return [(p, fleet, p) for p in config.power_grid_kw]
+
+
+def reduce_searches(
+    feeder: FeederModel,
+    profiles: tuple[BaselineLoadProfile, ...],
+    searches: list[tuple[list[EvSession], HcSearchConfig, str]],
+) -> list[HcReport | Exception]:
+    """Many ``(fleet, config, mode)`` searches, each a first-failure reduction,
+    evaluated in candidate rounds.
+
+    Round k simulates candidate k of every search that has not yet failed,
+    in one kernel call, so exactly the candidates of the sequential searches
+    are simulated. A search that hits an error ends as that exception. The
+    searches share the first config's limits and solver options.
+    """
+    points = [_points(fleet, config) for fleet, config, _ in searches]
+    evaluated: list[list[CandidateResult]] = [[] for _ in searches]
+    errors: dict[int, Exception] = {}
+    k, running = 0, [j for j, p in enumerate(points) if p]
+    while running:
+        jobs = [(points[j][k], *searches[j][1:]) for j in running]
+        for j, result in zip(running, _evaluate(feeder, profiles, jobs)):
+            if isinstance(result, Exception):
+                errors[j] = result
+            else:
+                evaluated[j].append(result)
+        k += 1
+        running = [
+            j for j in running
+            if j not in errors and evaluated[j][-1].failure is None and k < len(points[j])
         ]
-    else:
-        points = [(p, fleet, p) for p in config.power_grid_kw]
-    for candidate, sessions, power in points:
-        result = _evaluate(feeder, profiles, sessions, power, config, mode)
-        result.candidate = candidate
-        yield result
+    return [
+        errors.get(j)
+        or reduce_candidates(
+            evaluated[j], config.qos_threshold, mode, config.scenario, config.sweep_dimension
+        )
+        for j, (_, config, mode) in enumerate(searches)
+    ]
 
 
 def reduce_candidates(
@@ -258,10 +303,7 @@ def passive_hc(
     config: HcSearchConfig,
 ) -> HcReport:
     """Uncontrolled hosting capacity: stop at the first network incident."""
-    return reduce_candidates(
-        _candidates(feeder, profiles, fleet, config, "passive"),
-        config.qos_threshold, "passive", config.scenario, config.sweep_dimension,
-    )
+    return _raised(reduce_searches(feeder, profiles, [(fleet, config, "passive")])[0])
 
 
 def network_aware_hc(
@@ -272,10 +314,7 @@ def network_aware_hc(
 ) -> HcReport:
     """Envelope-controlled hosting capacity: stop at the first unavoided
     incident or aggregated-QoS breach."""
-    return reduce_candidates(
-        _candidates(feeder, profiles, fleet, config, "network_aware"),
-        config.qos_threshold, "network_aware", config.scenario, config.sweep_dimension,
-    )
+    return _raised(reduce_searches(feeder, profiles, [(fleet, config, "network_aware")])[0])
 
 
 def network_aware_grid(
@@ -285,9 +324,10 @@ def network_aware_grid(
     config: HcSearchConfig,
 ) -> list[CandidateResult]:
     """Evaluate every candidate power regardless of failures (for threshold
-    sweeps and locational QoS tables)."""
+    sweeps and locational QoS tables), in one kernel call."""
     power = replace(config, sweep_dimension=SWEEP_POWER)
-    return list(_candidates(feeder, profiles, fleet, power, "network_aware"))
+    jobs = [(point, power, "network_aware") for point in _points(fleet, power)]
+    return [_raised(result) for result in _evaluate(feeder, profiles, jobs)]
 
 
 @dataclass
@@ -320,22 +360,39 @@ def fleet_for_scenario(
     )
 
 
-def _evaluate_cell(args) -> SweepCell:
-    feeder, profiles, scenario, delta_perm, factor, config = args
-    cell = SweepCell(scenario=scenario.label, delta_perm=delta_perm, factor=factor)
-    try:
-        doe = replace(config.doe, delta_perm=delta_perm, factor=factor)
-        cell_config = replace(config, doe=doe, scenario=scenario.label)
-        fleet = fleet_for_scenario(feeder, scenario, cell_config)
-        report = network_aware_hc(feeder, profiles, fleet, cell_config)
+def _sweep_cells(args) -> list[SweepCell]:
+    """Network-aware HC of every (delta_perm, factor) cell of some scenarios,
+    their searches reduced together. A cell's error stays in its cell."""
+    feeder, profiles, scenarios, grid, config = args
+    cells, searches, searching = [], [], []
+    for scenario in scenarios:
+        try:
+            fleet = fleet_for_scenario(feeder, scenario, config)
+        except Exception as exc:  # every cell of the scenario carries it
+            fleet = exc
+        for delta_perm, factor in grid:
+            cell = SweepCell(scenario=scenario.label, delta_perm=delta_perm, factor=factor)
+            cells.append(cell)
+            try:
+                doe = replace(config.doe, delta_perm=delta_perm, factor=factor)
+                if isinstance(fleet, Exception):
+                    raise fleet
+            except Exception as exc:  # cell failures stay in-cell, the sweep continues
+                cell.error = f"{type(exc).__name__}: {exc}"
+                continue
+            cell_config = replace(config, doe=doe, scenario=scenario.label)
+            searches.append((fleet, cell_config, "network_aware"))
+            searching.append(cell)
+    for cell, report in zip(searching, reduce_searches(feeder, profiles, searches)):
+        if isinstance(report, Exception):
+            cell.error = f"{type(report).__name__}: {report}"
+            continue
         cell.hc = report.hc
         cell.limiting_factor = report.limiting_factor
         cell.unconstrained = report.unconstrained
         cell.qos_at_hc = report.qos_at_hc
         cell.min_qos_at_hc = report.min_qos_at_hc
-    except Exception as exc:  # cell failures stay in-cell, the sweep continues
-        cell.error = f"{type(exc).__name__}: {exc}"
-    return cell
+    return cells
 
 
 def sensitivity_sweep(
@@ -347,19 +404,19 @@ def sensitivity_sweep(
     config: HcSearchConfig,
     workers: int = 1,
 ) -> list[SweepCell]:
-    """Network-aware HC over the (delta_perm, factor) grid per scenario."""
+    """Network-aware HC over the (delta_perm, factor) grid per scenario.
+
+    One worker reduces every cell's search in the same candidate rounds;
+    more workers take one scenario (whose cells share a fleet) each.
+    """
     if not delta_perm_grid or not factor_values or not scenarios:
         raise ValueError("sweep grids must be non-empty")
-    jobs = [
-        (feeder, profiles, scenario, float(d), float(f), config)
-        for scenario in scenarios
-        for d in delta_perm_grid
-        for f in factor_values
-    ]
+    grid = [(float(d), float(f)) for d in delta_perm_grid for f in factor_values]
     if workers > 1:
+        jobs = [(feeder, profiles, [scenario], grid, config) for scenario in scenarios]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_evaluate_cell, jobs))
-    return [_evaluate_cell(job) for job in jobs]
+            return [cell for part in pool.map(_sweep_cells, jobs) for cell in part]
+    return _sweep_cells((feeder, profiles, scenarios, grid, config))
 
 
 @dataclass

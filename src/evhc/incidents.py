@@ -75,53 +75,65 @@ def detect(trace: SimulationTrace, limits: IncidentLimits) -> list[Incident]:
     """
     if len(limits.branch_ampacity_a) != len(trace.branch_labels):
         raise ValueError("limits do not match the trace branch set")
-    found: list[Incident] = []
+    return crossings(
+        limits,
+        trace.node_ids,
+        trace.branch_labels,
+        np.arange(trace.step_count)[np.newaxis],
+        trace.voltage_pu[np.newaxis],
+        trace.branch_current_a[np.newaxis],
+        trace.slack_kva[np.newaxis],
+        trace.converged[np.newaxis],
+        trace.residual_pu[np.newaxis],
+    )[0]
+
+
+def crossings(
+    limits: IncidentLimits,
+    node_ids: tuple[str, ...],
+    branch_labels: tuple[str, ...],
+    steps: np.ndarray,
+    voltage_pu: np.ndarray,
+    branch_current_a: np.ndarray,
+    slack_kva: np.ndarray,
+    converged: np.ndarray,
+    residual_pu: np.ndarray,
+) -> list[list[Incident]]:
+    """The limit crossings of a block of solved steps, one list per lane.
+
+    Arrays are indexed [lane, k] or [lane, k, element], and ``steps[lane, k]``
+    is the step that row solved. Each lane's list runs in block order, and
+    within a row by kind (diagnostic, under-, overvoltage, thermal,
+    transformer), then element.
+    """
     ampacity = np.asarray(limits.branch_ampacity_a, dtype=float)
-    slack_kva = trace.slack_kva
-    for t in range(trace.step_count):
-        if not trace.converged[t]:
-            found.append(
-                Incident(KIND_DIAGNOSTIC, t, "power-flow", float(trace.residual_pu[t]))
-            )
-        v = trace.voltage_pu[t]
-        for n in np.flatnonzero(v < limits.v_lower_pu):
-            found.append(
-                Incident(
-                    KIND_UNDERVOLTAGE,
-                    t,
-                    trace.node_ids[n],
-                    float(limits.v_lower_pu - v[n]),
-                )
-            )
-        for n in np.flatnonzero(v > limits.v_upper_pu):
-            found.append(
-                Incident(
-                    KIND_OVERVOLTAGE,
-                    t,
-                    trace.node_ids[n],
-                    float(v[n] - limits.v_upper_pu),
-                )
-            )
-        i = trace.branch_current_a[t]
-        for b in np.flatnonzero(i > ampacity):
-            found.append(
-                Incident(
-                    KIND_BRANCH_THERMAL,
-                    t,
-                    trace.branch_labels[b],
-                    float((i[b] / ampacity[b] - 1.0) * 100.0),
-                )
-            )
-        if slack_kva[t] > limits.transformer_kva:
-            found.append(
-                Incident(
-                    KIND_TRANSFORMER_OVERLOAD,
-                    t,
-                    "transformer",
-                    float((slack_kva[t] / limits.transformer_kva - 1.0) * 100.0),
-                )
-            )
-    return found
+    lane, k = np.nonzero(~converged)
+    found = [(lane, k, np.zeros_like(k), KIND_DIAGNOSTIC, ("power-flow",), residual_pu[lane, k])]
+    lane, k, n = np.nonzero(voltage_pu < limits.v_lower_pu)
+    deficit = limits.v_lower_pu - voltage_pu[lane, k, n]
+    found.append((lane, k, n, KIND_UNDERVOLTAGE, node_ids, deficit))
+    lane, k, n = np.nonzero(voltage_pu > limits.v_upper_pu)
+    excess = voltage_pu[lane, k, n] - limits.v_upper_pu
+    found.append((lane, k, n, KIND_OVERVOLTAGE, node_ids, excess))
+    lane, k, b = np.nonzero(branch_current_a > ampacity)
+    load = (branch_current_a[lane, k, b] / ampacity[b] - 1.0) * 100.0
+    found.append((lane, k, b, KIND_BRANCH_THERMAL, branch_labels, load))
+    lane, k = np.nonzero(slack_kva > limits.transformer_kva)
+    load = (slack_kva[lane, k] / limits.transformer_kva - 1.0) * 100.0
+    found.append((lane, k, np.zeros_like(k), KIND_TRANSFORMER_OVERLOAD, ("transformer",), load))
+
+    rows = [
+        (lane_at, k_at, kind, names[e], magnitude)
+        for lane, k, element, kind, names, mag in found
+        for lane_at, k_at, e, magnitude in zip(
+            lane.tolist(), k.tolist(), element.tolist(), mag.tolist()
+        )
+    ]
+    rows.sort(key=lambda r: r[:2])  # stable, so a row's kinds keep their order
+    lanes: list[list[Incident]] = [[] for _ in range(len(steps))]
+    for lane, k, kind, element, magnitude in rows:
+        lanes[lane].append(Incident(kind, int(steps[lane, k]), element, magnitude))
+    return lanes
 
 
 def export_incidents_csv(incidents: list[Incident]) -> str:

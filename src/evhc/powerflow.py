@@ -10,13 +10,15 @@ fixed-point iteration
 where M[i, j] is the impedance shared by the slack paths of nodes i and j.
 Loads are constant power. Voltages are phase quantities per-unit on the
 feeder base voltage; currents are per-phase amperes; household power is
-divided over the three phases of the balanced equivalent.
+divided over the three phases of the balanced equivalent. The iteration
+runs on many independent steps ("lanes") at once; ``solve`` is one lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import acos, tan
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,56 +136,107 @@ def solve(
     comp = feeder.compiled
     if injections.households != comp.household_ids:
         raise ValueError("injections must cover the feeder households in order")
-
-    v_base = feeder.base_voltage_v
-    m = comp.impedance.shape[0]
-
-    # per-phase complex power per node, VA
-    s_node = np.zeros(m, dtype=complex)
-    np.add.at(
-        s_node,
-        comp.house_pos,
-        (injections.p_kw + 1j * injections.q_kvar) * (1000.0 / 3.0),
+    sol = _solve_lanes(
+        feeder, injections.p_kw[np.newaxis], injections.q_kvar[np.newaxis], options, [_step]
     )
-
-    v0 = complex(v_base, 0.0)
-    v = np.full(m, v0, dtype=complex)
-    converged = m == 0
-    iterations = 0
-    residual = 0.0 if m == 0 else np.inf
-    i_node = np.zeros(m, dtype=complex)
-    max_iter = options.max_iterations if m else 0
-    for it in range(1, max_iter + 1):
-        i_node = np.conj(s_node / v)
-        v_new = v0 - comp.impedance @ i_node
-        residual = float(np.max(np.abs(v_new - v))) / v_base
-        v = v_new
-        iterations = it
-        low = float(np.min(np.abs(v))) / v_base
-        if low < options.collapse_floor_pu:
-            raise VoltageCollapseError(low, it, step=_step)
-        if residual <= options.tolerance_pu:
-            converged = True
-            break
-
-    i_branch = comp.branch_path @ i_node
-    current_a = np.abs(i_branch)[comp.branch_of_child]
-
-    s_slack_phase = v0 * np.conj(np.sum(i_node))
-    slack_p_kw = 3.0 * s_slack_phase.real / 1000.0
-    slack_q_kvar = 3.0 * s_slack_phase.imag / 1000.0
-
-    voltage_pu = np.ones(len(comp.node_ids), dtype=float)
-    voltage_pu[comp.voltage_slot] = np.abs(v) / v_base
+    if sol.collapse[0] is not None:
+        raise sol.collapse[0]
     return PowerFlowSolution(
         node_ids=comp.node_ids,
+        voltage_pu=sol.voltage_pu[0],
+        branch_current_a=sol.branch_current_a[0],
+        slack_p_kw=float(sol.slack_p_kw[0]),
+        slack_q_kvar=float(sol.slack_q_kvar[0]),
+        converged=bool(sol.converged[0]),
+        iterations=int(sol.iterations[0]),
+        residual_pu=float(sol.residual_pu[0]),
+    )
+
+
+class LaneSolution(NamedTuple):
+    """Solved states of many independent steps ("lanes"), one row per lane.
+
+    ``collapse[l]`` is the ``VoltageCollapseError`` of a lane that collapsed
+    (its other rows are then meaningless), else None.
+    """
+
+    voltage_pu: np.ndarray        # (L, N)
+    branch_current_a: np.ndarray  # (L, B)
+    slack_p_kw: np.ndarray        # (L,)
+    slack_q_kvar: np.ndarray      # (L,)
+    converged: np.ndarray         # (L,) bool
+    iterations: np.ndarray        # (L,) int
+    residual_pu: np.ndarray       # (L,)
+    collapse: list[VoltageCollapseError | None]
+
+
+def _solve_lanes(
+    feeder: FeederModel,
+    p_kw: np.ndarray,
+    q_kvar: np.ndarray,
+    options: PowerFlowOptions,
+    steps,
+) -> LaneSolution:
+    """Solve (lanes, households) injections, each lane on its own.
+
+    A lane leaves the sweep when it converges or collapses, so every lane
+    does exactly the arithmetic of a one-lane solve: the stacked matvecs
+    ``matmul(Z, I[..., None])`` round like ``Z @ i`` for each lane, which
+    ``I @ Z.T`` does not. ``steps`` (one per lane, or None) only labels
+    collapse errors.
+    """
+    comp = feeder.compiled
+    v_base = feeder.base_voltage_v
+    lanes, m = len(p_kw), comp.impedance.shape[0]
+
+    # per-phase complex power per node, VA
+    s_node = np.zeros((lanes, m), dtype=complex)
+    np.add.at(s_node, (slice(None), comp.house_pos), (p_kw + 1j * q_kvar) * (1000.0 / 3.0))
+
+    v0 = complex(v_base, 0.0)
+    v_out = np.full((lanes, m), v0, dtype=complex)
+    i_out = np.zeros((lanes, m), dtype=complex)
+    converged = np.full(lanes, m == 0)
+    iterations = np.zeros(lanes, dtype=int)
+    residual = np.full(lanes, 0.0 if m == 0 else np.inf)
+    collapse: list[VoltageCollapseError | None] = [None] * lanes
+    # the lanes still iterating, and their working arrays
+    active, s_act, v = np.arange(lanes), s_node, v_out
+    for it in range(1, (options.max_iterations if m else 0) + 1):
+        i_act = (s_act / v).conj()
+        v_new = v0 - np.matmul(comp.impedance, i_act[:, :, np.newaxis])[:, :, 0]
+        res = np.abs(v_new - v).max(axis=1) / v_base
+        v = v_new
+        low = np.abs(v).min(axis=1) / v_base
+        collapsed = low < options.collapse_floor_pu
+        done = collapsed | (res <= options.tolerance_pu)
+        last = it == options.max_iterations
+        if last or np.count_nonzero(done):
+            leave = done | last
+            lane = active[leave]
+            v_out[lane], i_out[lane] = v[leave], i_act[leave]
+            residual[lane], iterations[lane] = res[leave], it
+            converged[active[done & ~collapsed]] = True
+            for k in np.flatnonzero(collapsed):
+                collapse[active[k]] = VoltageCollapseError(float(low[k]), it, step=steps[active[k]])
+            stay = ~leave
+            active, s_act, v = active[stay], s_act[stay], v[stay]
+            if not active.size:
+                break
+
+    i_branch = np.matmul(comp.branch_path, i_out[:, :, np.newaxis])[:, :, 0]
+    s_slack_phase = v0 * np.conj(np.sum(i_out, axis=1))
+    voltage_pu = np.ones((lanes, len(comp.node_ids)))
+    voltage_pu[:, comp.voltage_slot] = np.abs(v_out) / v_base
+    return LaneSolution(
         voltage_pu=voltage_pu,
-        branch_current_a=current_a,
-        slack_p_kw=slack_p_kw,
-        slack_q_kvar=slack_q_kvar,
+        branch_current_a=np.abs(i_branch)[:, comp.branch_of_child],
+        slack_p_kw=3.0 * s_slack_phase.real / 1000.0,
+        slack_q_kvar=3.0 * s_slack_phase.imag / 1000.0,
         converged=converged,
         iterations=iterations,
         residual_pu=residual,
+        collapse=collapse,
     )
 
 

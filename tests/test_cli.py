@@ -190,17 +190,18 @@ def test_network_aware_run_writes_expected_files(tmp_path):
 
 def test_network_aware_run_simulates_each_grid_candidate_once(tmp_path, monkeypatch):
     """The search's candidates are reused for qos_by_power.csv: the 12-point
-    grid costs 12 horizons, plus one to re-run the day at the capacity."""
+    grid costs 12 network-aware days, plus one to re-run the day at the
+    capacity."""
     calls = []
-    original = evhc.doe.network_aware_horizon
+    original = evhc.doe._simulate_lanes
 
-    def counting(*args, **kwargs):
-        calls.append(args[3])
-        return original(*args, **kwargs)
+    def counting(feeder, profiles, lanes, *args, **kwargs):
+        calls.extend(lane.hc_power for lane in lanes if lane.params is not None)
+        return original(feeder, profiles, lanes, *args, **kwargs)
 
     for module in (evhc.doe, evhc.hc, evhc.cli):
-        if getattr(module, "network_aware_horizon", None) is original:
-            monkeypatch.setattr(module, "network_aware_horizon", counting)
+        if getattr(module, "_simulate_lanes", None) is original:
+            monkeypatch.setattr(module, "_simulate_lanes", counting)
     path = _write_scenario(tmp_path)
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
     assert len(calls) == 12 + 1
@@ -263,6 +264,37 @@ def test_sweep_doe_verb(tmp_path):
     lines = (out / "sweep_doe.csv").read_text().strip().split("\n")
     assert lines[0].startswith("scenario,delta_perm,factor,nahc_kw")
     assert len(lines) == 1 + 3 * 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_error_stays_in_its_cells(tmp_path, workers):
+    """A scenario whose sessions cover the whole day has no idle step to
+    start from: its cells carry that error, and the low cells beside it
+    keep the capacities they have alone."""
+    sweep = {"delta_perm_min": 0.0, "delta_perm_max": 0.05, "delta_perm_step": 0.05,
+             "factor_values": [0.2, 0.5]}
+    all_day = {
+        "energy_min_kwh": 4.0,
+        "energy_max_kwh": 8.0,
+        "arrival": {"mean_h": 18.0, "sd_h": 0.5, "lo_h": 17.0, "hi_h": 19.0},
+        "duration": {"mean_h": 24.0, "sd_h": 0.1, "lo_h": 23.9, "hi_h": 24.0},
+    }
+    mixed = _write_scenario(tmp_path, scenarios=["low", "all_day"], sweep=sweep,
+                            scenario_definitions={"all_day": all_day})
+    assert main(["sweep", str(mixed), "--workers", str(workers),
+                 "--output-dir", str(tmp_path / "mixed")]) == 0
+    alone = _write_scenario(tmp_path, scenarios=["low"], sweep=sweep)
+    assert main(["sweep", str(alone), "--output-dir", str(tmp_path / "alone")]) == 0
+    rows = (tmp_path / "mixed" / "sweep_doe.csv").read_text().splitlines()
+    assert rows[:5] == (tmp_path / "alone" / "sweep_doe.csv").read_text().splitlines()
+    assert all(row.split(",")[4] and not row.split(",")[7] for row in rows[1:5])
+    error = (
+        "ValueError: no session-free step in the day; the circular-day "
+        "simulation needs at least one idle step"
+    )
+    assert [row.split(",", 3) for row in rows[5:]] == [
+        ["all_day", d, f, f",,,,{error}"] for d in ("0", "0.05") for f in ("0.2", "0.5")
+    ]
 
 
 def test_sweep_qos_threshold_verb(tmp_path):

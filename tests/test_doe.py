@@ -349,14 +349,14 @@ def test_recorded_envelope_is_the_scalar_envelope(
     ``envelope_bound`` at the voltage the envelope used, and the granted
     power is ``clamp_to_envelope`` of the desired power, exactly."""
     solved = []
-    original = evhc.doe.solve
+    original = evhc.doe._solve_lanes
 
-    def recording(feeder, injections, options, _step=None):
-        sol = original(feeder, injections, options, _step=_step)
-        solved.append((_step, sol.voltage_pu))
+    def recording(feeder, p_kw, q_kvar, options, steps):
+        sol = original(feeder, p_kw, q_kvar, options, steps)
+        solved.extend(zip(steps, sol.voltage_pu))
         return sol
 
-    monkeypatch.setattr(evhc.doe, "solve", recording)
+    monkeypatch.setattr(evhc.doe, "_solve_lanes", recording)
     fleet = _fleet(feeder, label)
     _, trace = network_aware_horizon(feeder, profiles, fleet, power, params)
     # a step's last clamp used the voltage of the solve just before its last

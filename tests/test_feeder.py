@@ -2,11 +2,14 @@
 compiled index that every solve reads."""
 
 import pickle
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
 import evhc.cli
+import evhc.feeder
 from evhc.doe import DoeParams, network_aware_horizon
 from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
 from evhc.feeder import (
@@ -164,6 +167,17 @@ def test_path_is_a_valid_walk_to_the_slack(feeder):
 
 def test_feeder_round_trip(feeder):
     assert parse_feeder(serialize_feeder(feeder)) == feeder
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_and_python_loaders_parse_the_same_feeder(monkeypatch):
+    text = resources.files("evhc.data").joinpath(evhc.feeder.BUNDLED_FEEDER).read_text("utf-8")
+    assert evhc.feeder._YAML_LOADER is yaml.CSafeLoader
+    with_libyaml = parse_feeder(text)
+    monkeypatch.setattr(evhc.feeder, "_YAML_LOADER", yaml.SafeLoader)
+    assert parse_feeder(text) == with_libyaml
+    with pytest.raises(FeederError, match="not valid YAML"):
+        parse_feeder("nodes: [")
 
 
 def test_profiles_round_trip(profiles):
