@@ -46,9 +46,11 @@ from .hc import (
     HcSearchConfig,
     SWEEP_EV_COUNT,
     SWEEP_POWER,
+    _evaluate,
+    _points,
+    _reduce_search,
     export_sweep_csv,
     fleet_for_scenario,
-    network_aware_grid,
     reduce_searches,
     sensitivity_sweep,
     threshold_sweep,
@@ -451,10 +453,11 @@ def _write_search_outputs(
     out: Path,
     report: HcReport,
     feeder: FeederModel,
-    profiles,
-    fleet,
-    config: ScenarioConfig,
+    grid: list,
+    hc_days: tuple,
 ) -> None:
+    """Write one search's files; a network-aware HC adds its day (``hc_days``:
+    network-aware, passive) and per-customer QoS over its power ``grid``."""
     _write(out / "report.json", _report_json(report))
     _write(out / "candidates.csv", _candidates_csv(report))
     failing = report.candidates[-1] if report.candidates and not report.unconstrained else None
@@ -464,10 +467,7 @@ def _write_search_outputs(
         return
 
     # trace exports at the hosting-capacity candidate
-    hc_power = report.hc if config.dimension == SWEEP_POWER else config.count_mode_power_kw
-    sub_fleet = fleet if config.dimension == SWEEP_POWER else fleet[: int(report.hc)]
-    lanes = [Lane(sub_fleet, hc_power, config.doe), Lane(sub_fleet, hc_power)]
-    na_trace, base_trace = (_raised(day).trace for day in _simulate_lanes(feeder, profiles, lanes))
+    na_trace, base_trace = (_raised(day).trace for day in hc_days)
 
     comp = feeder.compiled
     at_hc = next((c for c in report.candidates if c.candidate == report.hc), None)
@@ -476,34 +476,23 @@ def _write_search_outputs(
 
     _write(out / "envelope_trace.csv", export_envelope_csv(na_trace, feeder))
 
+    vu = [comp.household_voltage[comp.household_slot[h]] for h in na_trace.household_ids]
     power_lines = ["step,household,baseline_kw,network_aware_kw"]
+    volt_lines = ["step,household,baseline_pu,network_aware_pu"]
     for t in range(na_trace.step_count):
-        for e, h in enumerate(na_trace.household_ids):
+        for e, (h, n) in enumerate(zip(na_trace.household_ids, vu)):
             power_lines.append(
                 f"{t},{h},{fmt(base_trace.ev_power_kw[t, e])},{fmt(na_trace.ev_power_kw[t, e])}"
             )
-    _write(out / "profiles_power.csv", "\n".join(power_lines) + "\n")
-
-    vu = [comp.household_voltage[comp.household_slot[h]] for h in na_trace.household_ids]
-    volt_lines = ["step,household,baseline_pu,network_aware_pu"]
-    for t in range(na_trace.step_count):
-        for h, n in zip(na_trace.household_ids, vu):
             volt_lines.append(
                 f"{t},{h},{fmt(base_trace.voltage_pu[t, n])},{fmt(na_trace.voltage_pu[t, n])}"
             )
+    _write(out / "profiles_power.csv", "\n".join(power_lines) + "\n")
     _write(out / "profiles_voltage.csv", "\n".join(volt_lines) + "\n")
 
-    # per-customer QoS across the whole candidate power grid (locational
-    # analysis): a power search's own candidates, then the grid after them
-    search = _search_config(config, report.scenario)
-    grid_results = list(report.candidates) if config.dimension == SWEEP_POWER else []
-    rest = search.power_grid_kw[len(grid_results):]
-    if rest:
-        grid_results += network_aware_grid(
-            feeder, profiles, fleet, replace(search, power_grid_kw=rest)
-        )
+    # per-customer QoS across the whole candidate power grid (locational analysis)
     qos_lines = ["candidate_kw,household,node,e_baseline_kwh,e_network_aware_kwh,qos"]
-    for result in grid_results:
+    for result in map(_raised, grid):
         if result.qos is None:
             continue
         for i, h in enumerate(result.qos.households):
@@ -532,27 +521,48 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
     _write(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
     if config.mode in ("passive", "network_aware", "compare"):
+        # three kernel passes: one judged call over every label's network-aware
+        # power grid (a power search is its grid's first-failure reduction, and
+        # the grid feeds qos_by_power.csv), the other searches in candidate
+        # rounds, and one recorded call for the days at the network-aware HCs
         modes = [m for m in ("passive", "network_aware") if config.mode in (m, "compare")]
-        searches = []
+        studies = []
         for label in config.scenario_labels:
             search = _search_config(config, label)
-            fleet = _fleet(config, feeder, search)
-            searches += [(fleet, search, mode) for mode in modes]
+            studies.append((_fleet(config, feeder, search), search))
+        power = [(f, replace(s, sweep_dimension=SWEEP_POWER)) for f, s in studies]
+        jobs = [(p, cfg, "network_aware") for f, cfg in power for p in _points(f, cfg)]
+        judged = _evaluate(feeder, profiles, jobs) if "network_aware" in modes else []
+        n = len(config.power_grid_kw)
+        grids = [judged[k * n:(k + 1) * n] for k in range(len(studies))]
+
+        reduced = config.dimension == SWEEP_POWER  # network-aware searches reduce their grid
+        runs = [(*study, mode, grid) for study, grid in zip(studies, grids) for mode in modes]
+        searched = [(f, s, m) for f, s, m, _ in runs if m == "passive" or not reduced]
+        rounds = iter(reduce_searches(feeder, profiles, searched))
+        reports = [
+            _reduce_search(grid, search, mode) if mode != "passive" and reduced else next(rounds)
+            for _, search, mode, grid in runs
+        ]
+        lanes = {}  # run index -> its day at the HC, network-aware and passive
+        for i, ((fleet, search, mode, _), report) in enumerate(zip(runs, reports)):
+            if mode != "passive" and not isinstance(report, Exception) and report.hc is not None:
+                _, sessions, kw = next(p for p in _points(fleet, search) if p[0] == report.hc)
+                lanes[i] = [Lane(sessions, kw, config.doe), Lane(sessions, kw)]
+        days = iter(_simulate_lanes(feeder, profiles, sum(lanes.values(), [])) if lanes else ())
+        hc_days = {i: (next(days), next(days)) for i in lanes}
+
         table = ["scenario,mode,hc,limiting_factor,qos_at_hc,min_qos_at_hc"]
-        reports = reduce_searches(feeder, profiles, searches)
-        for (fleet, search, mode), report in zip(searches, map(_raised, reports)):
+        for i, ((_, search, mode, grid), report) in enumerate(zip(runs, map(_raised, reports))):
             label = search.scenario
             _write_search_outputs(
-                out_dir / f"{mode}_{label}", report, feeder, profiles, fleet, config
+                out_dir / f"{mode}_{label}", report, feeder, grid, hc_days.get(i, ())
             )
             limiting = "unconstrained" if report.unconstrained else report.limiting_factor
-            if mode == "passive":
-                table.append(f"{label},passive,{fmt(report.hc)},{limiting},,")
-            else:
-                table.append(
-                    f"{label},network_aware,{fmt(report.hc)},{limiting},"
-                    f"{fmt(report.qos_at_hc)},{fmt(report.min_qos_at_hc)}"
-                )
+            table.append(  # a passive report has no QoS, so its QoS cells are empty
+                f"{label},{mode},{fmt(report.hc)},{limiting},"
+                f"{fmt(report.qos_at_hc)},{fmt(report.min_qos_at_hc)}"
+            )
         if config.mode == "compare":
             _write(out_dir / "table1.csv", "\n".join(table) + "\n")
 

@@ -160,7 +160,7 @@ def _judge(
     config: HcSearchConfig,
     mode: str,
 ) -> CandidateResult | Exception:
-    candidate, sessions, power = point
+    candidate, _, power = point
     if isinstance(day, VoltageCollapseError):
         incident = Incident(KIND_DIAGNOSTIC, day.step or 0, "power-flow", float(day.min_voltage_pu))
         result = CandidateResult(candidate, [incident], qos=None, summary=None, error=str(day))
@@ -169,6 +169,7 @@ def _judge(
         return day
     qos = None
     if mode != "passive":
+        sessions = day.sessions  # feeder order, as are its delivered energies
         e_baseline = np.array([baseline_trajectory(s, power).delivered_kwh for s in sessions])
         try:
             qos = build_report(tuple(s.household for s in sessions), e_baseline, day.delivered_kwh)
@@ -236,28 +237,35 @@ def reduce_searches(
     searches share the first config's limits and solver options.
     """
     points = [_points(fleet, config) for fleet, config, _ in searches]
-    evaluated: list[list[CandidateResult]] = [[] for _ in searches]
-    errors: dict[int, Exception] = {}
+    evaluated: list[list[CandidateResult | Exception]] = [[] for _ in searches]
     k, running = 0, [j for j, p in enumerate(points) if p]
     while running:
         jobs = [(points[j][k], *searches[j][1:]) for j in running]
         for j, result in zip(running, _evaluate(feeder, profiles, jobs)):
-            if isinstance(result, Exception):
-                errors[j] = result
-            else:
-                evaluated[j].append(result)
+            evaluated[j].append(result)
         k += 1
-        running = [
-            j for j in running
-            if j not in errors and evaluated[j][-1].failure is None and k < len(points[j])
-        ]
+        running = [j for j in running if _passed(evaluated[j][-1]) and k < len(points[j])]
     return [
-        errors.get(j)
-        or reduce_candidates(
-            evaluated[j], config.qos_threshold, mode, config.scenario, config.sweep_dimension
-        )
-        for j, (_, config, mode) in enumerate(searches)
+        _reduce_search(evaluated[j], config, mode) for j, (_, config, mode) in enumerate(searches)
     ]
+
+
+def _passed(outcome: CandidateResult | Exception) -> bool:
+    return not isinstance(outcome, Exception) and outcome.failure is None
+
+
+def _reduce_search(
+    outcomes: list[CandidateResult | Exception], config: HcSearchConfig, mode: str
+) -> HcReport | Exception:
+    """A search from its candidates' outcomes in search order: the exception
+    that ended it when one comes before the first failure, else the
+    first-failure reduction (outcomes after the failure are never read)."""
+    stop = next((o for o in outcomes if not _passed(o)), None)
+    if isinstance(stop, Exception):
+        return stop
+    return reduce_candidates(
+        outcomes, config.qos_threshold, mode, config.scenario, config.sweep_dimension
+    )
 
 
 def reduce_candidates(

@@ -188,23 +188,103 @@ def test_network_aware_run_writes_expected_files(tmp_path):
     assert "timestamp" not in manifest
 
 
-def test_network_aware_run_simulates_each_grid_candidate_once(tmp_path, monkeypatch):
-    """The search's candidates are reused for qos_by_power.csv: the 12-point
-    grid costs 12 network-aware days, plus one to re-run the day at the
-    capacity."""
+def _kernel_calls(monkeypatch) -> list:
+    """Every ``_simulate_lanes`` call from here on, as (judged, network-aware
+    lanes, passive lanes)."""
     calls = []
     original = evhc.doe._simulate_lanes
 
-    def counting(feeder, profiles, lanes, *args, **kwargs):
-        calls.extend(lane.hc_power for lane in lanes if lane.params is not None)
-        return original(feeder, profiles, lanes, *args, **kwargs)
+    def counting(feeder, profiles, lanes, *args, judge=None, **kwargs):
+        aware = sum(lane.params is not None for lane in lanes)
+        calls.append((judge is not None, aware, len(lanes) - aware))
+        return original(feeder, profiles, lanes, *args, judge=judge, **kwargs)
 
     for module in (evhc.doe, evhc.hc, evhc.cli):
         if getattr(module, "_simulate_lanes", None) is original:
             monkeypatch.setattr(module, "_simulate_lanes", counting)
+    return calls
+
+
+def test_network_aware_run_simulates_each_grid_candidate_once(tmp_path, monkeypatch):
+    """The network-aware grid is judged once, and the search is its
+    first-failure reduction, so the 12-point grid costs 12 network-aware
+    days, plus one to record the day at the capacity."""
+    calls = _kernel_calls(monkeypatch)
     path = _write_scenario(tmp_path)
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
-    assert len(calls) == 12 + 1
+    assert sum(aware for _, aware, _ in calls) == 12 + 1
+
+
+def test_compare_run_makes_three_kernel_passes(tmp_path, monkeypatch):
+    """One judged call holds every label's network-aware grid, the passive
+    searches simulate exactly their reported candidates, and one recorded
+    call holds the network-aware and passive day at each capacity."""
+    calls = _kernel_calls(monkeypatch)
+    labels = ["low", "medium", "high"]
+    path = _write_scenario(tmp_path, mode="compare", scenarios=labels)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+
+    def report(mode, label):
+        return json.loads((out / f"{mode}_{label}" / "report.json").read_text())
+
+    judged = [(aware, passive) for is_judged, aware, passive in calls if is_judged]
+    assert [aware for aware, _ in judged if aware] == [len(labels) * 12]
+    assert sum(passive for _, passive in judged) == sum(
+        len(report("passive", label)["candidates_evaluated"]) for label in labels
+    )
+    with_hc = sum(report("network_aware", label)["hc"] is not None for label in labels)
+    assert with_hc and [c[1:] for c in calls if not c[0]] == [(with_hc, with_hc)]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"doe": {"delta_perm": 0.1}}, {"search": {**BASE["search"], "dimension": "ev_count"}}],
+    ids=["default", "delta_perm_0.1", "ev_count"],
+)
+def test_compare_reports_equal_the_library_searches(tmp_path, overrides):
+    """Each report the CLI reduces from a judged grid or from candidate
+    rounds is the one the library search gives for the same fleet."""
+    from evhc.feeder import bundled_baseline_profiles, bundled_feeder
+    from evhc.hc import network_aware_hc, passive_hc
+
+    path = _write_scenario(tmp_path, mode="compare", scenarios=["low", "high"], **overrides)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
+    config = evhc.cli.load_scenario(path)
+    feeder, profiles = bundled_feeder(), bundled_baseline_profiles()
+    for label in config.scenario_labels:
+        search = evhc.cli._search_config(config, label)
+        fleet = evhc.cli._fleet(config, feeder, search)
+        for mode, library in (("passive", passive_hc), ("network_aware", network_aware_hc)):
+            report = library(feeder, profiles, fleet, search)
+            sub = out / f"{mode}_{label}"
+            assert (sub / "report.json").read_text() == evhc.cli._report_json(report)
+            assert (sub / "candidates.csv").read_text() == evhc.cli._candidates_csv(report)
+
+
+def test_reversed_imported_fleet_gives_the_same_results(tmp_path):
+    """QoS pairs each session's baseline with its own delivered energy, so the
+    row order of an imported fleet file changes no result."""
+    from evhc.ev import DEFAULT_SCENARIOS, generate_fleet, save_fleet
+    from evhc.feeder import bundled_feeder
+
+    fleet = generate_fleet(DEFAULT_SCENARIOS["medium"], bundled_feeder().household_ids, seed=1)
+    outs = []
+    for name, sessions in (("ordered", fleet), ("reversed", fleet[::-1])):
+        save_fleet(sessions, tmp_path / f"{name}.csv")
+        path = _write_scenario(
+            tmp_path, mode="compare", scenarios=["medium"],
+            fleet={"source": "import", "fleet_file": f"{name}.csv"},
+        )
+        outs.append(tmp_path / name)
+        assert main(["run", str(path), "--output-dir", str(outs[-1])]) == 0
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert Path("table1.csv") in files and Path("network_aware_medium/report.json") in files
+    assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+    for rel in files:
+        if rel.name != "manifest.json":  # its config hash covers the fleet file name
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
 
 def test_ev_count_run_writes_expected_files(tmp_path):
@@ -266,6 +346,15 @@ def test_sweep_doe_verb(tmp_path):
     assert len(lines) == 1 + 3 * 2
 
 
+# an energy scenario whose sessions cover the whole day: no idle step
+ALL_DAY = {
+    "energy_min_kwh": 4.0,
+    "energy_max_kwh": 8.0,
+    "arrival": {"mean_h": 18.0, "sd_h": 0.5, "lo_h": 17.0, "hi_h": 19.0},
+    "duration": {"mean_h": 24.0, "sd_h": 0.1, "lo_h": 23.9, "hi_h": 24.0},
+}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_error_stays_in_its_cells(tmp_path, workers):
     """A scenario whose sessions cover the whole day has no idle step to
@@ -273,14 +362,8 @@ def test_sweep_error_stays_in_its_cells(tmp_path, workers):
     keep the capacities they have alone."""
     sweep = {"delta_perm_min": 0.0, "delta_perm_max": 0.05, "delta_perm_step": 0.05,
              "factor_values": [0.2, 0.5]}
-    all_day = {
-        "energy_min_kwh": 4.0,
-        "energy_max_kwh": 8.0,
-        "arrival": {"mean_h": 18.0, "sd_h": 0.5, "lo_h": 17.0, "hi_h": 19.0},
-        "duration": {"mean_h": 24.0, "sd_h": 0.1, "lo_h": 23.9, "hi_h": 24.0},
-    }
     mixed = _write_scenario(tmp_path, scenarios=["low", "all_day"], sweep=sweep,
-                            scenario_definitions={"all_day": all_day})
+                            scenario_definitions={"all_day": ALL_DAY})
     assert main(["sweep", str(mixed), "--workers", str(workers),
                  "--output-dir", str(tmp_path / "mixed")]) == 0
     alone = _write_scenario(tmp_path, scenarios=["low"], sweep=sweep)
@@ -380,6 +463,41 @@ def test_simulation_failure_exits_2(tmp_path, capsys):
     )
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
     assert "simulation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["compare", "network_aware"])
+def test_grid_error_exits_2(tmp_path, capsys, mode):
+    """Every network-aware grid lane of a fleet with no idle step ends as
+    that error: the run still exits 2 with it."""
+    fleet_path = tmp_path / "fleet.csv"
+    fleet_path.write_text(
+        "household,arrival_step,departure_step,requested_kwh,rated_kw\n"
+        "h01,0,96,10.0,22.0\n"
+    )
+    path = _write_scenario(
+        tmp_path, mode=mode, fleet={"source": "import", "fleet_file": str(fleet_path)}
+    )
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "simulation error: no session-free step" in capsys.readouterr().err
+
+
+def test_compare_error_keeps_the_earlier_labels_files(tmp_path, capsys):
+    """The searches of a label without an idle step end as that error; the
+    labels before it are written as in a run without it, then the run
+    exits 2."""
+    mixed = _write_scenario(tmp_path, mode="compare", scenarios=["low", "all_day"],
+                            scenario_definitions={"all_day": ALL_DAY})
+    assert main(["run", str(mixed), "--output-dir", str(tmp_path / "mixed")]) == 2
+    assert "simulation error: no session-free step" in capsys.readouterr().err
+    alone = _write_scenario(tmp_path, mode="compare", scenarios=["low"])
+    assert main(["run", str(alone), "--output-dir", str(tmp_path / "alone")]) == 0
+    for sub in ("passive_low", "network_aware_low"):
+        files = sorted(p.name for p in (tmp_path / "alone" / sub).iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "mixed" / sub).iterdir())
+        for name in files:
+            alone_bytes = (tmp_path / "alone" / sub / name).read_bytes()
+            assert (tmp_path / "mixed" / sub / name).read_bytes() == alone_bytes, name
+    assert not (tmp_path / "mixed" / "passive_all_day").exists()
 
 
 def test_imported_fleet_run(tmp_path):
