@@ -23,6 +23,7 @@ which steps many days ("lanes") through the day together.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 from math import acos, tan
 from types import SimpleNamespace
@@ -194,12 +195,18 @@ def _sessions_in_feeder_order(
 
 
 class Lane(NamedTuple):
-    """One day to simulate: the EV sessions, their charging power and the
-    envelope that controls them (None: uncontrolled charging)."""
+    """One day to simulate: the EV sessions, their charging power, the
+    envelope that controls them (None: uncontrolled charging) and the key of
+    the search it is a candidate of (None: it stands alone)."""
 
     sessions: list[EvSession]
     hc_power: float
     params: DoeParams | None = None
+    search: Hashable | None = None
+
+
+class _Stopped(Exception):
+    """A judged lane stopped past an earlier failure of its search."""
 
 
 @dataclass
@@ -295,6 +302,11 @@ def _simulate_lanes(
     ends as that exception; the other lanes carry on. With ``judge``, lanes
     keep no whole-day arrays: each step's limit crossings and extrema are
     folded in as it is solved. Without it, every lane records its trace.
+
+    Judged lanes with a ``search`` key are its candidates in candidate order.
+    A step that ends with an incident or a collapse in one of them stops the
+    later lanes of that search, which lie past a certain failure, as
+    ``_Stopped``. A ``ValueError`` stops no other lane.
     """
     steps = STEPS_PER_DAY
     comp = feeder.compiled
@@ -351,6 +363,10 @@ def _simulate_lanes(
     )
     for name in ("factor", "u_min", "green_threshold", "degenerate"):
         setattr(rows, name, np.array([[getattr(p, name)] for p in shapes]))
+    keys: dict = {None: -1}  # search key -> id; rows run in lane order
+    if judge is not None and any(lane.search is not None for lane in lanes):
+        ids = [keys.setdefault(lanes[j].search, len(keys) - 1) for j, _, _ in started]
+        rows.search = np.array(ids)
 
     fallback_steps = np.zeros(count, dtype=int)
     delivered = np.zeros((count, n_house))
@@ -459,6 +475,15 @@ def _simulate_lanes(
                 incidents[r].extend(crossed)
             extrema.add(lane_rows, *block)
         fallback_steps[lane_rows] += fallback[live]
+        if len(keys) > 1:  # a search's first incident or collapse this step stops later lanes
+            hit, ended = np.zeros(n, dtype=bool), np.flatnonzero(~alive)
+            hit[live] = [bool(crossed) for crossed in found]
+            hit[ended] = [not isinstance(out[started[i][0]], ValueError) for i in rows.row[ended]]
+            first = np.full(len(keys), count)  # id -1 holds the unkeyed lanes: no stop
+            np.minimum.at(first, rows.search[hit], rows.row[hit])
+            first[-1] = count
+            for r in np.flatnonzero(alive & (rows.row > first[rows.search])):
+                fail(r, _Stopped("lane stopped past an earlier failure of its search"))
         if not alive.all():
             rows.keep(alive)
             if not len(rows.row):

@@ -12,7 +12,9 @@ Every candidate is simulated independently of the others. A search is the
 first-failure reduction of its candidates, so it returns exactly what an
 exhaustive per-candidate scan returns. Searches run in candidate rounds:
 round k simulates candidate k of every search still running, all in one
-batched kernel call (``doe._simulate_lanes``).
+batched kernel call (``doe._simulate_lanes``). The QoS-threshold sweep
+instead judges every scenario's whole power grid in one kernel call, each
+scenario one search whose candidates stop past its first incident.
 """
 
 from __future__ import annotations
@@ -134,6 +136,7 @@ def _evaluate(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
     jobs: list[tuple[tuple[float, list[EvSession], float], HcSearchConfig, str]],
+    searches: list | None = None,
 ) -> list[CandidateResult | Exception]:
     """Simulate candidate days in one kernel call and judge each.
 
@@ -141,11 +144,13 @@ def _evaluate(
     config and mode. The jobs share the first config's limits and solver
     options. A candidate whose day cannot be simulated or judged is the
     exception that stopped it; a collapse is a diagnostic incident.
+    ``searches`` gives each job's search key: a search's jobs, passed in
+    candidate order, stop past its first incident (``doe._simulate_lanes``).
     """
     config = jobs[0][1]
     lanes = [
-        Lane(sessions, power, None if mode == "passive" else cfg.doe)
-        for (_, sessions, power), cfg, mode in jobs
+        Lane(sessions, power, None if mode == "passive" else cfg.doe, key)
+        for ((_, sessions, power), cfg, mode), key in zip(jobs, searches or [None] * len(jobs))
     ]
     days = _simulate_lanes(
         feeder, profiles, lanes, config.pf_options,
@@ -331,8 +336,8 @@ def network_aware_grid(
     fleet: list[EvSession],
     config: HcSearchConfig,
 ) -> list[CandidateResult]:
-    """Evaluate every candidate power regardless of failures (for threshold
-    sweeps and locational QoS tables), in one kernel call."""
+    """Evaluate every candidate power regardless of failures, in one kernel
+    call: the whole grid, as a per-customer QoS table needs it."""
     power = replace(config, sweep_dimension=SWEEP_POWER)
     jobs = [(point, power, "network_aware") for point in _points(fleet, power)]
     return [_raised(result) for result in _evaluate(feeder, profiles, jobs)]
@@ -420,7 +425,7 @@ def sensitivity_sweep(
     if not delta_perm_grid or not factor_values or not scenarios:
         raise ValueError("sweep grids must be non-empty")
     grid = [(float(d), float(f)) for d in delta_perm_grid for f in factor_values]
-    if workers > 1:
+    if min(workers, len(scenarios)) > 1:
         jobs = [(feeder, profiles, [scenario], grid, config) for scenario in scenarios]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return [cell for part in pool.map(_sweep_cells, jobs) for cell in part]
@@ -446,25 +451,31 @@ def threshold_sweep(
     thresholds: list[float],
     config: HcSearchConfig,
 ) -> list[ThresholdPoint]:
-    """NAHC versus aggregated-QoS threshold; one grid evaluation per
-    scenario reused across thresholds."""
-    points = []
-    for scenario in scenarios:
-        cfg = replace(config, scenario=scenario.label)
-        fleet = fleet_for_scenario(feeder, scenario, cfg)
-        grid = network_aware_grid(feeder, profiles, fleet, cfg)
+    """NAHC versus aggregated-QoS threshold.
+
+    Every scenario's power grid is judged in one kernel call and reduced at
+    each threshold. Incidents do not depend on the threshold, so no
+    reduction reads a candidate past a scenario's first incident, and those
+    candidates stop there. An error at or before that incident is raised.
+    """
+    power = replace(config, sweep_dimension=SWEEP_POWER)
+    jobs, searches = [], []
+    for i, scenario in enumerate(scenarios):
+        cfg = replace(power, scenario=scenario.label)
+        for point in _points(fleet_for_scenario(feeder, scenario, cfg), cfg):
+            jobs.append((point, cfg, "network_aware"))
+            searches.append(i)
+    outcomes = _evaluate(feeder, profiles, jobs, searches) if jobs else []
+    size, points = len(power.power_grid_kw), []
+    for i, scenario in enumerate(scenarios):
+        grid = outcomes[i * size:(i + 1) * size]
+        _raised(next((o for o in grid if isinstance(o, Exception) or o.incidents), None))
         for threshold in thresholds:
             report = reduce_candidates(grid, threshold, "network_aware", scenario.label)
-            points.append(
-                ThresholdPoint(
-                    scenario=scenario.label,
-                    qos_threshold=float(threshold),
-                    hc=report.hc,
-                    limiting_factor=report.limiting_factor,
-                    qos_at_hc=report.qos_at_hc,
-                    min_qos_at_hc=report.min_qos_at_hc,
-                )
-            )
+            points.append(ThresholdPoint(
+                scenario.label, float(threshold), report.hc, report.limiting_factor,
+                report.qos_at_hc, report.min_qos_at_hc,
+            ))
     return points
 
 

@@ -390,6 +390,46 @@ def test_sweep_qos_threshold_verb(tmp_path):
     assert len(lines) == 3
 
 
+def test_threshold_sweep_judges_every_scenario_in_one_call(tmp_path, monkeypatch):
+    """One judged call holds every scenario's power grid, and its lanes stop
+    past each scenario's first incident: fewer lane-solves than judging the
+    same grids whole."""
+    from evhc.feeder import bundled_baseline_profiles, bundled_feeder
+    from evhc.hc import network_aware_grid
+
+    calls, solves = _kernel_calls(monkeypatch), []
+    original = evhc.doe._solve_lanes
+
+    def counting(feeder, p_kw, *args, **kwargs):
+        solves.append(len(p_kw))
+        return original(feeder, p_kw, *args, **kwargs)
+
+    monkeypatch.setattr(evhc.doe, "_solve_lanes", counting)
+    labels = ["low", "medium", "high"]
+    path = _write_scenario(tmp_path, scenarios=labels, sweep={"qos_thresholds": [0.6, 0.8]})
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--which", "qos-threshold", "--output-dir", str(out)]) == 0
+    assert calls == [(True, len(labels) * 12, 0)]
+    swept = sum(solves)
+    solves.clear()
+    config = evhc.cli.load_scenario(path)
+    feeder, profiles = bundled_feeder(), bundled_baseline_profiles()
+    for label in labels:
+        search = evhc.cli._search_config(config, label)
+        network_aware_grid(feeder, profiles, evhc.cli._fleet(config, feeder, search), search)
+    assert 0 < swept < sum(solves)
+
+
+def test_threshold_sweep_error_exits_2(tmp_path, capsys):
+    """A scenario whose first candidate cannot start (no idle step) still
+    ends the QoS-threshold sweep with that error."""
+    path = _write_scenario(tmp_path, scenarios=["low", "all_day"], sweep={"qos_thresholds": [0.8]},
+                           scenario_definitions={"all_day": ALL_DAY})
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--which", "qos-threshold", "--output-dir", str(out)]) == 2
+    assert "simulation error: no session-free step" in capsys.readouterr().err
+
+
 def test_emit_plots_from_results(tmp_path):
     path = _write_scenario(tmp_path)
     out = tmp_path / "out"

@@ -1,15 +1,21 @@
 """Hosting-capacity searches: termination, equivalences, sweeps."""
 
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+
 import pytest
 
+import evhc.hc
 from evhc.doe import DoeParams
 from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
 from evhc.hc import (
     HcSearchConfig,
     LIMIT_AGGREGATED_QOS,
     SWEEP_EV_COUNT,
+    ThresholdPoint,
     evaluate_passive_candidate,
     export_sweep_csv,
+    fleet_for_scenario,
     network_aware_grid,
     network_aware_hc,
     passive_hc,
@@ -136,6 +142,40 @@ def test_threshold_monotonicity(feeder, profiles):
             assert p.min_qos_at_hc <= p.qos_at_hc + 1e-12
 
 
+HEAVY = {"rated_power_kw": 60.0, "power_grid_kw": tuple(float(k) for k in range(5, 65, 5))}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"doe": DoeParams(delta_perm=0.1)},
+        {"doe": DoeParams(factor=0.0)},
+        {"doe": DoeParams(voltage_source="previous_step")},
+        HEAVY,
+    ],
+    ids=["default", "delta_perm_0.1", "factor_0", "previous_step", "heavy"],
+)
+def test_threshold_sweep_equals_the_reduced_full_grid(feeder, profiles, overrides):
+    """The sweep stops each scenario's candidates past its first incident,
+    yet every point equals the reduction of the whole grid at its threshold."""
+    config = HcSearchConfig(**overrides)
+    scenarios = [DEFAULT_SCENARIOS[label] for label in ("low", "medium", "high")]
+    thresholds = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    expected, collapses = [], 0
+    for scenario in scenarios:
+        cfg = replace(config, scenario=scenario.label)
+        grid = network_aware_grid(feeder, profiles, fleet_for_scenario(feeder, scenario, cfg), cfg)
+        collapses += sum(c.error is not None for c in grid)
+        for threshold in thresholds:
+            r = reduce_candidates(grid, threshold, "network_aware", scenario.label)
+            expected.append(ThresholdPoint(
+                scenario.label, threshold, r.hc, r.limiting_factor, r.qos_at_hc, r.min_qos_at_hc
+            ))
+    assert threshold_sweep(feeder, profiles, scenarios, thresholds, config) == expected
+    assert collapses or overrides is not HEAVY
+
+
 def test_single_cell_sweep_equals_direct_search(feeder, profiles):
     config = HcSearchConfig(seed=1)
     cells = sensitivity_sweep(
@@ -159,6 +199,34 @@ def test_sweep_worker_count_does_not_change_results(feeder, profiles):
     serial = sensitivity_sweep(*args, workers=1)
     parallel = sensitivity_sweep(*args, workers=2)
     assert serial == parallel
+
+
+def test_sweep_worker_count_does_not_change_results_across_scenarios(feeder, profiles, monkeypatch):
+    """Two scenarios with two workers run in the process pool."""
+    pools = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(evhc.hc, "ProcessPoolExecutor", Pool)
+    scenarios = [DEFAULT_SCENARIOS["low"], DEFAULT_SCENARIOS["high"]]
+    args = (feeder, profiles, scenarios, [0.03, 0.05], [0.2, 0.5], HcSearchConfig(seed=1))
+    assert sensitivity_sweep(*args, workers=1) == sensitivity_sweep(*args, workers=2)
+    assert pools == [2]
+
+
+def test_one_scenario_sweep_starts_no_pool(feeder, profiles, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-scenario sweep started a process pool")
+
+    monkeypatch.setattr(evhc.hc, "ProcessPoolExecutor", no_pool)
+    config = HcSearchConfig(seed=1)
+    cells = sensitivity_sweep(
+        feeder, profiles, [DEFAULT_SCENARIOS["low"]], [0.05], [0.5], config, workers=2
+    )
+    assert [cell.error for cell in cells] == [None]
 
 
 def test_sweep_csv_schema(feeder, profiles):

@@ -14,7 +14,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evhc.doe import DoeParams, Lane, _simulate_lanes, network_aware_horizon, passive_horizon
+from evhc.doe import (
+    DoeParams,
+    Lane,
+    LaneDay,
+    _raised,
+    _simulate_lanes,
+    _Stopped,
+    network_aware_horizon,
+    passive_horizon,
+)
 from evhc.ev import DEFAULT_SCENARIOS, EvSession, generate_fleet, quiet_step
 from evhc.incidents import IncidentLimits, crossings, detect
 from evhc.powerflow import VoltageCollapseError
@@ -116,6 +125,62 @@ def test_judged_lanes_equal_the_reference_detect_and_summary(feeder, profiles, b
         assert day.fallback_steps == int(trace.fixed_point_fallback.sum())
         incidents += len(day.incidents)
     assert incidents > 0
+
+
+def test_keyed_lanes_stop_past_the_first_failure_of_their_search(feeder, profiles):
+    """Judged lanes of a search equal the same lanes judged without a key up
+    to the search's lowest lane with an incident or a collapse; its later
+    lanes stop. Unkeyed lanes, other searches and the lanes after a
+    ``ValueError`` run their whole day."""
+    ids = feeder.household_ids
+    low = generate_fleet(DEFAULT_SCENARIOS["low"], ids, [1, 0])
+    high = generate_fleet(DEFAULT_SCENARIOS["high"], ids, seed=3)
+    burst = [EvSession(h, 40, 48, 30.0, 60.0) for h in ids]  # collapses as it arrives
+    all_day = [EvSession(ids[0], 10, 10 + 96, 5.0, 22.0)]
+    batch = [
+        ("aware", Lane(low, 2.0, DoeParams())),
+        (None, Lane(burst, 60.0)),
+        ("passive", Lane(high, 2.0)),
+        ("aware", Lane(low, 6.0, DoeParams())),
+        ("collapse", Lane(burst, 60.0)),
+        ("passive", Lane(high, 6.0)),
+        ("aware", Lane(low, 10.0, DoeParams())),  # first incident a step after the next lane's
+        ("error", Lane(all_day, 7.0, DoeParams())),
+        ("aware", Lane(low, 14.0, DoeParams())),
+        (None, Lane(high, 10.0)),
+        ("passive", Lane(high, 10.0)),
+        ("collapse", Lane(low, 4.0, DoeParams(factor=0.2))),  # incident-free alone
+        ("aware", Lane(low, 18.0, DoeParams())),
+        ("error", Lane(low, 6.0, DoeParams())),
+        ("passive", Lane(high, 14.0)),  # collapses alone, after it is stopped
+    ]
+    limits = IncidentLimits.from_feeder(feeder)
+    alone = _simulate_lanes(feeder, profiles, [lane for _, lane in batch], judge=limits)
+    keyed = _simulate_lanes(
+        feeder, profiles, [lane._replace(search=key) for key, lane in batch], judge=limits
+    )
+    first = {}
+    for i, ((key, _), day) in enumerate(zip(batch, alone)):
+        if isinstance(day, VoltageCollapseError) or isinstance(day, LaneDay) and day.incidents:
+            first.setdefault(key, i)
+    assert isinstance(alone[first["collapse"]], VoltageCollapseError)
+    assert isinstance(alone[7], ValueError) and "error" not in first
+    stopped = []
+    for i, ((key, _), got, want) in enumerate(zip(batch, keyed, alone)):
+        if key is not None and i > first.get(key, len(batch)):
+            with pytest.raises(_Stopped):
+                _raised(got)
+            stopped.append(i)
+        elif isinstance(want, Exception):
+            _assert_same_error(got, want)
+        else:
+            for f in fields(LaneDay):
+                if f.name == "summary":
+                    for g in fields(want.summary):
+                        _assert_equal(getattr(got.summary, g.name), getattr(want.summary, g.name))
+                else:
+                    _assert_equal(getattr(got, f.name), getattr(want, f.name))
+    assert stopped == [8, 10, 11, 12, 14]
 
 
 # --- crossings and extrema on random traces ----------------------------------
