@@ -521,31 +521,39 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
     _write(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
     if config.mode in ("passive", "network_aware", "compare"):
-        # three kernel passes: one judged call over every label's network-aware
-        # power grid (a power search is its grid's first-failure reduction, and
-        # the grid feeds qos_by_power.csv), the other searches in candidate
-        # rounds, and one recorded call for the days at the network-aware HCs
+        # two kernel passes: one judged call holds every label's network-aware
+        # power grid, unkeyed as qos_by_power.csv reads all of it, and each
+        # passive grid under its own key; then one recorded call for the days
+        # at the network-aware HCs. Network-aware ev_count searches run in
+        # rounds between them: a QoS breach is known only at the end of a day.
         modes = [m for m in ("passive", "network_aware") if config.mode in (m, "compare")]
-        studies = []
+        runs = []
         for label in config.scenario_labels:
             search = _search_config(config, label)
-            studies.append((_fleet(config, feeder, search), search))
-        power = [(f, replace(s, sweep_dimension=SWEEP_POWER)) for f, s in studies]
-        jobs = [(p, cfg, "network_aware") for f, cfg in power for p in _points(f, cfg)]
-        judged = _evaluate(feeder, profiles, jobs) if "network_aware" in modes else []
-        n = len(config.power_grid_kw)
-        grids = [judged[k * n:(k + 1) * n] for k in range(len(studies))]
+            fleet = _fleet(config, feeder, search)
+            runs += [(fleet, search, mode) for mode in modes]
+        jobs, keys, spans = [], [], []
+        for i, (fleet, search, mode) in enumerate(runs):
+            passive = mode == "passive"
+            cfg = search if passive else replace(search, sweep_dimension=SWEEP_POWER)
+            points = _points(fleet, cfg)
+            spans.append(slice(len(jobs), len(jobs) + len(points)))
+            jobs += [(point, cfg, mode) for point in points]
+            keys += [i if passive else None] * len(points)
+        judged = _evaluate(feeder, profiles, jobs, keys) if jobs else []
+        grids = [judged[span] for span in spans]
 
-        reduced = config.dimension == SWEEP_POWER  # network-aware searches reduce their grid
-        runs = [(*study, mode, grid) for study, grid in zip(studies, grids) for mode in modes]
-        searched = [(f, s, m) for f, s, m, _ in runs if m == "passive" or not reduced]
-        rounds = iter(reduce_searches(feeder, profiles, searched))
+        in_rounds = config.dimension != SWEEP_POWER  # the network-aware ev_count searches
+        rounds = iter(reduce_searches(
+            feeder, profiles, [run for run in runs if in_rounds and run[2] == "network_aware"]
+        ))
         reports = [
-            _reduce_search(grid, search, mode) if mode != "passive" and reduced else next(rounds)
-            for _, search, mode, grid in runs
+            next(rounds) if in_rounds and mode == "network_aware"
+            else _reduce_search(grid, search, mode)
+            for (_, search, mode), grid in zip(runs, grids)
         ]
         lanes = {}  # run index -> its day at the HC, network-aware and passive
-        for i, ((fleet, search, mode, _), report) in enumerate(zip(runs, reports)):
+        for i, ((fleet, search, mode), report) in enumerate(zip(runs, reports)):
             if mode != "passive" and not isinstance(report, Exception) and report.hc is not None:
                 _, sessions, kw = next(p for p in _points(fleet, search) if p[0] == report.hc)
                 lanes[i] = [Lane(sessions, kw, config.doe), Lane(sessions, kw)]
@@ -553,8 +561,8 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
         hc_days = {i: (next(days), next(days)) for i in lanes}
 
         table = ["scenario,mode,hc,limiting_factor,qos_at_hc,min_qos_at_hc"]
-        for i, ((_, search, mode, grid), report) in enumerate(zip(runs, map(_raised, reports))):
-            label = search.scenario
+        for i, ((_, search, mode), grid) in enumerate(zip(runs, grids)):
+            label, report = search.scenario, _raised(reports[i])
             _write_search_outputs(
                 out_dir / f"{mode}_{label}", report, feeder, grid, hc_days.get(i, ())
             )
@@ -689,11 +697,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.output}")
             return 0
 
-        if args.verb == "validate":
-            load_scenario(args.scenario)
-            print("scenario file is valid")
-            return 0
-
         if args.verb == "emit-plots":
             results = Path(args.results_dir)
             if not results.is_dir():
@@ -707,8 +710,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "sweep":
             mode = "sweep_doe" if args.which == "doe" else "sweep_qos_threshold"
             config = replace(config, mode=mode)
-        elif args.mode:
+        elif getattr(args, "mode", None):
             config = replace(config, mode=args.mode)
+        if config.fleet_source == "import" and config.mode.startswith("sweep_"):
+            raise ConfigError(
+                f"fleet.source: mode {config.mode} generates each scenario's fleet, "
+                "so 'import' works only in passive, network_aware and compare modes"
+            )
+        if args.verb == "validate":
+            print("scenario file is valid")
+            return 0
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         workers = getattr(args, "workers", None)

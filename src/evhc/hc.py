@@ -11,8 +11,10 @@ quality) and the QoS breach is still visible in the candidate detail.
 Every candidate is simulated independently of the others. A search is the
 first-failure reduction of its candidates, so it returns exactly what an
 exhaustive per-candidate scan returns. Searches run in candidate rounds:
-round k simulates candidate k of every search still running, all in one
-batched kernel call (``doe._simulate_lanes``). The QoS-threshold sweep
+each round simulates the next two candidates of every search still
+running, all in one batched kernel call (``doe._simulate_lanes``), each
+search under its own key. At most one candidate past a search's first
+failure is simulated, and it is never read. The QoS-threshold sweep
 instead judges every scenario's whole power grid in one kernel call, each
 scenario one search whose candidates stop past its first incident.
 """
@@ -44,6 +46,8 @@ LIMIT_AGGREGATED_QOS = "aggregated_qos"
 
 SWEEP_POWER = "power"
 SWEEP_EV_COUNT = "ev_count"
+
+ROUND_WIDTH = 2  # candidates of each running search simulated per round
 
 
 @dataclass(frozen=True)
@@ -236,20 +240,28 @@ def reduce_searches(
     """Many ``(fleet, config, mode)`` searches, each a first-failure reduction,
     evaluated in candidate rounds.
 
-    Round k simulates candidate k of every search that has not yet failed,
-    in one kernel call, so exactly the candidates of the sequential searches
-    are simulated. A search that hits an error ends as that exception. The
-    searches share the first config's limits and solver options.
+    Each round simulates the next ``ROUND_WIDTH`` candidates of every search
+    that has not yet failed, in one kernel call, each search under its own
+    key, so a lane past an incident of its search stops there. A search
+    stops running once one of its outcomes has not passed: at most
+    ``ROUND_WIDTH - 1`` candidates past its first failure are simulated, and
+    none of them is read. A search that hits an error ends as that
+    exception. The searches share the first config's limits and solver
+    options.
     """
     points = [_points(fleet, config) for fleet, config, _ in searches]
     evaluated: list[list[CandidateResult | Exception]] = [[] for _ in searches]
-    k, running = 0, [j for j, p in enumerate(points) if p]
+    running = [j for j, p in enumerate(points) if p]
     while running:
-        jobs = [(points[j][k], *searches[j][1:]) for j in running]
-        for j, result in zip(running, _evaluate(feeder, profiles, jobs)):
+        window = [(j, p) for j in running for p in points[j][len(evaluated[j]):][:ROUND_WIDTH]]
+        jobs = [(point, *searches[j][1:]) for j, point in window]
+        keys = [j for j, _ in window]
+        for j, result in zip(keys, _evaluate(feeder, profiles, jobs, keys)):
             evaluated[j].append(result)
-        k += 1
-        running = [j for j in running if _passed(evaluated[j][-1]) and k < len(points[j])]
+        running = [
+            j for j in running
+            if len(evaluated[j]) < len(points[j]) and all(map(_passed, evaluated[j]))
+        ]
     return [
         _reduce_search(evaluated[j], config, mode) for j, (_, config, mode) in enumerate(searches)
     ]

@@ -138,7 +138,10 @@ class Extrema:
         converged: np.ndarray,
     ) -> None:
         """Fold in a block: row r belongs to lane ``lanes[r]`` and its arrays
-        are indexed [r, k] or [r, k, element], ``steps[r, k]`` the step."""
+        are indexed [r, k] or [r, k, element], ``steps[r, k]`` the step.
+        A block of no rows (every lane ended at that step) changes nothing."""
+        if not len(lanes):
+            return
         self.min_voltage[lanes] = np.minimum(self.min_voltage[lanes], voltage_pu.min(axis=1))
         self.max_voltage[lanes] = np.maximum(self.max_voltage[lanes], voltage_pu.max(axis=1))
         self.max_current[lanes] = np.maximum(

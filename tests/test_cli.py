@@ -188,16 +188,18 @@ def test_network_aware_run_writes_expected_files(tmp_path):
     assert "timestamp" not in manifest
 
 
-def _kernel_calls(monkeypatch) -> list:
+def _kernel_calls(monkeypatch, lanes: list | None = None) -> list:
     """Every ``_simulate_lanes`` call from here on, as (judged, network-aware
-    lanes, passive lanes)."""
+    lanes, passive lanes); ``lanes`` collects each call's lanes."""
     calls = []
     original = evhc.doe._simulate_lanes
 
-    def counting(feeder, profiles, lanes, *args, judge=None, **kwargs):
-        aware = sum(lane.params is not None for lane in lanes)
-        calls.append((judge is not None, aware, len(lanes) - aware))
-        return original(feeder, profiles, lanes, *args, judge=judge, **kwargs)
+    def counting(feeder, profiles, batch, *args, judge=None, **kwargs):
+        aware = sum(lane.params is not None for lane in batch)
+        calls.append((judge is not None, aware, len(batch) - aware))
+        if lanes is not None:
+            lanes.append(batch)
+        return original(feeder, profiles, batch, *args, judge=judge, **kwargs)
 
     for module in (evhc.doe, evhc.hc, evhc.cli):
         if getattr(module, "_simulate_lanes", None) is original:
@@ -215,26 +217,29 @@ def test_network_aware_run_simulates_each_grid_candidate_once(tmp_path, monkeypa
     assert sum(aware for _, aware, _ in calls) == 12 + 1
 
 
-def test_compare_run_makes_three_kernel_passes(tmp_path, monkeypatch):
-    """One judged call holds every label's network-aware grid, the passive
-    searches simulate exactly their reported candidates, and one recorded
-    call holds the network-aware and passive day at each capacity."""
-    calls = _kernel_calls(monkeypatch)
+def test_compare_run_makes_two_kernel_passes(tmp_path, monkeypatch):
+    """One judged call holds every label's network-aware grid and, keyed by
+    label, its passive grid; one recorded call holds the network-aware and
+    passive day at each capacity. A passive run makes the judged call alone."""
+    lanes = []
+    calls = _kernel_calls(monkeypatch, lanes)
     labels = ["low", "medium", "high"]
     path = _write_scenario(tmp_path, mode="compare", scenarios=labels)
     out = tmp_path / "out"
     assert main(["run", str(path), "--output-dir", str(out)]) == 0
-
-    def report(mode, label):
-        return json.loads((out / f"{mode}_{label}" / "report.json").read_text())
-
-    judged = [(aware, passive) for is_judged, aware, passive in calls if is_judged]
-    assert [aware for aware, _ in judged if aware] == [len(labels) * 12]
-    assert sum(passive for _, passive in judged) == sum(
-        len(report("passive", label)["candidates_evaluated"]) for label in labels
+    with_hc = sum(
+        json.loads((out / f"network_aware_{label}" / "report.json").read_text())["hc"] is not None
+        for label in labels
     )
-    with_hc = sum(report("network_aware", label)["hc"] is not None for label in labels)
-    assert with_hc and [c[1:] for c in calls if not c[0]] == [(with_hc, with_hc)]
+    assert with_hc and calls == [(True, 3 * 12, 3 * 12), (False, with_hc, with_hc)]
+    assert {lane.search for lane in lanes[0] if lane.params is not None} == {None}
+    keys = [lane.search for lane in lanes[0] if lane.params is None]  # one key per label
+    assert None not in keys and [keys.count(k) for k in dict.fromkeys(keys)] == [12] * len(labels)
+
+    calls.clear()
+    path = _write_scenario(tmp_path, mode="passive", scenarios=labels)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "passive")]) == 0
+    assert calls == [(True, 0, 3 * 12)]
 
 
 @pytest.mark.parametrize(
@@ -378,6 +383,49 @@ def test_sweep_error_stays_in_its_cells(tmp_path, workers):
     assert [row.split(",", 3) for row in rows[5:]] == [
         ["all_day", d, f, f",,,,{error}"] for d in ("0", "0.05") for f in ("0.2", "0.5")
     ]
+
+
+def _imported_fleet(tmp_path) -> dict:
+    from evhc.ev import DEFAULT_SCENARIOS, generate_fleet, save_fleet
+    from evhc.feeder import bundled_feeder
+
+    fleet = generate_fleet(DEFAULT_SCENARIOS["low"], bundled_feeder().household_ids, seed=3)
+    save_fleet(fleet, tmp_path / "fleet.csv")
+    return {"source": "import", "fleet_file": "fleet.csv"}
+
+
+SWEEP_IMPORT_ERROR = "configuration error: fleet.source: "
+
+
+@pytest.mark.parametrize("which", ["doe", "qos-threshold"])
+def test_sweep_verb_rejects_an_imported_fleet(tmp_path, capsys, which):
+    """Sweeps generate each scenario's fleet, so an imported one is refused
+    rather than silently replaced."""
+    path = _write_scenario(tmp_path, mode="passive", fleet=_imported_fleet(tmp_path))
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--which", which, "--output-dir", str(out)]) == 1
+    assert SWEEP_IMPORT_ERROR in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "file_mode, override", [("sweep_doe", []), ("passive", ["--mode", "sweep_qos_threshold"])]
+)
+def test_run_in_a_sweep_mode_rejects_an_imported_fleet(tmp_path, capsys, file_mode, override):
+    path = _write_scenario(tmp_path, mode=file_mode, fleet=_imported_fleet(tmp_path))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out), *override]) == 1
+    assert SWEEP_IMPORT_ERROR in capsys.readouterr().err
+    assert not out.exists()
+    # the check reads the mode after the override
+    argv = ["run", str(path), "--output-dir", str(out), "--mode", "passive"]
+    assert main(argv) == 0 and (out / "passive_low" / "report.json").exists()
+
+
+def test_validate_rejects_an_imported_fleet_in_a_sweep_mode(tmp_path, capsys):
+    path = _write_scenario(tmp_path, mode="sweep_qos_threshold", fleet=_imported_fleet(tmp_path))
+    assert main(["validate", str(path)]) == 1
+    assert SWEEP_IMPORT_ERROR in capsys.readouterr().err
 
 
 def test_sweep_qos_threshold_verb(tmp_path):

@@ -1,12 +1,14 @@
 """Hosting-capacity searches: termination, equivalences, sweeps."""
 
+import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
+import numpy as np
 import pytest
 
 import evhc.hc
-from evhc.doe import DoeParams
+from evhc.doe import DoeParams, _Stopped
 from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
 from evhc.hc import (
     HcSearchConfig,
@@ -275,3 +277,122 @@ def test_qos_breach_flag_consistency(feeder, profiles, low_fleet):
     for c in network_aware_grid(feeder, profiles, low_fleet, config):
         if c.qos is not None:
             assert c.qos_breach == (c.qos.aggregated < config.qos_threshold)
+
+
+# --- candidate rounds ---------------------------------------------------------
+
+
+def _high_fleet(feeder, rated_power_kw=7.4):
+    return generate_fleet(
+        DEFAULT_SCENARIOS["high"], feeder.household_ids, [1, 2], rated_power_kw=rated_power_kw
+    )
+
+
+def _all_day(fleet, k):
+    """``fleet`` with its k-th session (from 1) stretched over the whole day:
+    every sub-fleet that holds it has no idle step to start from."""
+    s = fleet[k - 1]
+    return [*fleet[:k - 1], replace(s, departure_step=s.arrival_step + 96), *fleet[k:]]
+
+
+# (fleet, config, mode, candidates the search reads, what ends it)
+ROUND_CASES = {
+    "qos_limited": (
+        lambda f: generate_fleet(DEFAULT_SCENARIOS["low"], f.household_ids, [1, 0]),
+        HcSearchConfig(doe=DoeParams(0.05, 0.5)), "network_aware", 7, "aggregated_qos",
+    ),
+    "incident_limited": (
+        lambda f: generate_fleet(DEFAULT_SCENARIOS["low"], f.household_ids, [1, 0]),
+        HcSearchConfig(), "passive", 5, "undervoltage",
+    ),
+    "heavy_collapses_past_the_failure": (
+        lambda f: _high_fleet(f, 60.0), HcSearchConfig(**HEAVY), "passive", 1, "undervoltage",
+    ),
+    "heavy_collapse_is_the_failure": (  # no undervoltage above 0.5 pu: 15 kW collapses first
+        lambda f: _high_fleet(f, 60.0),
+        HcSearchConfig(**{**HEAVY, "power_grid_kw": (5.0, 15.0, 25.0, 35.0), "v_lower_pu": 0.5}),
+        "passive", 2, "diagnostic",
+    ),
+    "ev_count_error_before_the_failure": (
+        lambda f: _all_day(_high_fleet(f), 3),
+        HcSearchConfig(sweep_dimension=SWEEP_EV_COUNT), "passive", 3, "ValueError",
+    ),
+    "ev_count_error_after_the_failure": (
+        lambda f: _all_day(_high_fleet(f), 8),
+        HcSearchConfig(sweep_dimension=SWEEP_EV_COUNT), "passive", 7, "undervoltage",
+    ),
+}
+
+
+def _assert_same(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, Exception):
+        assert str(a) == str(b)
+    elif is_dataclass(a):
+        for f in fields(a):
+            _assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+    else:
+        assert a == b or a != a and b != b  # NaN equals NaN here
+
+
+def _judged_alone(feeder, profiles, fleet, config, mode):
+    """The search from every candidate judged alone, one kernel call each."""
+    outcomes = [
+        evhc.hc._evaluate(feeder, profiles, [(point, config, mode)])[0]
+        for point in evhc.hc._points(fleet, config)
+    ]
+    return evhc.hc._reduce_search(outcomes, config, mode)
+
+
+def _kernel_days(monkeypatch) -> list:
+    """The days of every kernel call the searches make from here on."""
+    calls = []
+    original = evhc.hc._simulate_lanes
+
+    def recording(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(evhc.hc, "_simulate_lanes", recording)
+    return calls
+
+
+@pytest.mark.parametrize("case", ROUND_CASES.values(), ids=ROUND_CASES.keys())
+def test_rounds_equal_the_candidates_judged_alone(feeder, profiles, monkeypatch, case):
+    """A search that ends at candidate n takes ceil(n / 2) kernel calls, and
+    its report is the reduction of every candidate judged alone: a collapse
+    is a failure, an error before the first failure ends the search, and the
+    candidate simulated past the failure is never read."""
+    make_fleet, config, mode, n, end = case
+    fleet = make_fleet(feeder)
+    expected = _judged_alone(feeder, profiles, fleet, config, mode)
+    calls = _kernel_days(monkeypatch)
+    [report] = evhc.hc.reduce_searches(feeder, profiles, [(fleet, config, mode)])
+    _assert_same(report, expected)
+    assert len(calls) == math.ceil(n / 2)
+    if isinstance(report, Exception):
+        assert type(report).__name__ == end and "no session-free step" in str(report)
+    else:
+        assert (len(report.candidates), report.limiting_factor) == (n, end)
+
+
+def test_rounds_reduce_many_searches_together(feeder, profiles, monkeypatch):
+    """Searches in one reduction share each round's kernel call, each under
+    its own key: the candidate simulated beside a search's first incident
+    stops there, and no other lane does."""
+    cases = [ROUND_CASES[name] for name in ("qos_limited", "incident_limited")]
+    searches = [(make_fleet(feeder), config, mode) for make_fleet, config, mode, *_ in cases]
+    expected = [_judged_alone(feeder, profiles, *search) for search in searches]
+    calls = _kernel_days(monkeypatch)
+    for got, want in zip(evhc.hc.reduce_searches(feeder, profiles, searches), expected):
+        _assert_same(got, want)
+    assert [len(days) for days in calls] == [4, 4, 4, 2]
+    stopped = [(k, i) for k, days in enumerate(calls) for i, day in enumerate(days)
+               if isinstance(day, _Stopped)]
+    assert stopped == [(2, 3)]  # the incident-limited search's sixth candidate

@@ -183,6 +183,18 @@ def test_keyed_lanes_stop_past_the_first_failure_of_their_search(feeder, profile
     assert stopped == [8, 10, 11, 12, 14]
 
 
+def test_judged_lanes_that_all_end_in_one_step_are_their_errors(feeder, profiles):
+    """When every lane of a judged call ends in the same step, each is the
+    collapse it hit, as when it is recorded."""
+    burst = [EvSession(h, 40, 48, 30.0, 60.0) for h in feeder.household_ids]
+    for lanes in ([Lane(burst, 60.0)], [Lane(burst, 60.0), Lane(burst, 60.0, DoeParams())]):
+        recorded = _simulate_lanes(feeder, profiles, lanes)
+        judged = _simulate_lanes(feeder, profiles, lanes, judge=IncidentLimits.from_feeder(feeder))
+        for got, want in zip(judged, recorded):
+            assert isinstance(want, VoltageCollapseError)
+            _assert_same_error(got, want)
+
+
 # --- crossings and extrema on random traces ----------------------------------
 
 LIMITS = IncidentLimits(
