@@ -17,23 +17,26 @@ import hashlib
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
 from . import __version__
-from .doe import DoeParams, Lane, _raised, _simulate_lanes, export_envelope_csv
+from .doe import VOLTAGE_SOURCES, DoeParams, Lane, _raised, _simulate_lanes, export_envelope_csv
 from .ev import (
     DEFAULT_RATED_POWER_KW,
     DEFAULT_SCENARIOS,
     EnergyScenario,
+    EvSession,
     HourDistribution,
     load_fleet,
     validate_scenario_set,
 )
 from .feeder import (
+    BaselineLoadProfile,
     FeederError,
     FeederModel,
     bundled_baseline_profiles,
@@ -63,6 +66,8 @@ MODES = ("passive", "network_aware", "compare", "sweep_doe", "sweep_qos_threshol
 
 DELTA_PERM_RANGE = (0.0, 0.1)
 
+_BUILTIN = "builtin"
+
 
 class ConfigError(ValueError):
     """Scenario-file problem: missing path, bad schema, out-of-range value."""
@@ -70,7 +75,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Parsed and validated scenario file."""
+    """Parsed and validated scenario file, with the inputs loaded to check it;
+    those take no part in equality or in the manifest's config hash."""
 
     mode: str
     feeder_path: str            # "builtin" or a file path
@@ -94,90 +100,193 @@ class ScenarioConfig:
     workers: int
     timestamp: bool
     scenario_definitions: dict[str, EnergyScenario]
+    feeder: FeederModel = field(compare=False, repr=False)
+    profiles: tuple[BaselineLoadProfile, ...] = field(compare=False, repr=False)
+    fleet: list[EvSession] | None = field(compare=False, repr=False)  # an imported fleet
 
 
-EXAMPLE_SCENARIO = """\
-# Study definition. All values shown are the defaults.
-mode: compare            # passive | network_aware | compare | sweep_doe | sweep_qos_threshold
-feeder: builtin          # builtin 19-node example, or path to a feeder YAML
-baseline_profiles: builtin
-output_dir: results
-seed: 1
-scenarios: [low, medium, high]
-
-fleet:
-  source: generate       # generate | import
-  rated_power_kw: 22.0
-  # fleet_file: sessions.csv   # required when source is import
-
-doe:
-  delta_perm: 0.05       # permissible voltage band, green zone starts at 1 - delta_perm
-  factor: 0.5            # envelope floor as fraction of maximum power
-  u_min: 0.9             # red-zone threshold (EN 50160 lower limit)
-  voltage_source: fixed_point   # fixed_point | previous_step
-
-limits:
-  v_lower_pu: 0.9
-  v_upper_pu: 1.1
-
-search:
-  power_min_kw: 1.0
-  power_max_kw: 20.0
-  power_step_kw: 1.0
-  qos_threshold: 0.8
-  dimension: power       # power | ev_count
-  count_mode_power_kw: 7.4
-
-sweep:
-  delta_perm_min: 0.0
-  delta_perm_max: 0.1
-  delta_perm_step: 0.01
-  factor_values: [0.0, 0.2, 0.5]
-  qos_thresholds: [0.6, 0.7, 0.8, 0.9]
-
-workers: 1
-timestamp: false         # when true the manifest carries a wall-clock stamp
-"""
+def _one_of(*choices):
+    return lambda v: None if v in choices else f"must be one of {choices}, got {v!r}"
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"{context}: missing required field '{key}'")
-    return mapping[key]
+def _above(bound):
+    return lambda v: None if v > bound else f"must be > {bound}, got {v}"
 
 
-def _section(raw: dict, key: str) -> dict:
-    value = raw.get(key) or {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a mapping")
-    return value
+def _below(bound):
+    return lambda v: None if v < bound else f"must be < {bound}, got {v}"
 
 
-def _number(section: dict, field: str, default, kind=float):
-    """Dotted ``field`` (or ``default``) through ``kind``; failures name the field."""
+def _within(lo, hi):
+    return lambda v: None if lo <= v <= hi else f"{v} outside the valid range [{lo}, {hi}]"
+
+
+def _by(cls, name: str):
+    """The check the dataclass ``cls`` makes of its field ``name``, on a value
+    or on each value of a list."""
+    def check(value):
+        try:
+            for v in value if isinstance(value, tuple) else (value,):
+                cls(**{name: v})
+        except ValueError as exc:
+            return str(exc)
+    return check
+
+
+class _Field(NamedTuple):
+    path: str                   # dotted YAML path; its last part is a unique key
+    kind: type | list           # [t]: a non-empty list of t
+    default: object             # None: optional, commented out in the example
+    check: object = None        # converted value -> what is wrong with it, or None
+    note: str = ""              # the example's comment
+
+
+_GRID = HcSearchConfig.power_grid_kw
+# One row per setting drives parsing, the "<path>: ..." configuration errors
+# and the init-example file. A key fills the config field of its name. Defaults
+# and checks come from the library dataclasses where they have them.
+_FIELDS = (
+    _Field("mode", str, "compare", _one_of(*MODES), " | ".join(MODES)),
+    _Field("feeder", str, _BUILTIN, note="builtin 19-node example, or path to a feeder YAML"),
+    _Field("baseline_profiles", str, _BUILTIN),
+    _Field("output_dir", str, "results"),
+    _Field("seed", int, HcSearchConfig.seed),
+    _Field("scenarios", [str], tuple(DEFAULT_SCENARIOS)),
+    _Field("fleet.source", str, "generate", _one_of("generate", "import"),
+           "generate | import (not in the sweep modes)"),
+    _Field("fleet.rated_power_kw", float, DEFAULT_RATED_POWER_KW, _above(0.0)),
+    _Field("fleet.fleet_file", str, None, note="session CSV, required when source is import"),
+    _Field("doe.delta_perm", float, DoeParams.delta_perm, _within(*DELTA_PERM_RANGE),
+           "permissible voltage band, green zone starts at 1 - delta_perm"),
+    _Field("doe.factor", float, DoeParams.factor, _by(DoeParams, "factor"),
+           "envelope floor as fraction of maximum power"),
+    _Field("doe.u_min", float, DoeParams.u_min, _by(DoeParams, "u_min"),
+           "red-zone threshold (EN 50160 lower limit)"),
+    _Field("doe.voltage_source", str, DoeParams.voltage_source, _by(DoeParams, "voltage_source"),
+           " | ".join(VOLTAGE_SOURCES)),
+    _Field("limits.v_lower_pu", float, HcSearchConfig.v_lower_pu, _below(1.0)),
+    _Field("limits.v_upper_pu", float, HcSearchConfig.v_upper_pu, _above(1.0)),
+    _Field("search.power_min_kw", float, _GRID[0], _above(0.0)),
+    _Field("search.power_max_kw", float, _GRID[-1]),
+    _Field("search.power_step_kw", float, _GRID[1] - _GRID[0], _above(0.0)),
+    _Field("search.qos_threshold", float, HcSearchConfig.qos_threshold,
+           _by(HcSearchConfig, "qos_threshold")),
+    _Field("search.dimension", str, HcSearchConfig.sweep_dimension,
+           _by(HcSearchConfig, "sweep_dimension"), f"{SWEEP_POWER} | {SWEEP_EV_COUNT}"),
+    _Field("search.count_mode_power_kw", float, HcSearchConfig.count_mode_power_kw,
+           _by(HcSearchConfig, "count_mode_power_kw")),
+    _Field("sweep.delta_perm_min", float, DELTA_PERM_RANGE[0], _within(*DELTA_PERM_RANGE)),
+    _Field("sweep.delta_perm_max", float, DELTA_PERM_RANGE[1], _within(*DELTA_PERM_RANGE)),
+    _Field("sweep.delta_perm_step", float, 0.01, _above(0.0)),
+    _Field("sweep.factor_values", [float], (0.0, 0.2, 0.5), _by(DoeParams, "factor")),
+    _Field("sweep.qos_thresholds", [float], (0.6, 0.7, 0.8, 0.9),
+           _by(HcSearchConfig, "qos_threshold")),
+    _Field("workers", int, 1, _above(0)),
+    _Field("timestamp", bool, False, note="when true the manifest carries a wall-clock stamp"),
+)
+_SECTIONS = tuple(dict.fromkeys(path.rpartition(".")[0] for path, *_ in _FIELDS if "." in path))
+_KNOWN = {path for path, *_ in _FIELDS} | {*_SECTIONS, "scenario_definitions"}
+
+
+def _convert(path: str, kind, value):
+    """``value`` as ``kind``: a type, ``[t]`` (a non-empty list of ``t``) or
+    ``{key: kind}`` (a mapping with exactly those keys). A bool is no number,
+    and a number is an int or a float only when exactly so."""
+    if isinstance(kind, dict):
+        mapping = _convert(path, dict, value or {})
+        for key in [*mapping, *kind]:
+            if key not in kind or key not in mapping:
+                problem = "unknown" if key not in kind else "missing required"
+                raise ConfigError(f"{path}.{key}: {problem} field")
+        return {key: _convert(f"{path}.{key}", kind[key], mapping[key]) for key in kind}
+
+    def scalar(kind: type, value):
+        if isinstance(value, bool) == (kind is bool):
+            if kind in (int, float) and isinstance(value, (int, float)) and kind(value) == value:
+                return kind(value)
+            if isinstance(value, kind):
+                return value
+        raise TypeError
+
     try:
-        return kind(section.get(field.rpartition(".")[2], default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field}: {exc}") from exc
+        if not isinstance(kind, list):
+            return scalar(kind, value)
+        if isinstance(value, list) and value:
+            return tuple(scalar(kind[0], v) for v in value)
+        raise TypeError
+    except (TypeError, ValueError, OverflowError):
+        of = f"a non-empty list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
+        raise ConfigError(f"{path}: expected {of}, got {value!r}") from None
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+def _settings(raw: dict) -> dict:
+    """Each table field's value, or its default, converted and checked, by
+    key; a key that is no field of its section is an error."""
+    sections = {"": raw} | {name: _convert(name, dict, raw.get(name) or {}) for name in _SECTIONS}
+    for name, mapping in sections.items():
+        for key in mapping:
+            path = f"{name}.{key}" if name else str(key)
+            if path not in _KNOWN or "." in str(key):
+                raise ConfigError(f"{path}: unknown field")
+    settings = {}
+    for path, kind, default, check, _ in _FIELDS:
+        section, _, key = path.rpartition(".")
+        value = sections[section].get(key)
+        if key not in sections[section] or (value is None and default is None):
+            settings[key] = default  # absent, or an optional field left empty
+            continue
+        settings[key] = _convert(path, kind, value)
+        problem = check and check(settings[key])
+        if problem:
+            raise ConfigError(f"{path}: {problem}")
+    return settings
 
 
-def _hour_dist(raw: dict, context: str) -> HourDistribution:
+def _example() -> str:
+    """The ``init-example`` file: every field at its default, with its note."""
+    lines, section = ["# Study definition. All values shown are the defaults."], ""
+    for path, _, default, _, note in _FIELDS:
+        head, _, key = path.rpartition(".")
+        if head != section:
+            lines += ["", f"{head}:"] if head else [""]
+            section = head
+        value = json.dumps(default).replace('"', "")  # YAML flow style, unquoted
+        line = "  " * bool(head) + (f"# {key}:" if default is None else f"{key}: {value}")
+        lines.append(f"{line:<24} # {note}" if note else line)
+    return "\n".join(lines) + "\n"
+
+
+def _grid(settings: dict, section: str, lo: str, hi: str, step: str) -> tuple[float, ...]:
+    """``lo`` to ``hi`` in steps of ``step``, both ends included."""
+    x, end = settings[lo], settings[hi]
+    if end < x:
+        raise ConfigError(f"{section}.{hi}: {end} is below {lo} {x}")
+    grid = []
+    while x <= end + 1e-9:
+        grid.append(round(x, 9))
+        x += settings[step]
+    return tuple(grid)
+
+
+_HOURS = dict.fromkeys(("mean_h", "sd_h", "lo_h", "hi_h"), float)
+_DEFINITION = {
+    "energy_min_kwh": float, "energy_max_kwh": float, "arrival": _HOURS, "duration": _HOURS
+}
+
+
+def _definition(label: str, body) -> EnergyScenario:
+    """One ``scenario_definitions`` entry; each of its fields is required."""
+    path = f"scenario_definitions.{label}"
+    v = _convert(path, _DEFINITION, body)
+    arrival, duration = HourDistribution(**v["arrival"]), HourDistribution(**v["duration"])
     try:
-        return HourDistribution(
-            mean_h=float(raw["mean_h"]),
-            sd_h=float(raw["sd_h"]),
-            lo_h=float(raw["lo_h"]),
-            hi_h=float(raw["hi_h"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: bad hour distribution ({exc})") from exc
+        return EnergyScenario(label, v["energy_min_kwh"], v["energy_max_kwh"], arrival, duration)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
+    """The scenario file at ``path``, checked, with its inputs loaded."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
@@ -187,207 +296,90 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"scenario file is not valid YAML: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must be a mapping")
-    return parse_scenario(raw, base_dir=path.parent)
+    v = _settings(raw)
+    labels = v["scenarios"]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"scenarios: repeated labels {repeated}")
+    definitions = dict(DEFAULT_SCENARIOS)
+    bodies = _convert("scenario_definitions", dict, raw.get("scenario_definitions") or {})
+    for label, body in bodies.items():
+        definitions[str(label)] = _definition(str(label), body)
+    try:
+        validate_scenario_set(definitions)
+    except ValueError as exc:
+        raise ConfigError(f"scenario_definitions: {exc}") from exc
+    unknown = [label for label in labels if label not in definitions]
+    if unknown:
+        raise ConfigError(f"scenarios: unknown label '{unknown[0]}'")
 
-
-def parse_scenario(raw: dict, base_dir: Path = Path(".")) -> ScenarioConfig:
-    mode = str(raw.get("mode", "compare"))
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got '{mode}'")
-
-    def _resolve(value: str, what: str) -> str:
-        if value == "builtin":
+    def resolve(setting: str) -> str:  # relative to the scenario file
+        value = v[setting.rpartition(".")[2]]
+        if value == _BUILTIN:
             return value
         p = Path(value)
         if not p.is_absolute():
-            p = base_dir / p
+            p = path.parent / p
         if not p.exists():
-            raise ConfigError(f"{what} file not found: {p}")
+            raise ConfigError(f"{setting}: file not found: {p}")
         return str(p)
-
-    feeder_path = _resolve(str(raw.get("feeder", "builtin")), "feeder")
-    profiles_path = _resolve(str(raw.get("baseline_profiles", "builtin")), "baseline profiles")
-
-    labels = raw.get("scenarios", ["low", "medium", "high"])
-    if not isinstance(labels, list) or not labels:
-        raise ConfigError("scenarios must be a non-empty list of labels")
-
-    definitions = dict(DEFAULT_SCENARIOS)
-    for label, body in _section(raw, "scenario_definitions").items():
-        context = f"scenario_definitions.{label}"
-        try:
-            definitions[str(label)] = EnergyScenario(
-                label=str(label),
-                energy_min_kwh=float(_require(body, "energy_min_kwh", context)),
-                energy_max_kwh=float(_require(body, "energy_max_kwh", context)),
-                arrival=_hour_dist(_require(body, "arrival", context), context),
-                duration=_hour_dist(_require(body, "duration", context), context),
-            )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{context}: {exc}") from exc
-    if set(definitions) >= {"low", "medium", "high"}:
-        try:
-            validate_scenario_set(definitions)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    for label in labels:
-        if label not in definitions:
-            raise ConfigError(f"unknown scenario label '{label}'")
 
     # the inputs must fit each other: profiles for every household, sessions
     # only on the feeder's households and at most one per household
-    try:
-        feeder, profiles = _load_inputs(feeder_path, profiles_path)
-    except FeederError as exc:
-        raise ConfigError(str(exc)) from exc
+    feeder_path, profiles_path = resolve("feeder"), resolve("baseline_profiles")
+    feeder = bundled_feeder() if feeder_path == _BUILTIN else load_feeder(feeder_path)
+    profiles = (  # a FeederError from either is a configuration error too
+        bundled_baseline_profiles()
+        if profiles_path == _BUILTIN
+        else load_baseline_profiles(profiles_path)
+    )
     missing = sorted(set(feeder.household_ids) - {p.household for p in profiles})
     if missing:
-        raise ConfigError(f"baseline profiles missing feeder households: {missing}")
-
-    fleet = _section(raw, "fleet")
-    source = str(fleet.get("source", "generate"))
-    if source not in ("generate", "import"):
-        raise ConfigError("fleet.source must be 'generate' or 'import'")
-    fleet_file = fleet.get("fleet_file")
-    if source == "import":
-        if not fleet_file:
-            raise ConfigError("fleet.source=import requires fleet.fleet_file")
-        fleet_file = _resolve(str(fleet_file), "fleet")
+        raise ConfigError(f"baseline_profiles: missing feeder households: {missing}")
+    fleet = None
+    if v["source"] == "import":
+        if v["fleet_file"] is None:
+            raise ConfigError("fleet.fleet_file: required when fleet.source is import")
+        where = v["fleet_file"] = resolve("fleet.fleet_file")  # the config keeps it resolved
         try:
-            sessions = Counter(s.household for s in load_fleet(fleet_file))
+            fleet = load_fleet(where)
         except ValueError as exc:
-            raise ConfigError(f"fleet file {fleet_file}: {exc}")
-        unknown = sorted(h for h in sessions if h not in feeder.compiled.household_slot)
-        if unknown:
-            raise ConfigError(f"fleet file {fleet_file}: households not on the feeder: {unknown}")
-        repeated = sorted(h for h, n in sessions.items() if n > 1)
-        if repeated:
-            raise ConfigError(f"fleet file {fleet_file}: more than one session for {repeated}")
-    rated_power_kw = _number(fleet, "fleet.rated_power_kw", DEFAULT_RATED_POWER_KW)
-    if rated_power_kw <= 0:
-        raise ConfigError("fleet.rated_power_kw must be > 0")
+            raise ConfigError(f"fleet.fleet_file: {where}: {exc}") from exc
+        sessions = Counter(s.household for s in fleet)
+        for problem, households in (
+            ("households not on the feeder:", set(sessions) - set(feeder.household_ids)),
+            ("more than one session for", {h for h, n in sessions.items() if n > 1}),
+        ):
+            if households:
+                raise ConfigError(f"fleet.fleet_file: {where}: {problem} {sorted(households)}")
 
-    doe_raw = _section(raw, "doe")
-    delta_perm = _number(doe_raw, "doe.delta_perm", 0.05)
-    if not DELTA_PERM_RANGE[0] <= delta_perm <= DELTA_PERM_RANGE[1]:
-        raise ConfigError(
-            f"doe.delta_perm = {delta_perm} outside the valid range "
-            f"[{DELTA_PERM_RANGE[0]}, {DELTA_PERM_RANGE[1]}]"
-        )
-    factor = _number(doe_raw, "doe.factor", 0.5)
-    u_min = _number(doe_raw, "doe.u_min", 0.9)
-    try:
-        doe = DoeParams(
-            delta_perm=delta_perm,
-            factor=factor,
-            u_min=u_min,
-            voltage_source=str(doe_raw.get("voltage_source", "fixed_point")),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"doe: {exc}")
-
-    limits = _section(raw, "limits")
-    v_lower = _number(limits, "limits.v_lower_pu", 0.9)
-    v_upper = _number(limits, "limits.v_upper_pu", 1.1)
-    if not v_lower < 1.0 < v_upper:
-        raise ConfigError("limits: v_lower_pu < 1.0 < v_upper_pu required")
-
-    search = _section(raw, "search")
-    p_min = _number(search, "search.power_min_kw", 1.0)
-    p_max = _number(search, "search.power_max_kw", 20.0)
-    p_step = _number(search, "search.power_step_kw", 1.0)
-    if p_min <= 0 or p_max < p_min or p_step <= 0:
-        raise ConfigError("search: need 0 < power_min_kw <= power_max_kw and step > 0")
-    grid = []
-    p = p_min
-    while p <= p_max + 1e-9:
-        grid.append(round(p, 9))
-        p += p_step
-    qos_threshold = _number(search, "search.qos_threshold", 0.8)
-    if not 0.0 < qos_threshold <= 1.0:
-        raise ConfigError("search.qos_threshold must lie in (0, 1]")
-    dimension = str(search.get("dimension", SWEEP_POWER))
-    if dimension not in (SWEEP_POWER, SWEEP_EV_COUNT):
-        raise ConfigError(f"search.dimension must be '{SWEEP_POWER}' or '{SWEEP_EV_COUNT}'")
-    count_mode_power_kw = _number(search, "search.count_mode_power_kw", 7.4)
-    if count_mode_power_kw <= 0:
-        raise ConfigError("search.count_mode_power_kw must be > 0")
-
-    sweep = _section(raw, "sweep")
-    d_min = _number(sweep, "sweep.delta_perm_min", 0.0)
-    d_max = _number(sweep, "sweep.delta_perm_max", 0.1)
-    d_step = _number(sweep, "sweep.delta_perm_step", 0.01)
-    if not (DELTA_PERM_RANGE[0] <= d_min <= d_max <= DELTA_PERM_RANGE[1]) or d_step <= 0:
-        raise ConfigError(
-            f"sweep: delta_perm grid must stay within "
-            f"[{DELTA_PERM_RANGE[0]}, {DELTA_PERM_RANGE[1]}] with step > 0"
-        )
-    d_grid = []
-    d = d_min
-    while d <= d_max + 1e-9:
-        d_grid.append(round(d, 9))
-        d += d_step
-    factor_values = _number(sweep, "sweep.factor_values", [0.0, 0.2, 0.5], _floats)
-    if any(not 0.0 <= f <= 1.0 for f in factor_values):
-        raise ConfigError("sweep.factor_values must lie in [0, 1]")
-    qos_thresholds = _number(sweep, "sweep.qos_thresholds", [0.6, 0.7, 0.8, 0.9], _floats)
-    if any(not 0.0 < q <= 1.0 for q in qos_thresholds):
-        raise ConfigError("sweep.qos_thresholds must lie in (0, 1]")
-
-    workers = _number(raw, "workers", 1, int)
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
-
+    # every setting whose key names a config field fills it
     return ScenarioConfig(
-        mode=mode,
+        **{f.name: v[f.name] for f in fields(ScenarioConfig) if f.compare and f.name in v},
         feeder_path=feeder_path,
         profiles_path=profiles_path,
-        output_dir=str(raw.get("output_dir", "results")),
-        seed=_number(raw, "seed", 1, int),
-        scenario_labels=tuple(str(s) for s in labels),
-        fleet_source=source,
-        fleet_file=fleet_file,
-        rated_power_kw=rated_power_kw,
-        doe=doe,
-        v_lower_pu=v_lower,
-        v_upper_pu=v_upper,
-        power_grid_kw=tuple(grid),
-        qos_threshold=qos_threshold,
-        dimension=dimension,
-        count_mode_power_kw=count_mode_power_kw,
-        delta_perm_grid=tuple(d_grid),
-        factor_values=factor_values,
-        qos_thresholds=qos_thresholds,
-        workers=workers,
-        timestamp=bool(raw.get("timestamp", False)),
+        scenario_labels=labels,
+        fleet_source=v["source"],
+        doe=DoeParams(**{f.name: v[f.name] for f in fields(DoeParams)}),
+        power_grid_kw=_grid(v, "search", "power_min_kw", "power_max_kw", "power_step_kw"),
+        delta_perm_grid=_grid(v, "sweep", "delta_perm_min", "delta_perm_max", "delta_perm_step"),
         scenario_definitions=definitions,
+        feeder=feeder,
+        profiles=profiles,
+        fleet=fleet,
     )
 
 
 def _config_hash(config: ScenarioConfig) -> str:
-    blob = json.dumps(
-        {k: v for k, v in sorted(config.__dict__.items())},
-        sort_keys=True,
-        default=str,
-    )
+    """Hash of the settings, without the loaded inputs."""
+    settings = {f.name: getattr(config, f.name) for f in fields(config) if f.compare}
+    blob = json.dumps(settings, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _load_inputs(feeder_path: str, profiles_path: str):
-    feeder = bundled_feeder() if feeder_path == "builtin" else load_feeder(feeder_path)
-    profiles = (
-        bundled_baseline_profiles()
-        if profiles_path == "builtin"
-        else load_baseline_profiles(profiles_path)
-    )
-    return feeder, profiles
-
-
 def _fleet(config: ScenarioConfig, feeder: FeederModel, search: HcSearchConfig):
-    if config.fleet_source == "import":
-        return load_fleet(config.fleet_file)
+    if config.fleet is not None:
+        return config.fleet
     return fleet_for_scenario(feeder, config.scenario_definitions[search.scenario], search)
 
 
@@ -506,7 +498,7 @@ def _write_search_outputs(
 
 
 def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
-    feeder, profiles = _load_inputs(config.feeder_path, config.profiles_path)
+    feeder, profiles = config.feeder, config.profiles
     out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = {
@@ -693,7 +685,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.verb == "init-example":
-            Path(args.output).write_text(EXAMPLE_SCENARIO, encoding="utf-8")
+            Path(args.output).write_text(_example(), encoding="utf-8")
             print(f"wrote {args.output}")
             return 0
 

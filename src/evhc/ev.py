@@ -247,10 +247,6 @@ def serialize_fleet(sessions: list[EvSession]) -> str:
     return out.getvalue()
 
 
-def save_fleet(sessions: list[EvSession], path: str | Path) -> None:
-    Path(path).write_text(serialize_fleet(sessions), encoding="utf-8")
-
-
 def load_fleet(path: str | Path) -> list[EvSession]:
     """Read an externally supplied session table (same columns as export)."""
     rows = list(csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8"))))

@@ -373,14 +373,6 @@ def path_to_slack(feeder: FeederModel, node_id: str) -> tuple[Branch, ...]:
     return tuple(path)
 
 
-def path_impedance(feeder: FeederModel, node_id: str) -> complex:
-    """Total series impedance (ohm) from the slack down to ``node_id``."""
-    return sum(
-        (complex(b.r_ohm, b.x_ohm) for b in path_to_slack(feeder, node_id)),
-        start=0j,
-    )
-
-
 def load_baseline_profiles(
     path: str | Path, expected_steps: int = 96
 ) -> tuple[BaselineLoadProfile, ...]:
@@ -415,16 +407,6 @@ def parse_baseline_profiles(
             raise FeederError(f"household {household}: baseline power must be >= 0")
         profiles.append(BaselineLoadProfile(household=household, power_kw=series))
     return tuple(profiles)
-
-
-def serialize_baseline_profiles(profiles: tuple[BaselineLoadProfile, ...]) -> str:
-    steps = len(profiles[0].power_kw)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([p.household for p in profiles])
-    for t in range(steps):
-        writer.writerow([repr(float(p.power_kw[t])) for p in profiles])
-    return out.getvalue()
 
 
 def bundled_feeder() -> FeederModel:

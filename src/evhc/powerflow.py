@@ -239,8 +239,3 @@ def _solve_lanes(
         collapse=collapse,
     )
 
-
-def household_voltage_index(feeder: FeederModel) -> np.ndarray:
-    """Index of each household's node in ``PowerFlowSolution.voltage_pu``
-    (read-only)."""
-    return feeder.compiled.household_voltage

@@ -9,6 +9,8 @@ import yaml
 
 import evhc.cli
 import evhc.doe
+import evhc.ev
+import evhc.feeder
 import evhc.hc
 from evhc.cli import main
 
@@ -271,13 +273,13 @@ def test_compare_reports_equal_the_library_searches(tmp_path, overrides):
 def test_reversed_imported_fleet_gives_the_same_results(tmp_path):
     """QoS pairs each session's baseline with its own delivered energy, so the
     row order of an imported fleet file changes no result."""
-    from evhc.ev import DEFAULT_SCENARIOS, generate_fleet, save_fleet
+    from evhc.ev import DEFAULT_SCENARIOS, generate_fleet, serialize_fleet
     from evhc.feeder import bundled_feeder
 
     fleet = generate_fleet(DEFAULT_SCENARIOS["medium"], bundled_feeder().household_ids, seed=1)
     outs = []
     for name, sessions in (("ordered", fleet), ("reversed", fleet[::-1])):
-        save_fleet(sessions, tmp_path / f"{name}.csv")
+        (tmp_path / f"{name}.csv").write_text(serialize_fleet(sessions))
         path = _write_scenario(
             tmp_path, mode="compare", scenarios=["medium"],
             fleet={"source": "import", "fleet_file": f"{name}.csv"},
@@ -386,11 +388,11 @@ def test_sweep_error_stays_in_its_cells(tmp_path, workers):
 
 
 def _imported_fleet(tmp_path) -> dict:
-    from evhc.ev import DEFAULT_SCENARIOS, generate_fleet, save_fleet
+    from evhc.ev import DEFAULT_SCENARIOS, generate_fleet, serialize_fleet
     from evhc.feeder import bundled_feeder
 
     fleet = generate_fleet(DEFAULT_SCENARIOS["low"], bundled_feeder().household_ids, seed=3)
-    save_fleet(fleet, tmp_path / "fleet.csv")
+    (tmp_path / "fleet.csv").write_text(serialize_fleet(fleet))
     return {"source": "import", "fleet_file": "fleet.csv"}
 
 
@@ -589,13 +591,13 @@ def test_compare_error_keeps_the_earlier_labels_files(tmp_path, capsys):
 
 
 def test_imported_fleet_run(tmp_path):
-    from evhc.ev import DEFAULT_SCENARIOS, generate_fleet, save_fleet
+    from evhc.ev import DEFAULT_SCENARIOS, generate_fleet, serialize_fleet
     from evhc.feeder import bundled_feeder
 
     feeder = bundled_feeder()
     fleet = generate_fleet(DEFAULT_SCENARIOS["low"], feeder.household_ids, seed=3)
     fleet_path = tmp_path / "fleet.csv"
-    save_fleet(fleet, fleet_path)
+    fleet_path.write_text(serialize_fleet(fleet))
     path = _write_scenario(
         tmp_path,
         mode="passive",
@@ -604,3 +606,123 @@ def test_imported_fleet_run(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(path), "--output-dir", str(out)]) == 0
     assert (out / "passive_low" / "report.json").exists()
+
+
+# the manifest's config hash of the default settings: manifests stay
+# comparable across versions only while no field is renamed or added and no
+# value changes its type
+DEFAULT_CONFIG_SHA256 = "b9a95848017325285641b56c1ab020050c632bb106675aed6b7aa34ddc24ae94"
+
+
+def test_default_config_hash_is_pinned(tmp_path):
+    empty, example = tmp_path / "empty.yaml", tmp_path / "example.yaml"
+    empty.write_text("{}\n")
+    assert main(["init-example", "--output", str(example)]) == 0
+    for path in (empty, example):
+        assert evhc.cli._config_hash(evhc.cli.load_scenario(path)) == DEFAULT_CONFIG_SHA256
+
+
+def test_example_parses_like_an_empty_file(tmp_path):
+    """``init-example`` writes every setting at its default."""
+    empty, example = tmp_path / "empty.yaml", tmp_path / "example.yaml"
+    empty.write_text("{}\n")
+    assert main(["init-example", "--output", str(example)]) == 0
+    text = example.read_text()
+    assert "fleet_file:" in text and "sweep" in text.split("source:")[1].splitlines()[0]
+    assert evhc.cli.load_scenario(example) == evhc.cli.load_scenario(empty)
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"doe": {"delta_prem": 0.08}}, "doe.delta_prem"),
+        ({"serch": {"qos_threshold": 0.5}}, "serch"),
+        ({"search": {**BASE["search"], "qos_treshold": 0.5}}, "search.qos_treshold"),
+        ({"fleet": {"sorce": "generate"}}, "fleet.sorce"),
+        ({"scenario_definitions": {"x": {**ALL_DAY, "peak_kw": 7}}}, "scenario_definitions.x.peak_kw"),
+        ({"scenario_definitions": {"x": {**ALL_DAY, "arrival": {**ALL_DAY["arrival"], "mu": 1}}}},
+         "scenario_definitions.x.arrival.mu"),
+    ],
+    ids=["doe", "top_level", "search", "fleet", "definition", "hour_distribution"],
+)
+def test_unknown_field_is_config_error(tmp_path, capsys, overrides, field):
+    path = _write_scenario(tmp_path, mode="passive", **overrides)
+    _assert_config_error(tmp_path, capsys, path, f"configuration error: {field}: unknown field")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"timestamp": "false"}, "timestamp"),
+        ({"timestamp": 0}, "timestamp"),
+        ({"seed": 1.7}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"workers": 2.9}, "workers"),
+        ({"workers": True}, "workers"),
+        ({"doe": {"factor": True}}, "doe.factor"),
+        ({"search": {**BASE["search"], "power_max_kw": "12"}}, "search.power_max_kw"),
+        ({"sweep": {"factor_values": [0.2, False]}}, "sweep.factor_values"),
+        ({"scenarios": "low"}, "scenarios"),
+        ({"scenarios": []}, "scenarios"),
+        ({"output_dir": 5}, "output_dir"),
+    ],
+    ids=["timestamp_string", "timestamp_int", "seed_float", "seed_bool", "workers_float",
+         "workers_bool", "factor_bool", "number_string", "list_bool", "labels_string",
+         "labels_empty", "string_int"],
+)
+def test_mistyped_value_is_config_error(tmp_path, capsys, overrides, field):
+    path = _write_scenario(tmp_path, mode="passive", **overrides)
+    _assert_config_error(tmp_path, capsys, path, f"configuration error: {field}: expected ")
+
+
+def test_integral_numbers_are_accepted_as_integers(tmp_path):
+    path = _write_scenario(tmp_path, seed=3.0, workers=2.0, fleet={"rated_power_kw": 11})
+    config = evhc.cli.load_scenario(path)
+    assert (config.seed, config.workers, config.rated_power_kw) == (3, 2, 11.0)
+    assert type(config.seed) is int and type(config.rated_power_kw) is float
+
+
+def test_repeated_scenario_label_is_config_error(tmp_path, capsys):
+    path = _write_scenario(tmp_path, mode="compare", scenarios=["low", "high", "low"])
+    _assert_config_error(tmp_path, capsys, path, "configuration error: scenarios: repeated")
+    assert not (tmp_path / "out").exists()
+
+
+LOADERS = ("bundled_feeder", "load_feeder", "bundled_baseline_profiles",
+           "load_baseline_profiles", "load_fleet")
+
+
+@pytest.mark.parametrize("inputs", ["builtin", "files"])
+def test_compare_run_loads_each_input_once(tmp_path, monkeypatch, inputs):
+    """Parsing loads the feeder, the profiles and the imported fleet to check
+    them, and the run uses what it loaded."""
+    from importlib import resources
+
+    from evhc.feeder import bundled_feeder, save_feeder
+
+    fleet = _imported_fleet(tmp_path)
+    files = {}
+    if inputs == "files":
+        save_feeder(bundled_feeder(), tmp_path / "feeder.yaml")
+        csv = resources.files("evhc.data").joinpath("baseline_profiles.csv").read_text()
+        (tmp_path / "profiles.csv").write_text(csv)
+        files = {"feeder": "feeder.yaml", "baseline_profiles": "profiles.csv"}
+    path = _write_scenario(tmp_path, mode="compare", scenarios=["low", "medium", "high"],
+                           fleet=fleet, **files)
+    calls = []
+    for name in LOADERS:
+        original = getattr(evhc.cli, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in (evhc.cli, evhc.feeder, evhc.ev):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    if files:
+        assert sorted(calls) == ["load_baseline_profiles", "load_feeder", "load_fleet"]
+    else:
+        assert sorted(calls) == ["bundled_baseline_profiles", "bundled_feeder", "load_fleet"]

@@ -22,9 +22,13 @@ from evhc.doe import (
     passive_horizon,
 )
 from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
-from evhc.feeder import path_impedance
-from evhc.powerflow import household_voltage_index
+from evhc.feeder import path_to_slack
 from evhc.trace import ZONE_GREEN, ZONE_LABELS, ZONE_NONE, ZONE_RED
+
+
+def path_impedance(feeder, node_id):
+    """Total series impedance (ohm) from the slack down to ``node_id``."""
+    return sum((complex(b.r_ohm, b.x_ohm) for b in path_to_slack(feeder, node_id)), start=0j)
 
 
 def test_floor_power_is_a_fraction_of_maximum():
@@ -253,12 +257,10 @@ def test_granted_power_respects_recorded_envelope(feeder, profiles):
 
 
 def test_fixed_point_self_consistency(feeder, profiles):
-    from evhc.powerflow import household_voltage_index
-
     fleet = _fleet(feeder, "low")
     params = DoeParams(delta_perm=0.05, factor=0.5)
     _, trace = network_aware_horizon(feeder, profiles, fleet, 6.0, params)
-    vu = household_voltage_index(feeder)
+    vu = feeder.compiled.household_voltage
     for t in range(trace.step_count):
         if trace.fixed_point_fallback[t]:
             continue
@@ -363,7 +365,7 @@ def test_recorded_envelope_is_the_scalar_envelope(
     # solve: the previous step's (previous_step) or the previous iterate's
     # (fixed point)
     used = {t: solved[k - 1][1] for k, (t, _) in enumerate(solved)}
-    vu = household_voltage_index(feeder)
+    vu = feeder.compiled.household_voltage
     zones = set()
     for t in range(trace.step_count):
         for e, session in enumerate(fleet):

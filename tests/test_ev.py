@@ -10,7 +10,6 @@ from evhc.ev import (
     generate_fleet,
     load_fleet,
     quiet_step,
-    save_fleet,
     serialize_fleet,
     validate_scenario_set,
 )
@@ -166,7 +165,7 @@ def test_quiet_step_missing_raises():
 def test_fleet_round_trip(tmp_path):
     fleet = generate_fleet(DEFAULT_SCENARIOS["high"], HOUSEHOLDS, seed=5)
     path = tmp_path / "fleet.csv"
-    save_fleet(fleet, path)
+    path.write_text(serialize_fleet(fleet), encoding="utf-8")
     assert load_fleet(path) == fleet
 
 

@@ -23,9 +23,7 @@ from evhc.feeder import (
     bundled_feeder,
     parse_baseline_profiles,
     parse_feeder,
-    path_impedance,
     path_to_slack,
-    serialize_baseline_profiles,
     serialize_feeder,
 )
 from evhc.powerflow import InjectionSet, solve
@@ -181,7 +179,9 @@ def test_libyaml_and_python_loaders_parse_the_same_feeder(monkeypatch):
 
 
 def test_profiles_round_trip(profiles):
-    assert parse_baseline_profiles(serialize_baseline_profiles(profiles)) == profiles
+    rows = [",".join(p.household for p in profiles)]
+    rows += [",".join(repr(p.power_kw[t]) for p in profiles) for t in range(96)]
+    assert parse_baseline_profiles("\n".join(rows) + "\n") == profiles
 
 
 def test_bundled_profiles_cover_households(feeder, profiles):
@@ -194,6 +194,11 @@ def test_bundled_profiles_cover_households(feeder, profiles):
 def test_negative_profile_rejected():
     with pytest.raises(FeederError, match="must be >= 0"):
         parse_baseline_profiles("h1\n" + "\n".join(["-1.0"] + ["0.1"] * 95))
+
+
+def path_impedance(feeder, node_id):
+    """Total series impedance (ohm) from the slack down to ``node_id``."""
+    return sum((complex(b.r_ohm, b.x_ohm) for b in path_to_slack(feeder, node_id)), start=0j)
 
 
 def test_households_sit_on_the_electrically_farthest_nodes(feeder):

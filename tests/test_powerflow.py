@@ -18,7 +18,6 @@ from evhc.powerflow import (
     InjectionSet,
     PowerFlowOptions,
     VoltageCollapseError,
-    household_voltage_index,
     injections_from_loads,
     solve,
 )
@@ -179,21 +178,22 @@ def test_reactive_power_defaults_to_zero(two_node_feeder):
 
 
 def test_household_voltage_index(feeder):
-    idx = household_voltage_index(feeder)
+    idx = feeder.compiled.household_voltage
     for j, h in enumerate(feeder.household_ids):
         assert feeder.node_ids[idx[j]] == feeder.household_node(h)
 
 
 def test_minimum_voltage_at_electrically_farthest_household(feeder):
-    from evhc.feeder import path_impedance
-
     n = len(feeder.household_ids)
     inj = injections_from_loads(feeder.household_ids, np.full(n, 8.0), np.zeros(n))
     sol = solve(feeder, inj)
-    house_v = sol.voltage_pu[household_voltage_index(feeder)]
+    house_v = sol.voltage_pu[feeder.compiled.household_voltage]
     farthest = max(
         range(n),
-        key=lambda j: abs(path_impedance(feeder, feeder.household_node(feeder.household_ids[j]))),
+        key=lambda j: abs(sum(
+            complex(b.r_ohm, b.x_ohm)
+            for b in path_to_slack(feeder, feeder.household_node(feeder.household_ids[j]))
+        )),
     )
     assert int(np.argmin(house_v)) == farthest
     assert sol.voltage_pu.min() == pytest.approx(house_v.min())
