@@ -66,6 +66,9 @@ MODES = ("passive", "network_aware", "compare", "sweep_doe", "sweep_qos_threshol
 
 DELTA_PERM_RANGE = (0.0, 0.1)
 
+# Every point of a grid is a lane of one kernel call; more is a mistyped step.
+MAX_GRID_POINTS = 1000
+
 _BUILTIN = "builtin"
 
 
@@ -261,6 +264,11 @@ def _grid(settings: dict, section: str, lo: str, hi: str, step: str) -> tuple[fl
     x, end = settings[lo], settings[hi]
     if end < x:
         raise ConfigError(f"{section}.{hi}: {end} is below {lo} {x}")
+    if not (end + 1e-9 - x) / settings[step] < MAX_GRID_POINTS:
+        raise ConfigError(
+            f"{section}.{step}: {settings[step]} makes more than {MAX_GRID_POINTS} points "
+            f"from {x} to {end}"
+        )
     grid = []
     while x <= end + 1e-9:
         grid.append(round(x, 9))
@@ -294,6 +302,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"scenario file is not valid YAML: {exc}")
+    if raw is None:  # an empty file: every field at its default
+        raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must be a mapping")
     v = _settings(raw)

@@ -21,8 +21,8 @@ scenario one search whose candidates stop past its first incident.
 
 from __future__ import annotations
 
+import concurrent.futures  # loads the pool and multiprocessing on first use only
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -439,7 +439,7 @@ def sensitivity_sweep(
     grid = [(float(d), float(f)) for d in delta_perm_grid for f in factor_values]
     if min(workers, len(scenarios)) > 1:
         jobs = [(feeder, profiles, [scenario], grid, config) for scenario in scenarios]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return [cell for part in pool.map(_sweep_cells, jobs) for cell in part]
     return _sweep_cells((feeder, profiles, scenarios, grid, config))
 

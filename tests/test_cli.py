@@ -622,6 +622,37 @@ def test_default_config_hash_is_pinned(tmp_path):
         assert evhc.cli._config_hash(evhc.cli.load_scenario(path)) == DEFAULT_CONFIG_SHA256
 
 
+def test_empty_file_is_every_default(tmp_path, capsys):
+    empty, braces = tmp_path / "empty.yaml", tmp_path / "braces.yaml"
+    empty.write_text("")
+    braces.write_text("{}\n")
+    assert main(["validate", str(empty)]) == 0
+    assert "valid" in capsys.readouterr().out
+    hashes = {evhc.cli._config_hash(evhc.cli.load_scenario(path)) for path in (empty, braces)}
+    assert len(hashes) == 1
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"search": {"power_step_kw": 0.0001}}, "search.power_step_kw"),
+        ({"sweep": {"delta_perm_step": 0.00001}}, "sweep.delta_perm_step"),
+    ],
+    ids=["power_step", "delta_perm_step"],
+)
+def test_grid_of_more_than_1000_points_is_config_error(tmp_path, capsys, overrides, field):
+    path = _write_scenario(tmp_path, **overrides)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+
+
+def test_grid_of_1000_points_is_accepted(tmp_path):
+    path = _write_scenario(
+        tmp_path, search={"power_min_kw": 0.01, "power_max_kw": 10.0, "power_step_kw": 0.01}
+    )
+    assert len(evhc.cli.load_scenario(path).power_grid_kw) == evhc.cli.MAX_GRID_POINTS
+
+
 def test_example_parses_like_an_empty_file(tmp_path):
     """``init-example`` writes every setting at its default."""
     empty, example = tmp_path / "empty.yaml", tmp_path / "example.yaml"

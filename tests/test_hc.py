@@ -1,7 +1,7 @@
 """Hosting-capacity searches: termination, equivalences, sweeps."""
 
+import concurrent.futures
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -207,12 +207,12 @@ def test_sweep_worker_count_does_not_change_results_across_scenarios(feeder, pro
     """Two scenarios with two workers run in the process pool."""
     pools = []
 
-    class Pool(ProcessPoolExecutor):
+    class Pool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(evhc.hc, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     scenarios = [DEFAULT_SCENARIOS["low"], DEFAULT_SCENARIOS["high"]]
     args = (feeder, profiles, scenarios, [0.03, 0.05], [0.2, 0.5], HcSearchConfig(seed=1))
     assert sensitivity_sweep(*args, workers=1) == sensitivity_sweep(*args, workers=2)
@@ -223,7 +223,7 @@ def test_one_scenario_sweep_starts_no_pool(feeder, profiles, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-scenario sweep started a process pool")
 
-    monkeypatch.setattr(evhc.hc, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     config = HcSearchConfig(seed=1)
     cells = sensitivity_sweep(
         feeder, profiles, [DEFAULT_SCENARIOS["low"]], [0.05], [0.5], config, workers=2
