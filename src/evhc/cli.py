@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
@@ -100,7 +101,7 @@ class ScenarioConfig:
     delta_perm_grid: tuple[float, ...]
     factor_values: tuple[float, ...]
     qos_thresholds: tuple[float, ...]
-    workers: int
+    workers: int                # hashed into the manifest; no effect on the run
     timestamp: bool
     scenario_definitions: dict[str, EnergyScenario]
     feeder: FeederModel = field(compare=False, repr=False)
@@ -184,7 +185,8 @@ _FIELDS = (
     _Field("sweep.factor_values", [float], (0.0, 0.2, 0.5), _by(DoeParams, "factor")),
     _Field("sweep.qos_thresholds", [float], (0.6, 0.7, 0.8, 0.9),
            _by(HcSearchConfig, "qos_threshold")),
-    _Field("workers", int, 1, _above(0)),
+    _Field("workers", int, 1, _above(0),
+           "accepted for old files, no effect: every study runs in one process"),
     _Field("timestamp", bool, False, note="when true the manifest carries a wall-clock stamp"),
 )
 _SECTIONS = tuple(dict.fromkeys(path.rpartition(".")[0] for path, *_ in _FIELDS if "." in path))
@@ -194,7 +196,8 @@ _KNOWN = {path for path, *_ in _FIELDS} | {*_SECTIONS, "scenario_definitions"}
 def _convert(path: str, kind, value):
     """``value`` as ``kind``: a type, ``[t]`` (a non-empty list of ``t``) or
     ``{key: kind}`` (a mapping with exactly those keys). A bool is no number,
-    and a number is an int or a float only when exactly so."""
+    a number is an int or a float only when exactly so, and NaN and ±inf are
+    no number at all."""
     if isinstance(kind, dict):
         mapping = _convert(path, dict, value or {})
         for key in [*mapping, *kind]:
@@ -204,6 +207,8 @@ def _convert(path: str, kind, value):
         return {key: _convert(f"{path}.{key}", kind[key], mapping[key]) for key in kind}
 
     def scalar(kind: type, value):
+        if kind in (int, float) and isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         if isinstance(value, bool) == (kind is bool):
             if kind in (int, float) and isinstance(value, (int, float)) and kind(value) == value:
                 return kind(value)
@@ -217,7 +222,7 @@ def _convert(path: str, kind, value):
         if isinstance(value, list) and value:
             return tuple(scalar(kind[0], v) for v in value)
         raise TypeError
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         of = f"a non-empty list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
         raise ConfigError(f"{path}: expected {of}, got {value!r}") from None
 
@@ -439,14 +444,13 @@ def _candidates_csv(report: HcReport) -> str:
     ]
     for c in report.candidates:
         first_kind = c.incidents[0].kind if c.incidents else ""
-        min_v = "" if c.summary is None else fmt(c.summary.overall_min_voltage_pu)
-        max_s = "" if c.summary is None else fmt(c.summary.max_slack_kva)
         lines.append(
             f"{fmt(c.candidate)},{c.failure is None},{c.failure or ''},"
             f"{len(c.incidents)},{first_kind},"
             f"{fmt(c.qos.aggregated) if c.qos else ''},"
             f"{fmt(c.qos.minimum) if c.qos else ''},"
-            f"{min_v},{max_s},{c.fixed_point_fallback_steps},{c.error or ''}"
+            f"{fmt(c.overall_min_voltage_pu)},{fmt(c.max_slack_kva)},"
+            f"{c.fixed_point_fallback_steps},{c.error or ''}"
         )
     return "\n".join(lines) + "\n"
 
@@ -585,7 +589,6 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
             list(config.delta_perm_grid),
             list(config.factor_values),
             _search_config(config, config.scenario_labels[0]),
-            workers=config.workers,
         )
         _write(out_dir / "sweep_doe.csv", export_sweep_csv(cells))
 
@@ -669,7 +672,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--output-dir", help="override the file's output_dir")
     run_p.add_argument("--seed", type=int, help="override the file's seed")
     run_p.add_argument("--mode", choices=MODES, help="override the file's run mode")
-    run_p.add_argument("--workers", type=int, help="override the worker count")
+    run_p.add_argument("--workers", type=int, help="accepted for old command lines; no effect")
 
     sweep_p = sub.add_parser("sweep", help="run a parameter sweep from the scenario file")
     sweep_p.add_argument("scenario")

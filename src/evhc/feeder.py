@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
@@ -85,10 +85,6 @@ class FeederModel:
         """The tree index that every solve and day simulation reads, built
         on first use and kept for the life of the model."""
         return _compile(self)
-
-    def __getstate__(self) -> dict:
-        # the index is rebuilt on demand: unpickled arrays would be writable
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def slack_id(self) -> str:

@@ -16,12 +16,12 @@ running, all in one batched kernel call (``doe._simulate_lanes``), each
 search under its own key. At most one candidate past a search's first
 failure is simulated, and it is never read. The QoS-threshold sweep
 instead judges every scenario's whole power grid in one kernel call, each
-scenario one search whose candidates stop past its first incident.
+scenario one search whose candidates stop past its first incident. Every
+search and sweep runs in the calling process.
 """
 
 from __future__ import annotations
 
-import concurrent.futures  # loads the pool and multiprocessing on first use only
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
@@ -40,7 +40,7 @@ from .feeder import BaselineLoadProfile, FeederModel
 from .incidents import Incident, IncidentLimits, KIND_DIAGNOSTIC
 from .powerflow import PowerFlowOptions, VoltageCollapseError
 from .qos import QosError, QosReport, build_report
-from .trace import TraceSummary, fmt
+from .trace import fmt
 
 LIMIT_AGGREGATED_QOS = "aggregated_qos"
 
@@ -86,7 +86,8 @@ class CandidateResult:
     candidate: float
     incidents: list[Incident]
     qos: QosReport | None
-    summary: TraceSummary | None
+    overall_min_voltage_pu: float | None = None  # the day's lowest node voltage; None: no day
+    max_slack_kva: float | None = None           # the day's largest slack apparent power
     qos_breach: bool = False
     failure: str | None = None     # None when the candidate passed
     fixed_point_fallback_steps: int = 0
@@ -172,7 +173,7 @@ def _judge(
     candidate, _, power = point
     if isinstance(day, VoltageCollapseError):
         incident = Incident(KIND_DIAGNOSTIC, day.step or 0, "power-flow", float(day.min_voltage_pu))
-        result = CandidateResult(candidate, [incident], qos=None, summary=None, error=str(day))
+        result = CandidateResult(candidate, [incident], qos=None, error=str(day))
         return _failure(result, config.qos_threshold)
     if isinstance(day, Exception):
         return day
@@ -188,22 +189,11 @@ def _judge(
         candidate=candidate,
         incidents=day.incidents,
         qos=qos,
-        summary=day.summary,
+        overall_min_voltage_pu=day.summary.overall_min_voltage_pu,
+        max_slack_kva=day.summary.max_slack_kva,
         fixed_point_fallback_steps=day.fallback_steps,
     )
     return _failure(result, config.qos_threshold)
-
-
-def evaluate_passive_candidate(
-    feeder: FeederModel,
-    profiles: tuple[BaselineLoadProfile, ...],
-    fleet: list[EvSession],
-    hc_power: float,
-    config: HcSearchConfig,
-) -> CandidateResult:
-    """Simulate uncontrolled charging at one candidate power."""
-    jobs = [((hc_power, fleet, hc_power), config, "passive")]
-    return _raised(_evaluate(feeder, profiles, jobs)[0])
 
 
 def evaluate_network_aware_candidate(
@@ -385,10 +375,22 @@ def fleet_for_scenario(
     )
 
 
-def _sweep_cells(args) -> list[SweepCell]:
-    """Network-aware HC of every (delta_perm, factor) cell of some scenarios,
-    their searches reduced together. A cell's error stays in its cell."""
-    feeder, profiles, scenarios, grid, config = args
+def sensitivity_sweep(
+    feeder: FeederModel,
+    profiles: tuple[BaselineLoadProfile, ...],
+    scenarios: list[EnergyScenario],
+    delta_perm_grid: list[float],
+    factor_values: list[float],
+    config: HcSearchConfig,
+) -> list[SweepCell]:
+    """Network-aware HC over the (delta_perm, factor) grid per scenario.
+
+    Every cell's search is reduced in the same candidate rounds, in this
+    process. A cell's error stays in its cell.
+    """
+    if not delta_perm_grid or not factor_values or not scenarios:
+        raise ValueError("sweep grids must be non-empty")
+    grid = [(float(d), float(f)) for d in delta_perm_grid for f in factor_values]
     cells, searches, searching = [], [], []
     for scenario in scenarios:
         try:
@@ -418,30 +420,6 @@ def _sweep_cells(args) -> list[SweepCell]:
         cell.qos_at_hc = report.qos_at_hc
         cell.min_qos_at_hc = report.min_qos_at_hc
     return cells
-
-
-def sensitivity_sweep(
-    feeder: FeederModel,
-    profiles: tuple[BaselineLoadProfile, ...],
-    scenarios: list[EnergyScenario],
-    delta_perm_grid: list[float],
-    factor_values: list[float],
-    config: HcSearchConfig,
-    workers: int = 1,
-) -> list[SweepCell]:
-    """Network-aware HC over the (delta_perm, factor) grid per scenario.
-
-    One worker reduces every cell's search in the same candidate rounds;
-    more workers take one scenario (whose cells share a fleet) each.
-    """
-    if not delta_perm_grid or not factor_values or not scenarios:
-        raise ValueError("sweep grids must be non-empty")
-    grid = [(float(d), float(f)) for d in delta_perm_grid for f in factor_values]
-    if min(workers, len(scenarios)) > 1:
-        jobs = [(feeder, profiles, [scenario], grid, config) for scenario in scenarios]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return [cell for part in pool.map(_sweep_cells, jobs) for cell in part]
-    return _sweep_cells((feeder, profiles, scenarios, grid, config))
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """CLI verbs, exit codes, result files, and rerun determinism."""
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -705,6 +706,27 @@ def test_unknown_field_is_config_error(tmp_path, capsys, overrides, field):
 def test_mistyped_value_is_config_error(tmp_path, capsys, overrides, field):
     path = _write_scenario(tmp_path, mode="passive", **overrides)
     _assert_config_error(tmp_path, capsys, path, f"configuration error: {field}: expected ")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        (lambda v: {"search": {**BASE["search"], "count_mode_power_kw": v}},
+         "search.count_mode_power_kw"),
+        (lambda v: {"search": {**BASE["search"], "power_max_kw": v}}, "search.power_max_kw"),
+        (lambda v: {"fleet": {"rated_power_kw": v}}, "fleet.rated_power_kw"),
+        (lambda v: {"sweep": {"factor_values": [0.2, v]}}, "sweep.factor_values"),
+        (lambda v: {"seed": v}, "seed"),
+    ],
+    ids=["count_mode_power", "power_max", "rated_power", "factor_list", "seed"],
+)
+def test_non_finite_number_is_config_error(tmp_path, capsys, overrides, field, value):
+    path = _write_scenario(tmp_path, **overrides(value))
+    _assert_config_error(
+        tmp_path, capsys, path, f"configuration error: {field}: expected a finite number, got "
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_integral_numbers_are_accepted_as_integers(tmp_path):

@@ -1,13 +1,15 @@
 """Hosting-capacity searches: termination, equivalences, sweeps."""
 
-import concurrent.futures
 import math
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import evhc.hc
+from evhc.cli import main
 from evhc.doe import DoeParams, _Stopped
 from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
 from evhc.hc import (
@@ -15,7 +17,6 @@ from evhc.hc import (
     LIMIT_AGGREGATED_QOS,
     SWEEP_EV_COUNT,
     ThresholdPoint,
-    evaluate_passive_candidate,
     export_sweep_csv,
     fleet_for_scenario,
     network_aware_grid,
@@ -66,11 +67,12 @@ def test_passive_limited_by_undervoltage_on_bundled(feeder, profiles, low_fleet)
 def test_search_equals_brute_force(feeder, profiles, low_fleet):
     config = HcSearchConfig()
     report = passive_hc(feeder, profiles, low_fleet, config)
-    # independent per-candidate scan over the whole grid
+    # independent per-candidate scan over the whole grid, each candidate a
+    # search of its own on a one-point grid
     outcomes = {}
     for p in config.power_grid_kw:
-        result = evaluate_passive_candidate(feeder, profiles, low_fleet, p, config)
-        outcomes[p] = result.failure
+        alone = passive_hc(feeder, profiles, low_fleet, replace(config, power_grid_kw=(p,)))
+        outcomes[p] = alone.candidates[0].failure
     first_fail = next((p for p in config.power_grid_kw if outcomes[p]), None)
     expected_hc = (
         config.power_grid_kw[-1]
@@ -195,40 +197,26 @@ def test_single_cell_sweep_equals_direct_search(feeder, profiles):
     assert cell.error is None
 
 
-def test_sweep_worker_count_does_not_change_results(feeder, profiles):
-    config = HcSearchConfig(seed=1)
-    args = (feeder, profiles, [DEFAULT_SCENARIOS["low"]], [0.03, 0.05], [0.2, 0.5], config)
-    serial = sensitivity_sweep(*args, workers=1)
-    parallel = sensitivity_sweep(*args, workers=2)
-    assert serial == parallel
-
-
-def test_sweep_worker_count_does_not_change_results_across_scenarios(feeder, profiles, monkeypatch):
-    """Two scenarios with two workers run in the process pool."""
-    pools = []
-
-    class Pool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    scenarios = [DEFAULT_SCENARIOS["low"], DEFAULT_SCENARIOS["high"]]
-    args = (feeder, profiles, scenarios, [0.03, 0.05], [0.2, 0.5], HcSearchConfig(seed=1))
-    assert sensitivity_sweep(*args, workers=1) == sensitivity_sweep(*args, workers=2)
-    assert pools == [2]
-
-
-def test_one_scenario_sweep_starts_no_pool(feeder, profiles, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-scenario sweep started a process pool")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    config = HcSearchConfig(seed=1)
-    cells = sensitivity_sweep(
-        feeder, profiles, [DEFAULT_SCENARIOS["low"]], [0.05], [0.5], config, workers=2
-    )
-    assert [cell.error for cell in cells] == [None]
+def test_sweep_worker_count_does_not_change_results(tmp_path):
+    """``workers`` is accepted and has no effect: a two-scenario sweep writes
+    the same files at one and two workers (the manifest hashes the setting)."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(yaml.safe_dump({
+        "scenarios": ["low", "high"],
+        "search": {"power_min_kw": 1.0, "power_max_kw": 12.0, "power_step_kw": 1.0},
+        "sweep": {"delta_perm_min": 0.03, "delta_perm_max": 0.05, "delta_perm_step": 0.02,
+                  "factor_values": [0.2, 0.5]},
+    }))
+    trees = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out_{workers}"
+        assert main(["sweep", str(scenario), "--workers", workers, "--output-dir", str(out)]) == 0
+        trees.append({
+            p.relative_to(out): p.read_bytes()
+            for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"
+        })
+    assert set(trees[0]) == {Path("sweep_doe.csv")}
+    assert trees[0] == trees[1]
 
 
 def test_sweep_csv_schema(feeder, profiles):

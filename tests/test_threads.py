@@ -1,5 +1,5 @@
-"""Process footprint: one BLAS thread, no pool machinery at import, and
-results that do not depend on the BLAS thread count."""
+"""Process footprint: one BLAS thread and no pool machinery, at import and
+after a sweep, and results that do not depend on the BLAS thread count."""
 
 import json
 import os
@@ -19,6 +19,8 @@ SRC = str(Path(evhc.__file__).resolve().parent.parent)
 FOOTPRINT = """\
 import json, os, sys
 import evhc.cli
+if sys.argv[1:]:  # a study to run first
+    assert evhc.cli.main(sys.argv[1:]) == 0
 tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 print(json.dumps({
     "threads": tasks,
@@ -36,17 +38,33 @@ def _env(blas_threads: str | None) -> dict[str, str]:
     return env
 
 
-def _footprint(blas_threads: str | None) -> dict:
+def _footprint(blas_threads: str | None, *argv: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT], env=_env(blas_threads),
-        capture_output=True, text=True, timeout=60, check=True,
+        [sys.executable, "-c", FOOTPRINT, *argv], env=_env(blas_threads),
+        capture_output=True, text=True, timeout=120, check=True,
     )
-    return json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_import_starts_one_thread_and_loads_no_pool():
     seen = _footprint(None)
     assert seen["blas"] == "1"
+    assert seen["pool_modules"] == []
+    if seen["threads"] is not None:
+        assert seen["threads"] == 1
+
+
+def test_a_two_worker_sweep_runs_in_one_thread_of_one_process(tmp_path):
+    """``workers`` is accepted for old scenario files and starts nothing."""
+    scenario = tmp_path / "scenario.yaml"
+    scenario.write_text(yaml.safe_dump({
+        "scenarios": ["low", "high"],
+        "search": {"power_min_kw": 1.0, "power_max_kw": 8.0, "power_step_kw": 1.0},
+        "sweep": {"delta_perm_min": 0.05, "delta_perm_max": 0.05, "factor_values": [0.5]},
+    }))
+    out = tmp_path / "out"
+    seen = _footprint(None, "sweep", str(scenario), "--workers", "2", "--output-dir", str(out))
+    assert (out / "sweep_doe.csv").read_text().count("\n") == 3  # header and two cells
     assert seen["pool_modules"] == []
     if seen["threads"] is not None:
         assert seen["threads"] == 1
