@@ -154,7 +154,7 @@ _FIELDS = (
     _Field("feeder", str, _BUILTIN, note="builtin 19-node example, or path to a feeder YAML"),
     _Field("baseline_profiles", str, _BUILTIN),
     _Field("output_dir", str, "results"),
-    _Field("seed", int, HcSearchConfig.seed),
+    _Field("seed", int, HcSearchConfig.seed, _within(0, math.inf)),
     _Field("scenarios", [str], tuple(DEFAULT_SCENARIOS)),
     _Field("fleet.source", str, "generate", _one_of("generate", "import"),
            "generate | import (not in the sweep modes)"),
@@ -726,7 +726,7 @@ def main(argv: list[str] | None = None) -> int:
             print("scenario file is valid")
             return 0
         if args.seed is not None:
-            config = replace(config, seed=args.seed)
+            config = replace(config, seed=_settings({"seed": args.seed})["seed"])
         workers = getattr(args, "workers", None)
         if workers is not None:
             if workers < 1:

@@ -34,7 +34,8 @@ import numpy as np
 from .ev import ChargingTrajectory, EvSession, quiet_step
 from .feeder import BaselineLoadProfile, FeederModel
 from .incidents import Incident, IncidentLimits, crossings
-from .powerflow import DEFAULT_BASELINE_POWER_FACTOR, PowerFlowOptions, _solve_lanes
+from .powerflow import (DEFAULT_BASELINE_POWER_FACTOR, LaneSolution, PowerFlowOptions,
+                        VoltageCollapseError, _solve_lanes)
 from .trace import (
     STEP_HOURS,
     STEPS_PER_DAY,
@@ -53,6 +54,7 @@ FIXED_POINT_TOL_KW = 0.01
 FIXED_POINT_MAX_ITER = 20
 
 VOLTAGE_SOURCES = ("fixed_point", "previous_step")
+_SHAPE = ("factor", "u_min", "green_threshold", "degenerate")  # what _envelope reads of params
 
 
 @dataclass(frozen=True)
@@ -275,9 +277,8 @@ class _Rows(SimpleNamespace):
     """Per-lane arrays of the lanes still running, one row per lane; the
     envelope parameters are (lanes, 1) columns named as in ``DoeParams``."""
 
-    def keep(self, mask: np.ndarray) -> None:
-        for name, value in vars(self).items():
-            setattr(self, name, value[mask])
+    def take(self, lanes: np.ndarray, names=None) -> _Rows:  # of every array, or of ``names``
+        return _Rows(**{name: getattr(self, name)[lanes] for name in names or vars(self)})
 
 
 def _simulate_lanes(
@@ -296,7 +297,8 @@ def _simulate_lanes(
     batched power flow; a fixed-point lane repeats bound -> clamp -> solve
     until its EV powers move less than ``FIXED_POINT_TOL_KW`` (or the
     iteration cap, a fallback) while its batch-mates wait. Each lane does
-    the arithmetic of a day simulated alone.
+    the arithmetic of a day simulated alone, though lanes share the
+    solution of a row they have in common (``_solve_distinct``).
 
     A lane that cannot start (``ValueError``) or whose power flow collapses
     ends as that exception; the other lanes carry on. With ``judge``, lanes
@@ -332,6 +334,9 @@ def _simulate_lanes(
     if not started:
         return out
     baseline_q = baseline * tan(acos(baseline_power_factor))
+    base = SimpleNamespace(p=baseline, q=baseline_q, weights=np.sqrt(np.arange(2.0, n_house + 2.0)))
+    base.key = np.arange(steps) + 1j * np.einsum("ij,j->i", baseline, base.weights)
+    base.solution = _solve_lanes(feeder, baseline, baseline_q, pf_options, list(range(steps)))
 
     # EVs are indexed by household slot; a household without a session has
     # an EV that is never connected
@@ -361,7 +366,7 @@ def _simulate_lanes(
     rows.fixed_point = np.array(
         [p is not None and p.voltage_source == "fixed_point" for p in params]
     )
-    for name in ("factor", "u_min", "green_threshold", "degenerate"):
+    for name in _SHAPE:
         setattr(rows, name, np.array([[getattr(p, name)] for p in shapes]))
     keys: dict = {None: -1}  # search key -> id; rows run in lane order
     if judge is not None and any(lane.search is not None for lane in lanes):
@@ -420,21 +425,24 @@ def _simulate_lanes(
         for it in range(FIXED_POINT_MAX_ITER):
             clamp = todo[controlled[todo]]
             if clamp.size:
-                kw, envelope = _apply_envelope(desired, connected, rows.v_house, rows.p_max, rows)
-                ev_kw[clamp] = kw[clamp]
-                floor[clamp], cap[clamp], zone[clamp] = (e[clamp] for e in envelope)
+                clamped = rows.take(clamp, ("v_house", "p_max", *_SHAPE))
+                ev_kw[clamp], (floor[clamp], cap[clamp], zone[clamp]) = _apply_envelope(
+                    desired[clamp], connected[clamp], clamped.v_house, clamped.p_max, clamped
+                )
+            if it:  # a lane whose clamp did not move holds its solution: it has settled
+                todo = todo[(ev_kw[todo] != previous[todo]).any(axis=1)]
+                if not todo.size:
+                    break
             p_kw = baseline[t[todo]] + ev_kw[todo]
             negative = (p_kw < 0).any(axis=1)
             for r in todo[negative]:
                 fail(r, ValueError("active injections must be >= 0 (loads only)"))
             solved = todo[~negative]
-            sol = _solve_lanes(
-                feeder, p_kw[~negative], baseline_q[t[solved]], pf_options, t[solved].tolist()
-            )
+            sol = _solve_distinct(feeder, p_kw[~negative], t[solved], base, pf_options)
             if any(sol.collapse):
                 for r, exc in zip(solved, sol.collapse):
-                    if exc is not None:
-                        fail(r, exc)
+                    if exc is not None:  # each lane its own error, also of a shared row
+                        fail(r, VoltageCollapseError(exc.min_voltage_pu, exc.iteration, exc.step))
             voltage[solved], current[solved] = sol.voltage_pu, sol.branch_current_a
             slack_p[solved], slack_q[solved] = sol.slack_p_kw, sol.slack_q_kvar
             converged[solved], iterations[solved] = sol.converged, sol.iterations
@@ -485,7 +493,7 @@ def _simulate_lanes(
             for r in np.flatnonzero(alive & (rows.row > first[rows.search])):
                 fail(r, _Stopped("lane stopped past an earlier failure of its search"))
         if not alive.all():
-            rows.keep(alive)
+            rows = rows.take(alive)
             if not len(rows.row):
                 break
     delivered[rows.row] = rows.delivered
@@ -542,6 +550,33 @@ def _apply_envelope(
         np.where(connected, cap, np.nan),
         np.where(connected, zone, ZONE_NONE),
     )
+
+
+def _solve_distinct(feeder, p_kw, t, base, options) -> LaneSolution:
+    """``_solve_lanes`` of injection rows ``p_kw`` at steps ``t``, solving each
+    distinct ``(t, p_kw)`` row once: rows keyed alike by ``base.weights`` are
+    shared only when equal exactly, and a baseline row reads ``base.solution``.
+    A solution depends on its row alone, so it is each lane's own to the bit."""
+    key = t + 1j * np.einsum("ij,j->i", p_kw, base.weights)
+    order = key.argsort()
+    head = np.ones(len(t), dtype=bool)
+    np.not_equal(key[order[1:]], key[order[:-1]], out=head[1:])
+    first = order[head]  # a row of each key
+    at_idle = key[first] == base.key[t[first]]
+    if head.all() and not at_idle.any():
+        return _solve_lanes(feeder, p_kw, base.q[t], options, t.tolist())
+    group = (head.cumsum() - 1)[order.argsort()]  # each row's key, counted in key order
+    alone = np.flatnonzero((p_kw[first[group]] != p_kw).any(axis=1))  # a weighting clash
+    group[alone] = len(first) + np.arange(len(alone))
+    first = np.concatenate((first, alone))
+    at_idle = (p_kw[first] == base.p[t[first]]).all(axis=1)
+    solve, known = first[~at_idle], base.solution
+    source = np.where(at_idle, t[first], (~at_idle).cumsum() + (len(base.p) - 1))[group]
+    if solve.size:
+        sol = _solve_lanes(feeder, p_kw[solve], base.q[t[solve]], options, t[solve].tolist())
+        known = LaneSolution(*(np.concatenate(pair) for pair in zip(known, sol)))
+    errors = [known.collapse[i] for i in source] if any(known.collapse) else [None] * len(t)
+    return LaneSolution(*(a[source] for a in known[:-1]), errors)
 
 
 def export_envelope_csv(trace: SimulationTrace, feeder: FeederModel) -> str:

@@ -11,13 +11,14 @@ quality) and the QoS breach is still visible in the candidate detail.
 Every candidate is simulated independently of the others. A search is the
 first-failure reduction of its candidates, so it returns exactly what an
 exhaustive per-candidate scan returns. Searches run in candidate rounds:
-each round simulates the next two candidates of every search still
-running, all in one batched kernel call (``doe._simulate_lanes``), each
-search under its own key. At most one candidate past a search's first
-failure is simulated, and it is never read. The QoS-threshold sweep
-instead judges every scenario's whole power grid in one kernel call, each
-scenario one search whose candidates stop past its first incident. Every
-search and sweep runs in the calling process.
+each round simulates the next four (``ROUND_WIDTH``) candidates of every
+search still running, all in one batched kernel call, each search under
+its own key; the kernel (``doe._simulate_lanes``) solves a row its lanes
+share once. At most three candidates past a search's first failure are
+simulated, and none is read. The QoS-threshold sweep instead judges every
+scenario's whole power grid in one kernel call, each scenario one search
+whose candidates stop past its first incident. Every search and sweep
+runs in the calling process.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ LIMIT_AGGREGATED_QOS = "aggregated_qos"
 SWEEP_POWER = "power"
 SWEEP_EV_COUNT = "ev_count"
 
-ROUND_WIDTH = 2  # candidates of each running search simulated per round
+ROUND_WIDTH = 4  # candidates of each running search simulated per round
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,8 @@ def _evaluate(
         feeder, profiles, lanes, config.pf_options,
         judge=IncidentLimits.from_feeder(feeder, config.v_lower_pu, config.v_upper_pu),
     )
-    return [_judge(day, *job) for day, job in zip(days, jobs)]
+    energy: dict = {}  # (session, power) -> its uncontrolled energy, shared by the jobs
+    return [_judge(day, *job, energy) for day, job in zip(days, jobs)]
 
 
 def _judge(
@@ -169,6 +171,7 @@ def _judge(
     point: tuple[float, list[EvSession], float],
     config: HcSearchConfig,
     mode: str,
+    energy: dict,
 ) -> CandidateResult | Exception:
     candidate, _, power = point
     if isinstance(day, VoltageCollapseError):
@@ -180,7 +183,9 @@ def _judge(
     qos = None
     if mode != "passive":
         sessions = day.sessions  # feeder order, as are its delivered energies
-        e_baseline = np.array([baseline_trajectory(s, power).delivered_kwh for s in sessions])
+        keys = [(s, power) for s in sessions]
+        energy.update({k: baseline_trajectory(*k).delivered_kwh for k in keys if k not in energy})
+        e_baseline = np.array([energy[k] for k in keys])
         try:
             qos = build_report(tuple(s.household for s in sessions), e_baseline, day.delivered_kwh)
         except QosError as exc:
@@ -233,11 +238,11 @@ def reduce_searches(
     Each round simulates the next ``ROUND_WIDTH`` candidates of every search
     that has not yet failed, in one kernel call, each search under its own
     key, so a lane past an incident of its search stops there. A search
-    stops running once one of its outcomes has not passed: at most
-    ``ROUND_WIDTH - 1`` candidates past its first failure are simulated, and
-    none of them is read. A search that hits an error ends as that
-    exception. The searches share the first config's limits and solver
-    options.
+    stops running once one of its outcomes has not passed, after
+    ceil(n / ``ROUND_WIDTH``) rounds if that is candidate n: the up to
+    ``ROUND_WIDTH - 1`` candidates simulated past it are never read. A
+    search that hits an error ends as that exception. The searches share
+    the first config's limits and solver options.
     """
     points = [_points(fleet, config) for fleet, config, _ in searches]
     evaluated: list[list[CandidateResult | Exception]] = [[] for _ in searches]

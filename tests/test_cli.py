@@ -132,6 +132,24 @@ def _assert_config_error(tmp_path, capsys, path, message):
     assert err.count("configuration error: ") == 2 and message in err
 
 
+def test_negative_seed_in_the_file_is_config_error(tmp_path, capsys):
+    path = _write_scenario(tmp_path, seed=-1)
+    message = "configuration error: seed: -1 outside the valid range [0, inf]"
+    _assert_config_error(tmp_path, capsys, path, message)
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_negative_seed_override_is_config_error(tmp_path, capsys, verb):
+    """``--seed -1`` fails before anything runs, as the same seed in the file."""
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
+    out = tmp_path / "out"
+    assert main([verb, str(empty), "--seed", "-1", "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "configuration error: seed: -1 outside the valid range [0, inf]\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [

@@ -353,17 +353,17 @@ def _kernel_days(monkeypatch) -> list:
 
 @pytest.mark.parametrize("case", ROUND_CASES.values(), ids=ROUND_CASES.keys())
 def test_rounds_equal_the_candidates_judged_alone(feeder, profiles, monkeypatch, case):
-    """A search that ends at candidate n takes ceil(n / 2) kernel calls, and
-    its report is the reduction of every candidate judged alone: a collapse
-    is a failure, an error before the first failure ends the search, and the
-    candidate simulated past the failure is never read."""
+    """A search that ends at candidate n takes ceil(n / ROUND_WIDTH) kernel
+    calls, and its report is the reduction of every candidate judged alone:
+    a collapse is a failure, an error before the first failure ends the
+    search, and the candidates simulated past the failure are never read."""
     make_fleet, config, mode, n, end = case
     fleet = make_fleet(feeder)
     expected = _judged_alone(feeder, profiles, fleet, config, mode)
     calls = _kernel_days(monkeypatch)
     [report] = evhc.hc.reduce_searches(feeder, profiles, [(fleet, config, mode)])
     _assert_same(report, expected)
-    assert len(calls) == math.ceil(n / 2)
+    assert len(calls) == math.ceil(n / evhc.hc.ROUND_WIDTH)
     if isinstance(report, Exception):
         assert type(report).__name__ == end and "no session-free step" in str(report)
     else:
@@ -373,14 +373,31 @@ def test_rounds_equal_the_candidates_judged_alone(feeder, profiles, monkeypatch,
 def test_rounds_reduce_many_searches_together(feeder, profiles, monkeypatch):
     """Searches in one reduction share each round's kernel call, each under
     its own key: the candidate simulated beside a search's first incident
-    stops there, and no other lane does."""
+    stops there, and no other lane does.
+
+    The QoS-limited search reads 7 candidates and the incident-limited one
+    5, so at width w they run ceil(7 / w) and ceil(5 / w) rounds, each round
+    the QoS-limited search's lanes first. The first incidents are at the
+    8th and the 5th candidate, and the later candidates of each search's
+    last round are the stopped lanes: at width 4, calls of 8 and 8 lanes
+    and the second call's lanes 5 to 7."""
     cases = [ROUND_CASES[name] for name in ("qos_limited", "incident_limited")]
     searches = [(make_fleet(feeder), config, mode) for make_fleet, config, mode, *_ in cases]
     expected = [_judged_alone(feeder, profiles, *search) for search in searches]
     calls = _kernel_days(monkeypatch)
     for got, want in zip(evhc.hc.reduce_searches(feeder, profiles, searches), expected):
         _assert_same(got, want)
-    assert [len(days) for days in calls] == [4, 4, 4, 2]
+    w = evhc.hc.ROUND_WIDTH
+    qos_rounds, incident_rounds = math.ceil(7 / w), math.ceil(5 / w)
+    assert [len(days) for days in calls] == [
+        w * ((r < qos_rounds) + (r < incident_rounds)) for r in range(qos_rounds)
+    ]
     stopped = [(k, i) for k, days in enumerate(calls) for i, day in enumerate(days)
                if isinstance(day, _Stopped)]
-    assert stopped == [(2, 3)]  # the incident-limited search's sixth candidate
+    expected_stops = []
+    for rounds, offset, first_incident in ((qos_rounds, 0, 8), (incident_rounds, w, 5)):
+        last = rounds - 1  # candidate c of that round is lane offset + c - 1 - last * w
+        expected_stops += [
+            (last, offset + c - 1 - last * w) for c in range(first_incident + 1, rounds * w + 1)
+        ]
+    assert stopped == sorted(expected_stops)

@@ -7,13 +7,15 @@ collapses and a fleet with no idle step. Each lane must equal the reference
 bit for bit, recorded or judged as it steps.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import evhc.doe
 from evhc.doe import (
     DoeParams,
     Lane,
@@ -21,12 +23,13 @@ from evhc.doe import (
     _raised,
     _simulate_lanes,
     _Stopped,
+    baseline_matrix,
     network_aware_horizon,
     passive_horizon,
 )
 from evhc.ev import DEFAULT_SCENARIOS, EvSession, generate_fleet, quiet_step
 from evhc.incidents import IncidentLimits, crossings, detect
-from evhc.powerflow import VoltageCollapseError
+from evhc.powerflow import PowerFlowOptions, VoltageCollapseError, _solve_lanes
 from evhc.trace import Extrema, SimulationTrace, summarize
 from reference_day import reference_day, reference_detect, reference_summarize
 
@@ -193,6 +196,126 @@ def test_judged_lanes_that_all_end_in_one_step_are_their_errors(feeder, profiles
         for got, want in zip(judged, recorded):
             assert isinstance(want, VoltageCollapseError)
             _assert_same_error(got, want)
+
+
+# --- rows shared within a solve ------------------------------------------------
+
+
+def _solver_rows(monkeypatch) -> list:
+    """The ``(steps, p_kw)`` of every ``_solve_lanes`` call the kernel makes
+    from here on."""
+    calls = []
+    original = evhc.doe._solve_lanes
+
+    def recording(feeder, p_kw, q_kvar, options, steps):
+        calls.append((list(steps), p_kw.copy()))
+        return original(feeder, p_kw, q_kvar, options, steps)
+
+    monkeypatch.setattr(evhc.doe, "_solve_lanes", recording)
+    return calls
+
+
+def _lane_solves(calls) -> int:
+    return sum(len(steps) for steps, _ in calls)
+
+
+def test_shared_rows_equal_the_reference_loop(feeder, profiles, monkeypatch):
+    """Exact duplicates, envelopes that differ but never bind, and idle lanes
+    all solve the rows of one uncontrolled lane, and each still equals the
+    reference bit for bit: the batch costs what that one lane costs."""
+    low = generate_fleet(DEFAULT_SCENARIOS["low"], feeder.household_ids, [1, 0])
+    green = DoeParams(delta_perm=0.4, factor=0.5, u_min=0.55)
+    batch = [
+        Lane(low, 2.0),
+        Lane([], 6.0),
+        Lane(low, 2.0),
+        Lane(low, 2.0, green),
+        Lane(low, 2.0, DoeParams(delta_perm=0.45, factor=0.2, u_min=0.5)),
+        Lane(low, 2.0, replace(green, voltage_source="previous_step")),
+        Lane([], 9.0, DoeParams()),
+        Lane(low, 2.0, green),
+    ]
+    calls = _solver_rows(monkeypatch)
+    _simulate_lanes(feeder, profiles, batch[:1])
+    alone = _lane_solves(calls)
+    calls.clear()
+    days = _simulate_lanes(feeder, profiles, batch)
+    assert _lane_solves(calls) == alone
+    for lane, day in zip(batch, days):
+        _, trace = _reference(feeder, profiles, lane)
+        for f in fields(SimulationTrace):
+            _assert_equal(getattr(day.trace, f.name), getattr(trace, f.name))
+
+
+def test_each_distinct_row_is_solved_once_per_solve(feeder, profiles, batch, monkeypatch):
+    """The kernel first solves the baseline of every step; after that each
+    solve call gets pairwise distinct ``(t, p_kw)`` rows, none of them its
+    step's baseline. A batch doubled lane for lane costs no extra solve and
+    simulates the same days."""
+    baseline = baseline_matrix(feeder, profiles)
+    calls = _solver_rows(monkeypatch)
+    single = _simulate_lanes(feeder, profiles, batch)
+    alone = _lane_solves(calls)
+    calls.clear()
+    doubled = _simulate_lanes(feeder, profiles, batch + batch)
+    assert _lane_solves(calls) == alone
+    (steps, p_kw), *solves = calls
+    assert steps == list(range(96)) and np.array_equal(p_kw, baseline)
+    for steps, p_kw in solves:
+        rows = {(t, row.tobytes()) for t, row in zip(steps, p_kw)}
+        assert len(rows) == len(steps)
+        assert not (p_kw == baseline[steps]).all(axis=1).any()
+    for got, want in zip(doubled, single + single):
+        if isinstance(want, Exception):
+            _assert_same_error(got, want)
+        else:
+            for f in fields(SimulationTrace):
+                _assert_equal(getattr(got.trace, f.name), getattr(want.trace, f.name))
+
+
+def test_rows_that_only_share_a_key_are_solved_apart(feeder, profiles, monkeypatch):
+    """Rows whose weighted keys coincide although they differ (by a residue
+    the key rounds away) are not shared: each is solved, and every row gets
+    its own row's solution, bit for bit. Exactly equal rows are shared, and
+    a row equal to its step's baseline reads the baseline table."""
+    baseline = baseline_matrix(feeder, profiles)
+    q, options = baseline * 0.33, PowerFlowOptions()
+    base = SimpleNamespace(p=baseline, q=q, weights=np.sqrt(np.arange(2.0, baseline.shape[1] + 2)))
+    base.key = np.arange(96) + 1j * np.einsum("ij,j->i", baseline, base.weights)
+    base.solution = _solve_lanes(feeder, baseline, q, options, list(range(96)))
+    t = np.array([50, 50, 50, 50, 50, 70])
+    p_kw = baseline[t]
+    p_kw[1, 0] += 1e-16  # a residue on the baseline
+    p_kw[2:5, 3] += 2.0  # three equal EV rows ...
+    p_kw[4, 5] += 1e-16  # ... of which one carries a residue
+    key = t + 1j * np.einsum("ij,j->i", p_kw, base.weights)
+    assert key[1] == base.key[50] and key[4] == key[2] and not (p_kw[1] == p_kw[0]).all()
+    expected = _solve_lanes(feeder, p_kw, q[t], options, t.tolist())
+    calls = _solver_rows(monkeypatch)
+    got = evhc.doe._solve_distinct(feeder, p_kw, t, base, options)
+    [(steps, rows)] = calls
+    assert sorted(steps) == [50, 50, 50] and sorted(map(bytes, rows)) == sorted(
+        bytes(p_kw[i]) for i in (1, 2, 4)
+    )
+    for name, want in expected._asdict().items():
+        _assert_equal(np.asarray(getattr(got, name)), np.asarray(want))
+
+
+def test_a_shared_collapse_is_each_lanes_own_error(feeder, profiles, monkeypatch):
+    """Lanes that collapse on one shared row each end as their own error,
+    labelled with the step, as when simulated alone."""
+    burst = [EvSession(h, 40, 48, 30.0, 60.0) for h in feeder.household_ids]
+    lanes = [Lane(burst, 60.0), Lane(burst, 60.0, DoeParams(factor=1.0)), Lane(burst, 60.0)]
+    expected = _reference(feeder, profiles, lanes[0])
+    assert isinstance(expected, VoltageCollapseError) and expected.step == 40
+    calls = _solver_rows(monkeypatch)
+    for judge in (None, IncidentLimits.from_feeder(feeder)):
+        calls.clear()
+        days = _simulate_lanes(feeder, profiles, lanes, judge=judge)
+        assert [len(steps) for steps, _ in calls[-1:]] == [1]  # the collapsing row, once
+        assert len({id(day) for day in days}) == len(lanes)
+        for day in days:
+            _assert_same_error(day, expected)
 
 
 # --- crossings and extrema on random traces ----------------------------------
