@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,7 +27,8 @@ from typing import NamedTuple
 import yaml
 
 from . import __version__
-from .doe import VOLTAGE_SOURCES, DoeParams, Lane, _raised, _simulate_lanes, export_envelope_csv
+from .doe import (VOLTAGE_SOURCES, DoeParams, Lane, _raised, _replay, _simulate_lanes,
+                  export_envelope_csv)
 from .ev import (
     DEFAULT_RATED_POWER_KW,
     DEFAULT_SCENARIOS,
@@ -50,7 +52,7 @@ from .hc import (
     HcSearchConfig,
     SWEEP_EV_COUNT,
     SWEEP_POWER,
-    _evaluate,
+    _evaluate_days,
     _points,
     _reduce_search,
     export_sweep_csv,
@@ -61,7 +63,7 @@ from .hc import (
 )
 from .incidents import export_incidents_csv
 from .qos import export_qos_csv
-from .trace import fmt
+from .trace import SimulationTrace, fmt
 
 MODES = ("passive", "network_aware", "compare", "sweep_doe", "sweep_qos_threshold")
 
@@ -288,8 +290,13 @@ _DEFINITION = {
 
 
 def _definition(label: str, body) -> EnergyScenario:
-    """One ``scenario_definitions`` entry; each of its fields is required."""
+    """One ``scenario_definitions`` entry; each of its fields is required. The
+    label names table rows and output directories, so it holds no character
+    that would split a row or a path."""
     path = f"scenario_definitions.{label}"
+    found = [c for c in ',"\n\r/\\' if c in label]
+    if found:
+        raise ConfigError(f"{path}: a label may not contain {', '.join(map(repr, found))}")
     v = _convert(path, _DEFINITION, body)
     arrival, duration = HourDistribution(**v["arrival"]), HourDistribution(**v["duration"])
     try:
@@ -460,10 +467,11 @@ def _write_search_outputs(
     report: HcReport,
     feeder: FeederModel,
     grid: list,
-    hc_days: tuple,
+    hc_days: Iterable[SimulationTrace],
 ) -> None:
-    """Write one search's files; a network-aware HC adds its day (``hc_days``:
-    network-aware, passive) and per-customer QoS over its power ``grid``."""
+    """Write one search's files; a network-aware HC adds its day (``hc_days``,
+    read only then: the network-aware and passive trace) and per-customer QoS
+    over its power ``grid``."""
     _write(out / "report.json", _report_json(report))
     _write(out / "candidates.csv", _candidates_csv(report))
     failing = report.candidates[-1] if report.candidates and not report.unconstrained else None
@@ -473,7 +481,7 @@ def _write_search_outputs(
         return
 
     # trace exports at the hosting-capacity candidate
-    na_trace, base_trace = (_raised(day).trace for day in hc_days)
+    na_trace, base_trace = hc_days
 
     comp = feeder.compiled
     at_hc = next((c for c in report.candidates if c.candidate == report.hc), None)
@@ -511,6 +519,14 @@ def _write_search_outputs(
     _write(out / "qos_by_power.csv", "\n".join(qos_lines) + "\n")
 
 
+def _hc_days(feeder: FeederModel, profiles, lane: Lane, day) -> Iterator[SimulationTrace]:
+    """The network-aware and then the passive trace at a network-aware HC,
+    each rebuilt as it is read from ``lane``, the HC's, and ``day``, the
+    network-aware day its kernel lane kept."""
+    yield _replay(feeder, profiles, lane, day)[1]
+    yield _replay(feeder, profiles, lane._replace(params=None))[1]
+
+
 def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
     feeder, profiles = config.feeder, config.profiles
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -527,11 +543,12 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
     _write(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
     if config.mode in ("passive", "network_aware", "compare"):
-        # two kernel passes: one judged call holds every label's network-aware
-        # power grid, unkeyed as qos_by_power.csv reads all of it, and each
-        # passive grid under its own key; then one recorded call for the days
-        # at the network-aware HCs. Network-aware ev_count searches run in
-        # rounds between them: a QoS breach is known only at the end of a day.
+        # one kernel pass: one judged call holds every label's network-aware
+        # power grid, unkeyed as qos_by_power.csv reads all of it and the day
+        # at its HC is rebuilt from it, and each passive grid under its own
+        # key. Network-aware ev_count searches run in rounds after it, as a
+        # QoS breach is known only at the end of a day; their HCs lie outside
+        # the power grid, so one more call simulates the days at them.
         modes = [m for m in ("passive", "network_aware") if config.mode in (m, "compare")]
         runs = []
         for label in config.scenario_labels:
@@ -546,7 +563,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
             spans.append(slice(len(jobs), len(jobs) + len(points)))
             jobs += [(point, cfg, mode) for point in points]
             keys += [i if passive else None] * len(points)
-        judged = _evaluate(feeder, profiles, jobs, keys) if jobs else []
+        days, judged = _evaluate_days(feeder, profiles, jobs, keys) if jobs else ([], [])
         grids = [judged[span] for span in spans]
 
         in_rounds = config.dimension != SWEEP_POWER  # the network-aware ev_count searches
@@ -558,20 +575,22 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
             else _reduce_search(grid, search, mode)
             for (_, search, mode), grid in zip(runs, grids)
         ]
-        lanes = {}  # run index -> its day at the HC, network-aware and passive
+        at_hc = {}  # run index -> the network-aware lane at its HC and the day it kept
         for i, ((fleet, search, mode), report) in enumerate(zip(runs, reports)):
             if mode != "passive" and not isinstance(report, Exception) and report.hc is not None:
-                _, sessions, kw = next(p for p in _points(fleet, search) if p[0] == report.hc)
-                lanes[i] = [Lane(sessions, kw, config.doe), Lane(sessions, kw)]
-        days = iter(_simulate_lanes(feeder, profiles, sum(lanes.values(), [])) if lanes else ())
-        hc_days = {i: (next(days), next(days)) for i in lanes}
+                points = _points(fleet, search)
+                k = next(k for k, point in enumerate(points) if point[0] == report.hc)
+                day = None if in_rounds else days[spans[i]][k]
+                at_hc[i] = Lane(*points[k][1:], config.doe), day
+        if in_rounds and at_hc:
+            alone = _simulate_lanes(feeder, profiles, [lane for lane, _ in at_hc.values()])
+            at_hc = {i: (lane, day) for (i, (lane, _)), day in zip(at_hc.items(), alone)}
 
         table = ["scenario,mode,hc,limiting_factor,qos_at_hc,min_qos_at_hc"]
         for i, ((_, search, mode), grid) in enumerate(zip(runs, grids)):
             label, report = search.scenario, _raised(reports[i])
-            _write_search_outputs(
-                out_dir / f"{mode}_{label}", report, feeder, grid, hc_days.get(i, ())
-            )
+            hc_days = _hc_days(feeder, profiles, *at_hc[i]) if i in at_hc else ()
+            _write_search_outputs(out_dir / f"{mode}_{label}", report, feeder, grid, hc_days)
             limiting = "unconstrained" if report.unconstrained else report.limiting_factor
             table.append(  # a passive report has no QoS, so its QoS cells are empty
                 f"{label},{mode},{fmt(report.hc)},{limiting},"

@@ -17,8 +17,11 @@ This module also contains the day-long quasi-static simulation for both
 regimes: ``network_aware_horizon`` (envelope active, voltage fed back) and
 ``passive_horizon`` (uncontrolled charging, same bookkeeping). Both walk the
 circular day starting from a session-free step so wrapped sessions are
-visited arrival-first. Both are the one-lane case of ``_simulate_lanes``,
-which steps many days ("lanes") through the day together.
+visited arrival-first. The one kernel, ``_simulate_lanes``, steps many days
+("lanes") through the day together and keeps only what its callers read;
+``_replay`` rebuilds a day's trace from what its lane kept, with no fixed
+point. A network-aware horizon is one kernel lane, replayed; a passive one
+needs no kernel, as its EVs are granted what they desire.
 """
 
 from __future__ import annotations
@@ -44,9 +47,7 @@ from .trace import (
     ZONE_NONE,
     ZONE_RED,
     ZONE_YELLOW,
-    Extrema,
     SimulationTrace,
-    TraceSummary,
     fmt,
 )
 
@@ -213,15 +214,20 @@ class _Stopped(Exception):
 
 @dataclass
 class LaneDay:
-    """A simulated lane. A recorded lane carries its ``trace``; a judged lane
-    carries its ``incidents`` (ordered by step) and trace ``summary``."""
+    """What the kernel keeps of a lane. A judged lane keeps its ``incidents``
+    (ordered by step) and the two extrema a candidate reports. A controlled
+    lane without a search key keeps, per step, the household voltages its
+    last clamp read and its fallback flag, from which ``_replay`` rebuilds
+    its trace."""
 
     sessions: list[EvSession]    # the lane's sessions in feeder order
     delivered_kwh: np.ndarray    # per session, summed arrival first
     fallback_steps: int
-    trace: SimulationTrace | None = None
     incidents: list[Incident] | None = None
-    summary: TraceSummary | None = None
+    min_voltage_pu: float | None = None          # the day's lowest node voltage
+    max_slack_kva: float | None = None           # the day's largest slack apparent power
+    clamp_voltage_pu: np.ndarray | None = None   # (steps, households), feeder slot order
+    fallback: np.ndarray | None = None           # (steps,) bool, the fixed point hit its cap
 
 
 def network_aware_horizon(
@@ -235,7 +241,7 @@ def network_aware_horizon(
 ) -> tuple[list[ChargingTrajectory], SimulationTrace]:
     """Simulate one day of envelope-controlled charging."""
     lane = Lane(sessions, hc_power, params)
-    return _one_day(feeder, profiles, lane, pf_options, baseline_power_factor)
+    return _replay(feeder, profiles, lane, None, pf_options, baseline_power_factor)
 
 
 def passive_horizon(
@@ -247,22 +253,8 @@ def passive_horizon(
     baseline_power_factor: float = DEFAULT_BASELINE_POWER_FACTOR,
 ) -> tuple[list[ChargingTrajectory], SimulationTrace]:
     """Simulate one day of uncontrolled charging (no envelopes)."""
-    return _one_day(feeder, profiles, Lane(sessions, hc_power), pf_options, baseline_power_factor)
-
-
-def _one_day(
-    feeder: FeederModel,
-    profiles: tuple[BaselineLoadProfile, ...],
-    lane: Lane,
-    pf_options: PowerFlowOptions,
-    baseline_power_factor: float,
-) -> tuple[list[ChargingTrajectory], SimulationTrace]:
-    day = _raised(_simulate_lanes(feeder, profiles, [lane], pf_options, baseline_power_factor)[0])
-    trajectories = [
-        ChargingTrajectory(s, day.trace.ev_power_kw[:, i].copy(), float(day.delivered_kwh[i]))
-        for i, s in enumerate(day.sessions)
-    ]
-    return trajectories, day.trace
+    lane = Lane(sessions, hc_power)
+    return _replay(feeder, profiles, lane, None, pf_options, baseline_power_factor)
 
 
 def _raised(outcome):
@@ -279,6 +271,68 @@ class _Rows(SimpleNamespace):
 
     def take(self, lanes: np.ndarray, names=None) -> _Rows:  # of every array, or of ``names``
         return _Rows(**{name: getattr(self, name)[lanes] for name in names or vars(self)})
+
+
+def _start(
+    feeder: FeederModel, profiles: tuple[BaselineLoadProfile, ...], lanes: list[Lane]
+) -> tuple[list, list[tuple[int, list[EvSession]]], np.ndarray | None, _Rows]:
+    """The set-up the kernel and ``_replay`` share: each lane's ``ValueError``
+    if it cannot start, else None; ``(lane index, sessions in feeder order)``
+    of the others; the baseline; and their rows. EVs are indexed by household
+    slot; a household without a session has an EV of duration 0."""
+    comp = feeder.compiled
+    n_house = len(comp.household_ids)
+    out: list = [None] * len(lanes)
+    try:
+        baseline, baseline_error = baseline_matrix(feeder, profiles), None
+    except ValueError as exc:
+        baseline, baseline_error = None, exc
+    started, first = [], []
+    for j, lane in enumerate(lanes):
+        try:
+            if lane.hc_power <= 0:
+                raise ValueError("hc_power must be > 0")
+            ordered = _sessions_in_feeder_order(feeder, lane.sessions)
+            if baseline_error is not None:
+                raise baseline_error
+            first.append(quiet_step(ordered))
+            started.append((j, ordered))
+        except ValueError as exc:
+            out[j] = exc
+    count = len(started)
+    rows = _Rows(
+        row=np.arange(count),
+        start=np.array(first, dtype=int),
+        arrival=np.zeros((count, n_house), dtype=int),
+        duration=np.zeros((count, n_house), dtype=int),
+        requested=np.zeros((count, n_house)),
+        p_max=np.array([[lanes[j].hc_power] * n_house for j, _ in started], dtype=float),
+        delivered=np.zeros((count, n_house)),
+    )
+    for r, (j, ordered) in enumerate(started):
+        for s in ordered:
+            h = comp.household_slot[s.household]
+            rows.arrival[r, h] = s.arrival_step
+            rows.duration[r, h] = s.duration_steps
+            rows.requested[r, h] = s.requested_kwh
+            rows.p_max[r, h] = min(lanes[j].hc_power, s.rated_kw)
+    params = [lanes[j].params for j, _ in started]
+    shapes = [p or DoeParams() for p in params]  # uncontrolled lanes never use theirs
+    rows.controlled = np.array([p is not None for p in params], dtype=bool)
+    rows.fixed_point = np.array(
+        [p is not None and p.voltage_source == "fixed_point" for p in params], dtype=bool
+    )
+    for name in _SHAPE:
+        setattr(rows, name, np.array([[getattr(p, name)] for p in shapes]))
+    return out, started, baseline, rows
+
+
+def _demand(rows: _Rows, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which EVs of each row are connected at its step ``t``, and the power
+    each desires: as fast as allowed until its request is met."""
+    connected = (t[:, np.newaxis] - rows.arrival) % STEPS_PER_DAY < rows.duration
+    desired = np.minimum(rows.p_max, (rows.requested - rows.delivered) / STEP_HOURS)
+    return connected, np.where(connected, desired, 0.0)
 
 
 def _simulate_lanes(
@@ -301,9 +355,9 @@ def _simulate_lanes(
     solution of a row they have in common (``_solve_distinct``).
 
     A lane that cannot start (``ValueError``) or whose power flow collapses
-    ends as that exception; the other lanes carry on. With ``judge``, lanes
-    keep no whole-day arrays: each step's limit crossings and extrema are
-    folded in as it is solved. Without it, every lane records its trace.
+    ends as that exception; the other lanes carry on. No lane records its
+    trace: each keeps only what ``LaneDay`` lists, with ``judge`` folding in
+    each step's limit crossings and the two extrema as it is solved.
 
     Judged lanes with a ``search`` key are its candidates in candidate order.
     A step that ends with an incident or a collapse in one of them stops the
@@ -313,87 +367,29 @@ def _simulate_lanes(
     steps = STEPS_PER_DAY
     comp = feeder.compiled
     labels = tuple(f"{b.from_node}->{b.to_node}" for b in feeder.branches)
-    n_house, n_node, n_branch = len(comp.household_ids), len(comp.node_ids), len(labels)
-    out: list[LaneDay | Exception | None] = [None] * len(lanes)
-    try:
-        baseline, baseline_error = baseline_matrix(feeder, profiles, steps), None
-    except ValueError as exc:
-        baseline, baseline_error = None, exc
-
-    started = []  # (lane index, sessions in feeder order, first step)
-    for j, lane in enumerate(lanes):
-        try:
-            if lane.hc_power <= 0:
-                raise ValueError("hc_power must be > 0")
-            ordered = _sessions_in_feeder_order(feeder, lane.sessions)
-            if baseline_error is not None:
-                raise baseline_error
-            started.append((j, ordered, quiet_step(ordered)))
-        except ValueError as exc:
-            out[j] = exc
+    out, started, baseline, rows = _start(feeder, profiles, lanes)
     if not started:
         return out
+    count, n_house = len(started), len(comp.household_ids)
     baseline_q = baseline * tan(acos(baseline_power_factor))
     base = SimpleNamespace(p=baseline, q=baseline_q, weights=np.sqrt(np.arange(2.0, n_house + 2.0)))
     base.key = np.arange(steps) + 1j * np.einsum("ij,j->i", baseline, base.weights)
     base.solution = _solve_lanes(feeder, baseline, baseline_q, pf_options, list(range(steps)))
 
-    # EVs are indexed by household slot; a household without a session has
-    # an EV that is never connected
-    count = len(started)
-    rows = _Rows(
-        row=np.arange(count),
-        start=np.array([first for _, _, first in started]),
-        arrival=np.zeros((count, n_house), dtype=int),
-        duration=np.zeros((count, n_house), dtype=int),
-        requested=np.zeros((count, n_house)),
-        p_max=np.array([[lanes[j].hc_power] * n_house for j, _, _ in started], dtype=float),
-        delivered=np.zeros((count, n_house)),
-        v_house=np.ones((count, n_house)),  # previous-step voltages, pu
-    )
-    present = np.zeros((count, n_house), dtype=bool)
-    for r, (j, ordered, _) in enumerate(started):
-        for s in ordered:
-            h = comp.household_slot[s.household]
-            rows.arrival[r, h] = s.arrival_step
-            rows.duration[r, h] = s.duration_steps
-            rows.requested[r, h] = s.requested_kwh
-            rows.p_max[r, h] = min(lanes[j].hc_power, s.rated_kw)
-            present[r, h] = True
-    params = [lanes[j].params for j, _, _ in started]
-    shapes = [p or DoeParams() for p in params]  # uncontrolled lanes never use theirs
-    rows.controlled = np.array([p is not None for p in params])
-    rows.fixed_point = np.array(
-        [p is not None and p.voltage_source == "fixed_point" for p in params]
-    )
-    for name in _SHAPE:
-        setattr(rows, name, np.array([[getattr(p, name)] for p in shapes]))
+    rows.v_house = np.ones((count, n_house))  # the voltages the next clamp reads, pu
     keys: dict = {None: -1}  # search key -> id; rows run in lane order
-    if judge is not None and any(lane.search is not None for lane in lanes):
-        ids = [keys.setdefault(lanes[j].search, len(keys) - 1) for j, _, _ in started]
-        rows.search = np.array(ids)
-
+    keyed = judge is not None and any(lane.search is not None for lane in lanes)
+    rows.search = np.array(
+        [keys.setdefault(lanes[j].search, len(keys) - 1) if keyed else -1 for j, _ in started]
+    )
+    keep = rows.controlled & (rows.search < 0)
+    rows.kept = np.where(keep, keep.cumsum() - 1, -1)  # the lane's row of the kept arrays
+    clamp_voltage = np.ones((np.count_nonzero(keep), steps, n_house))
+    fallback_at = np.zeros((np.count_nonzero(keep), steps), dtype=bool)
     fallback_steps = np.zeros(count, dtype=int)
-    delivered = np.zeros((count, n_house))
-    if judge is None:
-        record = SimpleNamespace(
-            voltage=np.zeros((count, steps, n_node)),
-            current=np.zeros((count, steps, n_branch)),
-            slack_p=np.zeros((count, steps)),
-            slack_q=np.zeros((count, steps)),
-            converged=np.zeros((count, steps), dtype=bool),
-            iterations=np.zeros((count, steps), dtype=int),
-            residual=np.zeros((count, steps)),
-            granted=np.zeros((count, steps, n_house)),
-            desired=np.zeros((count, steps, n_house)),
-            floor=np.full((count, steps, n_house), np.nan),
-            cap=np.full((count, steps, n_house), np.nan),
-            zone=np.full((count, steps, n_house), ZONE_NONE, dtype=np.int8),
-            fallback=np.zeros((count, steps), dtype=bool),
-        )
-    else:
-        extrema = Extrema(count, n_node, n_branch)
+    if judge is not None:
         incidents: list[list[Incident]] = [[] for _ in range(count)]
+        low_voltage, max_slack_kva = np.full(count, np.inf), np.full(count, -np.inf)
 
     def fail(r: int, exc: Exception) -> None:
         alive[r] = False
@@ -402,33 +398,27 @@ def _simulate_lanes(
     for k in range(steps):
         n = len(rows.row)
         t = (rows.start + k) % steps
-        connected = (t[:, np.newaxis] - rows.arrival) % steps < rows.duration
-        # an EV charges as fast as allowed until its request is met
-        desired = np.where(
-            connected, np.minimum(rows.p_max, (rows.requested - rows.delivered) / STEP_HOURS), 0.0
-        )
+        connected, desired = _demand(rows, t)
         controlled = rows.controlled & connected.any(axis=1)
         alive = np.ones(n, dtype=bool)
         for r in np.flatnonzero(controlled & (desired < 0).any(axis=1)):
             fail(r, ValueError("desired power must be >= 0"))
 
         ev_kw = desired.copy()
-        floor = np.full((n, n_house), np.nan)
-        cap = np.full((n, n_house), np.nan)
-        zone = np.full((n, n_house), ZONE_NONE, dtype=np.int8)
-        voltage = np.zeros((n, n_node))
-        current = np.zeros((n, n_branch))
+        voltage = np.zeros((n, len(comp.node_ids)))
+        current = np.zeros((n, len(labels)))
         slack_p, slack_q, residual = np.zeros(n), np.zeros(n), np.zeros(n)
         converged = np.zeros(n, dtype=bool)
-        iterations = np.zeros(n, dtype=int)
         todo = np.flatnonzero(alive)
         for it in range(FIXED_POINT_MAX_ITER):
             clamp = todo[controlled[todo]]
             if clamp.size:
                 clamped = rows.take(clamp, ("v_house", "p_max", *_SHAPE))
-                ev_kw[clamp], (floor[clamp], cap[clamp], zone[clamp]) = _apply_envelope(
+                ev_kw[clamp] = _apply_envelope(
                     desired[clamp], connected[clamp], clamped.v_house, clamped.p_max, clamped
-                )
+                )[0]
+                held = clamp[rows.kept[clamp] >= 0]
+                clamp_voltage[rows.kept[held], t[held]] = rows.v_house[held]
             if it:  # a lane whose clamp did not move holds its solution: it has settled
                 todo = todo[(ev_kw[todo] != previous[todo]).any(axis=1)]
                 if not todo.size:
@@ -445,8 +435,7 @@ def _simulate_lanes(
                         fail(r, VoltageCollapseError(exc.min_voltage_pu, exc.iteration, exc.step))
             voltage[solved], current[solved] = sol.voltage_pu, sol.branch_current_a
             slack_p[solved], slack_q[solved] = sol.slack_p_kw, sol.slack_q_kvar
-            converged[solved], iterations[solved] = sol.converged, sol.iterations
-            residual[solved] = sol.residual_pu
+            converged[solved], residual[solved] = sol.converged, sol.residual_pu
             rows.v_house[solved] = sol.voltage_pu[:, comp.household_voltage]
             iterating = solved[rows.fixed_point[solved] & controlled[solved] & alive[solved]]
             if it:
@@ -462,27 +451,20 @@ def _simulate_lanes(
 
         live = np.flatnonzero(alive)
         lane_rows, t_live = rows.row[live], t[live]
-        if judge is None:
-            for name, value in (
-                ("voltage", voltage), ("current", current), ("slack_p", slack_p),
-                ("slack_q", slack_q), ("converged", converged), ("iterations", iterations),
-                ("residual", residual), ("granted", ev_kw), ("desired", desired),
-                ("floor", floor), ("cap", cap), ("zone", zone), ("fallback", fallback),
-            ):
-                getattr(record, name)[lane_rows, t_live] = value[live]
-        else:
-            block = (
-                t_live[:, np.newaxis],
-                voltage[live, np.newaxis],
-                current[live, np.newaxis],
-                np.hypot(slack_p, slack_q)[live, np.newaxis],
-                converged[live, np.newaxis],
+        fallback_steps[lane_rows] += fallback[live]
+        held = live[rows.kept[live] >= 0]
+        fallback_at[rows.kept[held], t[held]] = fallback[held]
+        if judge is not None:
+            kva = np.hypot(slack_p, slack_q)[live]
+            found = crossings(
+                judge, comp.node_ids, labels, t_live[:, np.newaxis], voltage[live, np.newaxis],
+                current[live, np.newaxis], kva[:, np.newaxis], converged[live, np.newaxis],
+                residual[live, np.newaxis],
             )
-            found = crossings(judge, comp.node_ids, labels, *block, residual[live, np.newaxis])
             for r, crossed in zip(lane_rows, found):
                 incidents[r].extend(crossed)
-            extrema.add(lane_rows, *block)
-        fallback_steps[lane_rows] += fallback[live]
+            low_voltage[lane_rows] = np.minimum(low_voltage[lane_rows], voltage[live].min(axis=1))
+            max_slack_kva[lane_rows] = np.maximum(max_slack_kva[lane_rows], kva)
         if len(keys) > 1:  # a search's first incident or collapse this step stops later lanes
             hit, ended = np.zeros(n, dtype=bool), np.flatnonzero(~alive)
             hit[live] = [bool(crossed) for crossed in found]
@@ -496,42 +478,96 @@ def _simulate_lanes(
             rows = rows.take(alive)
             if not len(rows.row):
                 break
-    delivered[rows.row] = rows.delivered
 
-    for r, (j, ordered, _) in enumerate(started):
-        if out[j] is not None:
-            continue
-        ev = present[r]
-        day = LaneDay(ordered, delivered[r, ev], int(fallback_steps[r]))
-        if judge is None:
-            day.trace = SimulationTrace(
-                step_count=steps,
-                step_hours=STEP_HOURS,
-                node_ids=comp.node_ids,
-                branch_labels=labels,
-                household_ids=tuple(s.household for s in ordered),
-                voltage_pu=record.voltage[r],
-                branch_current_a=record.current[r],
-                slack_p_kw=record.slack_p[r],
-                slack_q_kvar=record.slack_q[r],
-                converged=record.converged[r],
-                iterations=record.iterations[r],
-                residual_pu=record.residual[r],
-                ev_power_kw=record.granted[r][:, ev],
-                ev_desired_kw=record.desired[r][:, ev],
-                envelope_floor_kw=record.floor[r][:, ev],
-                envelope_cap_kw=record.cap[r][:, ev],
-                envelope_zone=record.zone[r][:, ev],
-                delivered_kwh=day.delivered_kwh,
-                control_active=lanes[j].params is not None,
-                fixed_point_fallback=record.fallback[r],
-            )
-            day.trace.validate()
-        else:
-            day.incidents = sorted(incidents[r], key=lambda inc: inc.step)
-            day.summary = extrema.summary(r, comp.node_ids, comp.ampacity_a, day.delivered_kwh)
+    for r, lane in enumerate(rows.row):  # the lanes that ran their whole day
+        j, ordered = started[lane]
+        day = LaneDay(ordered, rows.delivered[r, rows.duration[r] > 0], int(fallback_steps[lane]))
+        if judge is not None:
+            day.incidents = sorted(incidents[lane], key=lambda inc: inc.step)
+            day.min_voltage_pu = float(low_voltage[lane])
+            day.max_slack_kva = float(max_slack_kva[lane])
+        if rows.kept[r] >= 0:
+            day.clamp_voltage_pu = clamp_voltage[rows.kept[r]]
+            day.fallback = fallback_at[rows.kept[r]]
         out[j] = day
     return out
+
+
+def _replay(
+    feeder: FeederModel,
+    profiles: tuple[BaselineLoadProfile, ...],
+    lane: Lane,
+    day: LaneDay | None = None,
+    pf_options: PowerFlowOptions = PowerFlowOptions(),
+    baseline_power_factor: float = DEFAULT_BASELINE_POWER_FACTOR,
+) -> tuple[list[ChargingTrajectory], SimulationTrace]:
+    """The day of ``lane``, rebuilt with no fixed point: each step replays
+    desired -> clamp at the voltages the kernel's last clamp read (kept in
+    ``day``; a controlled lane given none is simulated alone first) ->
+    grants, and the final rows of all steps are solved in one call. A row's
+    solution depends on that row alone and the envelope is elementwise, so
+    this is the kernel's trace, bit for bit. An uncontrolled lane keeps
+    nothing and is granted its desired power; it raises the first error of
+    its day in step order, as the kernel would (a negative injection before
+    a collapse)."""
+    steps, comp, controlled = STEPS_PER_DAY, feeder.compiled, lane.params is not None
+    if controlled and day is None:
+        day = _simulate_lanes(feeder, profiles, [lane], pf_options, baseline_power_factor)[0]
+    out, started, baseline, rows = _start(feeder, profiles, [lane])
+    _raised(out[0])
+    _raised(day)
+    shape = (steps, len(comp.household_ids))
+    granted, desired = np.zeros(shape), np.zeros(shape)
+    floor, cap = np.full(shape, np.nan), np.full(shape, np.nan)
+    zone = np.full(shape, ZONE_NONE, dtype=np.int8)
+    order = (rows.start[0] + np.arange(steps)) % steps
+    for t in order[:, np.newaxis]:
+        connected, wanted = _demand(rows, t)
+        ev_kw = wanted
+        if controlled:
+            ev_kw, (floor[t], cap[t], zone[t]) = _apply_envelope(
+                wanted, connected, day.clamp_voltage_pu[t], rows.p_max, rows
+            )
+        granted[t], desired[t] = ev_kw, wanted
+        rows.delivered += ev_kw * STEP_HOURS
+    p_kw = baseline + granted
+    q_kvar = baseline * tan(acos(baseline_power_factor))
+    sol = _solve_lanes(feeder, p_kw, q_kvar, pf_options, list(range(steps)))
+    negative = (p_kw < 0).any(axis=1)
+    for t in order:
+        if negative[t]:
+            raise ValueError("active injections must be >= 0 (loads only)")
+        _raised(sol.collapse[t])
+
+    ev, sessions = rows.duration[0] > 0, started[0][1]
+    trace = SimulationTrace(
+        step_count=steps,
+        step_hours=STEP_HOURS,
+        node_ids=comp.node_ids,
+        branch_labels=tuple(f"{b.from_node}->{b.to_node}" for b in feeder.branches),
+        household_ids=tuple(s.household for s in sessions),
+        voltage_pu=sol.voltage_pu,
+        branch_current_a=sol.branch_current_a,
+        slack_p_kw=sol.slack_p_kw,
+        slack_q_kvar=sol.slack_q_kvar,
+        converged=sol.converged,
+        iterations=sol.iterations,
+        residual_pu=sol.residual_pu,
+        ev_power_kw=granted[:, ev],
+        ev_desired_kw=desired[:, ev],
+        envelope_floor_kw=floor[:, ev],
+        envelope_cap_kw=cap[:, ev],
+        envelope_zone=zone[:, ev],
+        delivered_kwh=rows.delivered[0, ev],
+        control_active=controlled,
+        fixed_point_fallback=day.fallback if controlled else np.zeros(steps, dtype=bool),
+    )
+    trace.validate()
+    trajectories = [
+        ChargingTrajectory(s, trace.ev_power_kw[:, i].copy(), float(trace.delivered_kwh[i]))
+        for i, s in enumerate(sessions)
+    ]
+    return trajectories, trace
 
 
 def _apply_envelope(

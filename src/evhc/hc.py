@@ -138,13 +138,19 @@ def _failure(result: CandidateResult, qos_threshold: float) -> CandidateResult:
     return replace(result, qos_breach=breach, failure=failure)
 
 
-def _evaluate(
+def _evaluate(feeder, profiles, jobs, searches=None) -> list[CandidateResult | Exception]:
+    """The judged candidates of ``_evaluate_days``."""
+    return _evaluate_days(feeder, profiles, jobs, searches)[1]
+
+
+def _evaluate_days(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
     jobs: list[tuple[tuple[float, list[EvSession], float], HcSearchConfig, str]],
     searches: list | None = None,
-) -> list[CandidateResult | Exception]:
-    """Simulate candidate days in one kernel call and judge each.
+) -> tuple[list[LaneDay | Exception], list[CandidateResult | Exception]]:
+    """Simulate candidate days in one kernel call and judge each: each job's
+    day, as the kernel keeps it, and its candidate result.
 
     A job is a candidate point ``(candidate, sessions, power)``, its search
     config and mode. The jobs share the first config's limits and solver
@@ -163,7 +169,7 @@ def _evaluate(
         judge=IncidentLimits.from_feeder(feeder, config.v_lower_pu, config.v_upper_pu),
     )
     energy: dict = {}  # (session, power) -> its uncontrolled energy, shared by the jobs
-    return [_judge(day, *job, energy) for day, job in zip(days, jobs)]
+    return days, [_judge(day, *job, energy) for day, job in zip(days, jobs)]
 
 
 def _judge(
@@ -194,8 +200,8 @@ def _judge(
         candidate=candidate,
         incidents=day.incidents,
         qos=qos,
-        overall_min_voltage_pu=day.summary.overall_min_voltage_pu,
-        max_slack_kva=day.summary.max_slack_kva,
+        overall_min_voltage_pu=day.min_voltage_pu,
+        max_slack_kva=day.max_slack_kva,
         fixed_point_fallback_steps=day.fallback_steps,
     )
     return _failure(result, config.qos_threshold)
@@ -370,12 +376,18 @@ def fleet_for_scenario(
     scenario: EnergyScenario,
     config: HcSearchConfig,
 ) -> list[EvSession]:
-    """The generated fleet of one scenario, seeded by ``[seed, scenario index]``."""
-    index = list(DEFAULT_SCENARIOS).index(scenario.label) if scenario.label in DEFAULT_SCENARIOS else 0
+    """The generated fleet of one scenario. A default label is seeded by
+    ``[seed, i]``, i its index in ``DEFAULT_SCENARIOS``; any other label by
+    ``[seed, 3, n, b1, ..., bn]``, its n UTF-8 bytes: a stream of its own."""
+    if scenario.label in DEFAULT_SCENARIOS:
+        stream = [list(DEFAULT_SCENARIOS).index(scenario.label)]
+    else:
+        text = scenario.label.encode()
+        stream = [len(DEFAULT_SCENARIOS), len(text), *text]
     return generate_fleet(
         scenario,
         feeder.household_ids,
-        seed=[config.seed, index],
+        seed=[config.seed, *stream],
         rated_power_kw=config.rated_power_kw,
     )
 

@@ -84,7 +84,7 @@ class SimulationTrace:
 
 @dataclass(frozen=True)
 class TraceSummary:
-    """Extrema and totals of one trace; what sweeps keep instead of traces."""
+    """Extrema and totals of one trace."""
 
     min_voltage_pu: np.ndarray       # (N,)
     max_voltage_pu: np.ndarray       # (N,)
@@ -99,93 +99,26 @@ class TraceSummary:
 
 
 def summarize(trace: SimulationTrace, branch_ampacity_a: np.ndarray | None = None) -> TraceSummary:
-    """Reduce a trace to per-element extrema and per-EV energy totals."""
-    extrema = Extrema(1, len(trace.node_ids), len(trace.branch_labels))
-    extrema.add(
-        np.zeros(1, dtype=int),
-        np.arange(trace.step_count)[np.newaxis],
-        trace.voltage_pu[np.newaxis],
-        trace.branch_current_a[np.newaxis],
-        trace.slack_kva[np.newaxis],
-        trace.converged[np.newaxis],
+    """Reduce a trace to per-element extrema and per-EV energy totals. The
+    overall minimum voltage goes to the earliest step on a tie."""
+    max_i = trace.branch_current_a.max(axis=0)
+    if branch_ampacity_a is None:
+        loading = np.full_like(max_i, np.nan)
+    else:
+        loading = max_i / np.asarray(branch_ampacity_a, dtype=float)
+    step, node = divmod(int(np.argmin(trace.voltage_pu)), len(trace.node_ids))  # [step, node] order
+    return TraceSummary(
+        min_voltage_pu=trace.voltage_pu.min(axis=0),
+        max_voltage_pu=trace.voltage_pu.max(axis=0),
+        max_branch_current_a=max_i,
+        max_branch_loading=loading,
+        max_slack_kva=float(trace.slack_kva.max()),
+        ev_energy_kwh=trace.delivered_kwh.copy(),
+        all_converged=bool(trace.converged.all()),
+        overall_min_voltage_pu=float(trace.voltage_pu[step, node]),
+        overall_min_voltage_node=trace.node_ids[node],
+        overall_min_voltage_step=step,
     )
-    return extrema.summary(0, trace.node_ids, branch_ampacity_a, trace.delivered_kwh)
-
-
-class Extrema:
-    """Running extrema of many lanes' solved steps, folded block by block:
-    what ``summarize`` keeps of a trace, without keeping the trace. The
-    overall minimum voltage goes to the earliest step on a tie, whatever
-    order the steps arrive in."""
-
-    def __init__(self, lanes: int, n_nodes: int, n_branches: int):
-        self.min_voltage = np.full((lanes, n_nodes), np.inf)
-        self.max_voltage = np.full((lanes, n_nodes), -np.inf)
-        self.max_current = np.full((lanes, n_branches), -np.inf)
-        self.max_slack_kva = np.full(lanes, -np.inf)
-        self.all_converged = np.ones(lanes, dtype=bool)
-        self.low_voltage = np.full(lanes, np.inf)
-        self.low_node = np.zeros(lanes, dtype=int)
-        self.low_step = np.zeros(lanes, dtype=int)
-
-    def add(
-        self,
-        lanes: np.ndarray,
-        steps: np.ndarray,
-        voltage_pu: np.ndarray,
-        branch_current_a: np.ndarray,
-        slack_kva: np.ndarray,
-        converged: np.ndarray,
-    ) -> None:
-        """Fold in a block: row r belongs to lane ``lanes[r]`` and its arrays
-        are indexed [r, k] or [r, k, element], ``steps[r, k]`` the step.
-        A block of no rows (every lane ended at that step) changes nothing."""
-        if not len(lanes):
-            return
-        self.min_voltage[lanes] = np.minimum(self.min_voltage[lanes], voltage_pu.min(axis=1))
-        self.max_voltage[lanes] = np.maximum(self.max_voltage[lanes], voltage_pu.max(axis=1))
-        self.max_current[lanes] = np.maximum(
-            self.max_current[lanes], branch_current_a.max(axis=1)
-        )
-        self.max_slack_kva[lanes] = np.maximum(self.max_slack_kva[lanes], slack_kva.max(axis=1))
-        self.all_converged[lanes] &= converged.all(axis=1)
-        rows = np.arange(len(lanes))
-        flat = voltage_pu.reshape(len(lanes), -1)
-        at = flat.argmin(axis=1)  # first in [k, node] order
-        low = flat[rows, at]
-        k, node = np.divmod(at, voltage_pu.shape[2])
-        step = steps[rows, k]
-        held = self.low_voltage[lanes]
-        better = (low < held) | ((low == held) & (step < self.low_step[lanes]))
-        won = lanes[better]
-        self.low_voltage[won] = low[better]
-        self.low_node[won] = node[better]
-        self.low_step[won] = step[better]
-
-    def summary(
-        self,
-        lane: int,
-        node_ids: tuple[str, ...],
-        branch_ampacity_a: np.ndarray | None,
-        delivered_kwh: np.ndarray,
-    ) -> TraceSummary:
-        max_i = self.max_current[lane]
-        if branch_ampacity_a is None:
-            loading = np.full_like(max_i, np.nan)
-        else:
-            loading = max_i / np.asarray(branch_ampacity_a, dtype=float)
-        return TraceSummary(
-            min_voltage_pu=self.min_voltage[lane],
-            max_voltage_pu=self.max_voltage[lane],
-            max_branch_current_a=max_i,
-            max_branch_loading=loading,
-            max_slack_kva=float(self.max_slack_kva[lane]),
-            ev_energy_kwh=delivered_kwh.copy(),
-            all_converged=bool(self.all_converged[lane]),
-            overall_min_voltage_pu=float(self.low_voltage[lane]),
-            overall_min_voltage_node=node_ids[self.low_node[lane]],
-            overall_min_voltage_step=int(self.low_step[lane]),
-        )
 
 
 def fmt(x: float | None) -> str:

@@ -231,28 +231,34 @@ def _kernel_calls(monkeypatch, lanes: list | None = None) -> list:
 def test_network_aware_run_simulates_each_grid_candidate_once(tmp_path, monkeypatch):
     """The network-aware grid is judged once, and the search is its
     first-failure reduction, so the 12-point grid costs 12 network-aware
-    days, plus one to record the day at the capacity."""
+    days; the day at the capacity is rebuilt from its grid lane."""
     calls = _kernel_calls(monkeypatch)
     path = _write_scenario(tmp_path)
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
-    assert sum(aware for _, aware, _ in calls) == 12 + 1
+    assert sum(aware for _, aware, _ in calls) == 12
 
 
-def test_compare_run_makes_two_kernel_passes(tmp_path, monkeypatch):
+def test_compare_run_makes_one_kernel_pass(tmp_path, monkeypatch):
     """One judged call holds every label's network-aware grid and, keyed by
-    label, its passive grid; one recorded call holds the network-aware and
-    passive day at each capacity. A passive run makes the judged call alone."""
+    label, its passive grid; the network-aware and passive day at each
+    capacity are rebuilt without another kernel call. A passive run makes
+    the judged call alone. A network-aware horizon is one kernel call and
+    then one solve of its rebuilt day; a passive horizon is that solve alone."""
+    from evhc.doe import network_aware_horizon, passive_horizon
+    from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
+    from evhc.feeder import bundled_baseline_profiles, bundled_feeder
+
     lanes = []
     calls = _kernel_calls(monkeypatch, lanes)
     labels = ["low", "medium", "high"]
     path = _write_scenario(tmp_path, mode="compare", scenarios=labels)
     out = tmp_path / "out"
     assert main(["run", str(path), "--output-dir", str(out)]) == 0
-    with_hc = sum(
+    assert all(
         json.loads((out / f"network_aware_{label}" / "report.json").read_text())["hc"] is not None
         for label in labels
     )
-    assert with_hc and calls == [(True, 3 * 12, 3 * 12), (False, with_hc, with_hc)]
+    assert calls == [(True, 3 * 12, 3 * 12)]
     assert {lane.search for lane in lanes[0] if lane.params is not None} == {None}
     keys = [lane.search for lane in lanes[0] if lane.params is None]  # one key per label
     assert None not in keys and [keys.count(k) for k in dict.fromkeys(keys)] == [12] * len(labels)
@@ -261,6 +267,28 @@ def test_compare_run_makes_two_kernel_passes(tmp_path, monkeypatch):
     path = _write_scenario(tmp_path, mode="passive", scenarios=labels)
     assert main(["run", str(path), "--output-dir", str(tmp_path / "passive")]) == 0
     assert calls == [(True, 0, 3 * 12)]
+
+    events = []
+    kernel, solve = evhc.doe._simulate_lanes, evhc.doe._solve_lanes
+
+    def kernel_call(*args, **kwargs):
+        days = kernel(*args, **kwargs)
+        events.append("kernel")
+        return days
+
+    def solve_call(*args, **kwargs):
+        events.append("solve")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(evhc.doe, "_simulate_lanes", kernel_call)
+    monkeypatch.setattr(evhc.doe, "_solve_lanes", solve_call)
+    feeder, profiles = bundled_feeder(), bundled_baseline_profiles()
+    fleet = generate_fleet(DEFAULT_SCENARIOS["low"], feeder.household_ids, seed=1)
+    network_aware_horizon(feeder, profiles, fleet, 7.0, evhc.doe.DoeParams())
+    assert events.count("kernel") == 1 and events[events.index("kernel") + 1:] == ["solve"]
+    events.clear()
+    passive_horizon(feeder, profiles, fleet, 7.0)
+    assert events == ["solve"]
 
 
 @pytest.mark.parametrize(
@@ -680,6 +708,23 @@ def test_example_parses_like_an_empty_file(tmp_path):
     text = example.read_text()
     assert "fleet_file:" in text and "sweep" in text.split("source:")[1].splitlines()[0]
     assert evhc.cli.load_scenario(example) == evhc.cli.load_scenario(empty)
+
+
+@pytest.mark.parametrize(
+    "label", ["a,b", 'a"b', "a\nb", "a\rb", "a/b", "a\\b"],
+    ids=["comma", "quote", "newline", "carriage_return", "slash", "backslash"],
+)
+def test_label_that_would_split_a_row_or_a_path_is_config_error(tmp_path, capsys, label):
+    """A label names result-table rows and output directories, so one that
+    holds a delimiter, a line break or a path separator is refused before
+    any file is written."""
+    path = _write_scenario(
+        tmp_path, mode="sweep_qos_threshold", scenarios=[label],
+        scenario_definitions={label: ALL_DAY},
+    )
+    message = f"configuration error: scenario_definitions.{label}: a label may not contain"
+    _assert_config_error(tmp_path, capsys, path, message)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

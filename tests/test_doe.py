@@ -350,17 +350,21 @@ def test_recorded_envelope_is_the_scalar_envelope(
     """At every connected (step, EV) the recorded floor, cap and zone are
     ``envelope_bound`` at the voltage the envelope used, and the granted
     power is ``clamp_to_envelope`` of the desired power, exactly."""
-    solved = []
+    calls = []
     original = evhc.doe._solve_lanes
 
     def recording(feeder, p_kw, q_kvar, options, steps):
         sol = original(feeder, p_kw, q_kvar, options, steps)
-        solved.extend(zip(steps, sol.voltage_pu))
+        calls.append(list(zip(steps, sol.voltage_pu)))
         return sol
 
     monkeypatch.setattr(evhc.doe, "_solve_lanes", recording)
     fleet = _fleet(feeder, label)
     _, trace = network_aware_horizon(feeder, profiles, fleet, power, params)
+    # the last call solves the rebuilt day's rows; the kernel's calls come before it
+    *kernel, rebuilt = calls
+    assert [t for t, _ in rebuilt] == list(range(trace.step_count))
+    solved = [row for call in kernel for row in call]
     # a step's last clamp used the voltage of the solve just before its last
     # solve: the previous step's (previous_step) or the previous iterate's
     # (fixed point)

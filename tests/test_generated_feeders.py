@@ -1,0 +1,112 @@
+"""The lane kernel and the day rebuild on small random radial feeders.
+
+Every other kernel test runs on the bundled 19-node feeder or a hand-built
+one. Here ``hypothesis`` draws feeders of 2 to 25 nodes with random
+branching, impedances and ampacities, some nodes carrying two households,
+and tiles the bundled profiles over the households. Each day rebuilt from
+what the kernel kept must equal ``reference_day`` bit for bit, and each
+judged lane's incidents and two extrema must equal the reference's.
+"""
+
+from dataclasses import fields
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from evhc.doe import DoeParams, Lane, _raised, _replay, _simulate_lanes
+from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
+from evhc.feeder import (
+    BaselineLoadProfile,
+    Branch,
+    Household,
+    Node,
+    build_feeder,
+    bundled_baseline_profiles,
+)
+from evhc.incidents import IncidentLimits
+from evhc.powerflow import VoltageCollapseError
+from evhc.trace import SimulationTrace
+from reference_day import reference_day, reference_detect, reference_summarize
+
+ENVELOPES = (
+    DoeParams(),
+    DoeParams(factor=0.2, voltage_source="previous_step"),
+    DoeParams(delta_perm=0.1),  # degenerate band: a step at u_min
+)
+
+
+@st.composite
+def _studies(draw):
+    """A random radial feeder, its tiled profiles and a day's lanes."""
+    n = draw(st.integers(2, 25))
+    branches, households = [], []
+    for i in range(1, n):
+        r = draw(st.floats(0.01, 0.2))
+        x = r * draw(st.floats(0.1, 2.0))  # X/R
+        ampacity = draw(st.floats(40.0, 400.0))
+        branches.append(Branch(f"n{draw(st.integers(0, i - 1))}", f"n{i}", r, x, ampacity))
+        for k in range(draw(st.integers(1 if i == n - 1 else 0, 2))):
+            households.append(Household(f"h{i}_{k}", f"n{i}"))
+    feeder = build_feeder(
+        nodes=(Node("n0", is_slack=True), *(Node(f"n{i}") for i in range(1, n))),
+        branches=tuple(branches),
+        households=tuple(households),
+        transformer_kva=draw(st.floats(20.0, 250.0)),
+        base_voltage_v=230.0,
+    )
+    bundled = bundled_baseline_profiles()
+    profiles = tuple(
+        BaselineLoadProfile(h.id, bundled[j % len(bundled)].power_kw)
+        for j, h in enumerate(households)
+    )
+    scenario = DEFAULT_SCENARIOS[draw(st.sampled_from(sorted(DEFAULT_SCENARIOS)))]
+    fleet = generate_fleet(scenario, feeder.household_ids, seed=draw(st.integers(0, 10_000)))
+    power = draw(st.sampled_from([3.0, 7.0, 11.0, 22.0]))
+    return feeder, profiles, [Lane(fleet, power), *(Lane(fleet, power, p) for p in ENVELOPES)]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (ValueError, VoltageCollapseError) as exc:
+        return exc
+
+
+def _assert_same(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    for f in fields(SimulationTrace):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b, equal_nan=b.dtype.kind == "f"), f.name
+        else:
+            assert a == b, f.name
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_studies())
+def test_rebuilt_and_judged_days_equal_the_reference_on_random_feeders(study):
+    feeder, profiles, lanes = study
+    limits = IncidentLimits.from_feeder(feeder)
+    kept = _simulate_lanes(feeder, profiles, lanes)
+    judged = _simulate_lanes(feeder, profiles, lanes, judge=limits)
+    for lane, day, judged_day in zip(lanes, kept, judged):
+        expected = _outcome(lambda: reference_day(
+            feeder, profiles, lane.sessions, lane.hc_power, lane.params
+        )[1])
+        if lane.params is None:  # uncontrolled: rebuilt without the kernel
+            rebuilt = _outcome(lambda: _replay(feeder, profiles, lane)[1])
+        else:
+            rebuilt = _outcome(lambda: _replay(feeder, profiles, lane, _raised(day))[1])
+        _assert_same(rebuilt, expected)
+        if isinstance(expected, Exception):
+            assert type(judged_day) is type(expected) and str(judged_day) == str(expected)
+            continue
+        summary = reference_summarize(expected, feeder.compiled.ampacity_a)
+        assert judged_day.incidents == reference_detect(expected, limits)
+        assert judged_day.min_voltage_pu == summary.overall_min_voltage_pu
+        assert judged_day.max_slack_kva == summary.max_slack_kva
+        assert np.array_equal(judged_day.delivered_kwh, expected.delivered_kwh)

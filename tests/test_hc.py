@@ -35,6 +35,25 @@ def low_fleet(feeder):
     return generate_fleet(DEFAULT_SCENARIOS["low"], feeder.household_ids, [1, 0])
 
 
+def test_each_custom_label_draws_a_fleet_of_its_own(feeder):
+    """A default label keeps its ``[seed, index]`` stream; any other label
+    draws from a stream of its own, so two custom labels with equal
+    definitions, or a custom copy of a default, draw different fleets."""
+    config = HcSearchConfig(seed=3)
+    low = DEFAULT_SCENARIOS["low"]
+
+    def fleet(label, scenario=low):
+        return fleet_for_scenario(feeder, replace(scenario, label=label), config)
+
+    for index, (label, scenario) in enumerate(DEFAULT_SCENARIOS.items()):
+        assert fleet(label, scenario) == generate_fleet(scenario, feeder.household_ids, [3, index])
+    drawn = [fleet(label) for label in ("low", "a", "b", "ab", "a\x00", "\x00a", "low2")]
+    assert len({tuple(fleet) for fleet in drawn}) == len(drawn)
+    assert fleet("a") == fleet("a")
+    high = DEFAULT_SCENARIOS["high"]
+    assert fleet("high_copy", high) != fleet("high", high) != fleet("low")
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         HcSearchConfig(power_grid_kw=(2.0, 1.0))

@@ -3,8 +3,9 @@
 One mixed batch covers every kind of lane: three fleets with different
 quiet steps, an EV-count sub-fleet padded with absent EVs, uncontrolled,
 previous-step, fixed-point and degenerate-band days, a day whose power flow
-collapses and a fleet with no idle step. Each lane must equal the reference
-bit for bit, recorded or judged as it steps.
+collapses and a fleet with no idle step. Each lane's day, rebuilt from what
+the kernel kept, must equal the reference bit for bit, and so must what a
+judged lane keeps: its incidents and the day's two extrema.
 """
 
 from dataclasses import fields, replace
@@ -21,6 +22,7 @@ from evhc.doe import (
     Lane,
     LaneDay,
     _raised,
+    _replay,
     _simulate_lanes,
     _Stopped,
     baseline_matrix,
@@ -30,7 +32,7 @@ from evhc.doe import (
 from evhc.ev import DEFAULT_SCENARIOS, EvSession, generate_fleet, quiet_step
 from evhc.incidents import IncidentLimits, crossings, detect
 from evhc.powerflow import PowerFlowOptions, VoltageCollapseError, _solve_lanes
-from evhc.trace import Extrema, SimulationTrace, summarize
+from evhc.trace import SimulationTrace, summarize
 from reference_day import reference_day, reference_detect, reference_summarize
 
 
@@ -81,19 +83,38 @@ def _assert_equal(a, b):
         assert a == b
 
 
+def _rebuilt(feeder, profiles, lane, day):
+    """The trace ``_replay`` rebuilds from the lane's kernel ``day``, or the
+    exception that ended it; an uncontrolled lane is rebuilt without it."""
+    try:
+        if lane.params is None:
+            return _replay(feeder, profiles, lane)[1]
+        return _replay(feeder, profiles, lane, _raised(day))[1]
+    except (ValueError, VoltageCollapseError) as exc:
+        return exc
+
+
+def _assert_same_trace(got, want):
+    for f in fields(SimulationTrace):
+        _assert_equal(getattr(got, f.name), getattr(want, f.name))
+
+
 def test_recorded_lanes_equal_the_reference_loop(feeder, profiles, batch):
+    """Every lane's rebuilt day is the reference day, or ends in its error."""
     days = _simulate_lanes(feeder, profiles, batch)
     kinds = set()
     for lane, day in zip(batch, days):
         expected = _reference(feeder, profiles, lane)
+        rebuilt = _rebuilt(feeder, profiles, lane, day)
         if isinstance(expected, Exception):
             _assert_same_error(day, expected)
+            _assert_same_error(rebuilt, expected)
             kinds.add(type(expected).__name__)
             continue
         trajectories, trace = expected
         assert day.sessions == [t.session for t in trajectories]
-        for f in fields(SimulationTrace):
-            _assert_equal(getattr(day.trace, f.name), getattr(trace, f.name))
+        _assert_equal(day.delivered_kwh, trace.delivered_kwh)
+        _assert_same_trace(rebuilt, trace)
         # the public one-lane form of the kernel
         if lane.params is None:
             alone, _ = passive_horizon(feeder, profiles, lane.sessions, lane.hc_power)
@@ -119,12 +140,12 @@ def test_judged_lanes_equal_the_reference_detect_and_summary(feeder, profiles, b
             _assert_same_error(day, expected)
             continue
         _, trace = expected
-        assert day.trace is None
         assert day.incidents == reference_detect(trace, limits)
         summary = reference_summarize(trace, feeder.compiled.ampacity_a)
-        for f in fields(summary):
-            _assert_equal(getattr(day.summary, f.name), getattr(summary, f.name))
+        assert day.min_voltage_pu == summary.overall_min_voltage_pu
+        assert day.max_slack_kva == summary.max_slack_kva
         _assert_equal(day.delivered_kwh, trace.delivered_kwh)
+        _assert_same_trace(_rebuilt(feeder, profiles, lane, day), trace)
         assert day.fallback_steps == int(trace.fixed_point_fallback.sum())
         incidents += len(day.incidents)
     assert incidents > 0
@@ -178,9 +199,8 @@ def test_keyed_lanes_stop_past_the_first_failure_of_their_search(feeder, profile
             _assert_same_error(got, want)
         else:
             for f in fields(LaneDay):
-                if f.name == "summary":
-                    for g in fields(want.summary):
-                        _assert_equal(getattr(got.summary, g.name), getattr(want.summary, g.name))
+                if key is not None and f.name in ("clamp_voltage_pu", "fallback"):
+                    assert getattr(got, f.name) is None  # a keyed lane is never rebuilt
                 else:
                     _assert_equal(getattr(got, f.name), getattr(want, f.name))
     assert stopped == [8, 10, 11, 12, 14]
@@ -188,14 +208,34 @@ def test_keyed_lanes_stop_past_the_first_failure_of_their_search(feeder, profile
 
 def test_judged_lanes_that_all_end_in_one_step_are_their_errors(feeder, profiles):
     """When every lane of a judged call ends in the same step, each is the
-    collapse it hit, as when it is recorded."""
+    collapse it hit, as when it is not judged."""
     burst = [EvSession(h, 40, 48, 30.0, 60.0) for h in feeder.household_ids]
     for lanes in ([Lane(burst, 60.0)], [Lane(burst, 60.0), Lane(burst, 60.0, DoeParams())]):
-        recorded = _simulate_lanes(feeder, profiles, lanes)
+        unjudged = _simulate_lanes(feeder, profiles, lanes)
         judged = _simulate_lanes(feeder, profiles, lanes, judge=IncidentLimits.from_feeder(feeder))
-        for got, want in zip(judged, recorded):
+        for got, want in zip(judged, unjudged):
             assert isinstance(want, VoltageCollapseError)
             _assert_same_error(got, want)
+
+
+def test_an_uncontrolled_day_rebuilt_alone_ends_in_the_kernels_error(feeder, profiles):
+    """Rebuilt without the kernel, an uncontrolled lane raises the error the
+    kernel ends it with: the first in the lane's step order, from its quiet
+    step 4, and a negative injection before a collapse at the same step."""
+    ids = feeder.household_ids
+    sessions = [EvSession(h, 40, 48, 30.0, 60.0) for h in ids if h != ids[1]]  # collapse at 40
+    lane = Lane([*sessions, EvSession(ids[1], 90, 100, 1.0, 22.0)], 60.0)
+    by_household = {p.household: p for p in profiles}
+    collapse = VoltageCollapseError
+    for negative_at, kind in ((40, ValueError), (41, collapse), (2, collapse)):
+        power = list(by_household[ids[1]].power_kw)
+        power[negative_at] = -5.0
+        bad = tuple(
+            replace(p, power_kw=tuple(power)) if p.household == ids[1] else p for p in profiles
+        )
+        [day] = _simulate_lanes(feeder, bad, [lane])
+        assert type(day) is kind
+        _assert_same_error(_rebuilt(feeder, bad, lane, None), day)
 
 
 # --- rows shared within a solve ------------------------------------------------
@@ -243,8 +283,7 @@ def test_shared_rows_equal_the_reference_loop(feeder, profiles, monkeypatch):
     assert _lane_solves(calls) == alone
     for lane, day in zip(batch, days):
         _, trace = _reference(feeder, profiles, lane)
-        for f in fields(SimulationTrace):
-            _assert_equal(getattr(day.trace, f.name), getattr(trace, f.name))
+        _assert_same_trace(_rebuilt(feeder, profiles, lane, day), trace)
 
 
 def test_each_distinct_row_is_solved_once_per_solve(feeder, profiles, batch, monkeypatch):
@@ -269,8 +308,8 @@ def test_each_distinct_row_is_solved_once_per_solve(feeder, profiles, batch, mon
         if isinstance(want, Exception):
             _assert_same_error(got, want)
         else:
-            for f in fields(SimulationTrace):
-                _assert_equal(getattr(got.trace, f.name), getattr(want.trace, f.name))
+            for f in fields(LaneDay):
+                _assert_equal(getattr(got, f.name), getattr(want, f.name))
 
 
 def test_rows_that_only_share_a_key_are_solved_apart(feeder, profiles, monkeypatch):
@@ -380,23 +419,11 @@ def test_vectorised_crossings_equal_the_per_step_loop(case):
 
 
 @given(_traces())
-def test_folded_extrema_equal_the_whole_trace_summary(case):
-    """The summary folded step by step from a rotated start, and
-    ``summarize``, equal the whole-trace reduction; the overall minimum
+def test_summarize_equals_the_whole_trace_reduction(case):
+    """``summarize`` equals the whole-trace reduction; the overall minimum
     goes to the earliest step on a tie."""
-    trace, start = case
+    trace, _ = case
     ampacity = np.asarray(LIMITS.branch_ampacity_a)
-    expected = reference_summarize(trace, ampacity)
-    extrema = Extrema(1, len(trace.node_ids), len(trace.branch_labels))
-    for k in range(trace.step_count):
-        t = (start + k) % trace.step_count
-        extrema.add(
-            np.array([0]), np.array([[t]]), trace.voltage_pu[[[t]]],
-            trace.branch_current_a[[[t]]], trace.slack_kva[[[t]]], trace.converged[[[t]]],
-        )
-    for summary in (
-        extrema.summary(0, trace.node_ids, ampacity, trace.delivered_kwh),
-        summarize(trace, ampacity),
-    ):
-        for f in fields(summary):
-            _assert_equal(getattr(summary, f.name), getattr(expected, f.name))
+    summary, expected = summarize(trace, ampacity), reference_summarize(trace, ampacity)
+    for f in fields(summary):
+        _assert_equal(getattr(summary, f.name), getattr(expected, f.name))
