@@ -13,12 +13,13 @@ Exit codes: 0 success, 1 configuration error, 2 simulation error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -63,7 +64,7 @@ from .hc import (
 )
 from .incidents import export_incidents_csv
 from .qos import export_qos_csv
-from .trace import SimulationTrace, fmt
+from .trace import SimulationTrace, csv_table
 
 MODES = ("passive", "network_aware", "compare", "sweep_doe", "sweep_qos_threshold")
 
@@ -445,21 +446,14 @@ def _report_json(report: HcReport) -> str:
 
 
 def _candidates_csv(report: HcReport) -> str:
-    lines = [
-        "candidate,passed,failure,n_incidents,first_incident_kind,"
-        "qos_agg,min_qos,min_voltage_pu,max_slack_kva,fallback_steps,error"
-    ]
-    for c in report.candidates:
-        first_kind = c.incidents[0].kind if c.incidents else ""
-        lines.append(
-            f"{fmt(c.candidate)},{c.failure is None},{c.failure or ''},"
-            f"{len(c.incidents)},{first_kind},"
-            f"{fmt(c.qos.aggregated) if c.qos else ''},"
-            f"{fmt(c.qos.minimum) if c.qos else ''},"
-            f"{fmt(c.overall_min_voltage_pu)},{fmt(c.max_slack_kva)},"
-            f"{c.fixed_point_fallback_steps},{c.error or ''}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_table(
+        ("candidate", "passed", "failure", "n_incidents", "first_incident_kind", "qos_agg",
+         "min_qos", "min_voltage_pu", "max_slack_kva", "fallback_steps", "error"),
+        ((c.candidate, c.failure is None, c.failure, len(c.incidents),
+          c.incidents[0].kind if c.incidents else None, c.qos and c.qos.aggregated,
+          c.qos and c.qos.minimum, c.overall_min_voltage_pu, c.max_slack_kva,
+          c.fixed_point_fallback_steps, c.error) for c in report.candidates),
+    )
 
 
 def _write_search_outputs(
@@ -491,32 +485,25 @@ def _write_search_outputs(
     _write(out / "envelope_trace.csv", export_envelope_csv(na_trace, feeder))
 
     vu = [comp.household_voltage[comp.household_slot[h]] for h in na_trace.household_ids]
-    power_lines = ["step,household,baseline_kw,network_aware_kw"]
-    volt_lines = ["step,household,baseline_pu,network_aware_pu"]
-    for t in range(na_trace.step_count):
-        for e, (h, n) in enumerate(zip(na_trace.household_ids, vu)):
-            power_lines.append(
-                f"{t},{h},{fmt(base_trace.ev_power_kw[t, e])},{fmt(na_trace.ev_power_kw[t, e])}"
-            )
-            volt_lines.append(
-                f"{t},{h},{fmt(base_trace.voltage_pu[t, n])},{fmt(na_trace.voltage_pu[t, n])}"
-            )
-    _write(out / "profiles_power.csv", "\n".join(power_lines) + "\n")
-    _write(out / "profiles_voltage.csv", "\n".join(volt_lines) + "\n")
+    for name, unit, base, na in (
+        ("power", "kw", base_trace.ev_power_kw, na_trace.ev_power_kw),
+        ("voltage", "pu", base_trace.voltage_pu[:, vu], na_trace.voltage_pu[:, vu]),
+    ):
+        _write(out / f"profiles_{name}.csv", csv_table(
+            ("step", "household", f"baseline_{unit}", f"network_aware_{unit}"),
+            ((t, *cells) for t, (b, n) in enumerate(zip(base.tolist(), na.tolist()))
+             for cells in zip(na_trace.household_ids, b, n)),
+        ))
 
     # per-customer QoS across the whole candidate power grid (locational analysis)
-    qos_lines = ["candidate_kw,household,node,e_baseline_kwh,e_network_aware_kwh,qos"]
-    for result in map(_raised, grid):
-        if result.qos is None:
-            continue
-        for i, h in enumerate(result.qos.households):
-            qos_lines.append(
-                f"{fmt(result.candidate)},{h},{comp.household_node[h]},"
-                f"{fmt(result.qos.e_baseline_kwh[i])},"
-                f"{fmt(result.qos.e_network_aware_kwh[i])},"
-                f"{fmt(result.qos.individual[i])}"
-            )
-    _write(out / "qos_by_power.csv", "\n".join(qos_lines) + "\n")
+    _write(out / "qos_by_power.csv", csv_table(
+        ("candidate_kw", "household", "node", "e_baseline_kwh", "e_network_aware_kwh", "qos"),
+        ((result.candidate, h, comp.household_node[h], *energies)
+         for result in map(_raised, grid) if result.qos is not None
+         for h, *energies in zip(result.qos.households, result.qos.e_baseline_kwh.tolist(),
+                                 result.qos.e_network_aware_kwh.tolist(),
+                                 result.qos.individual.tolist())),
+    ))
 
 
 def _hc_days(feeder: FeederModel, profiles, lane: Lane, day) -> Iterator[SimulationTrace]:
@@ -586,97 +573,80 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
             alone = _simulate_lanes(feeder, profiles, [lane for lane, _ in at_hc.values()])
             at_hc = {i: (lane, day) for (i, (lane, _)), day in zip(at_hc.items(), alone)}
 
-        table = ["scenario,mode,hc,limiting_factor,qos_at_hc,min_qos_at_hc"]
+        table = []
         for i, ((_, search, mode), grid) in enumerate(zip(runs, grids)):
             label, report = search.scenario, _raised(reports[i])
             hc_days = _hc_days(feeder, profiles, *at_hc[i]) if i in at_hc else ()
             _write_search_outputs(out_dir / f"{mode}_{label}", report, feeder, grid, hc_days)
             limiting = "unconstrained" if report.unconstrained else report.limiting_factor
-            table.append(  # a passive report has no QoS, so its QoS cells are empty
-                f"{label},{mode},{fmt(report.hc)},{limiting},"
-                f"{fmt(report.qos_at_hc)},{fmt(report.min_qos_at_hc)}"
-            )
+            # a passive report has no QoS, so its QoS cells are empty
+            table.append((label, mode, report.hc, limiting, report.qos_at_hc, report.min_qos_at_hc))
         if config.mode == "compare":
-            _write(out_dir / "table1.csv", "\n".join(table) + "\n")
+            _write(out_dir / "table1.csv", csv_table(
+                ("scenario", "mode", "hc", "limiting_factor", "qos_at_hc", "min_qos_at_hc"), table))
 
-    elif config.mode == "sweep_doe":
+    else:  # a sweep: one table over every scenario
         scenarios = [config.scenario_definitions[s] for s in config.scenario_labels]
-        cells = sensitivity_sweep(
-            feeder,
-            profiles,
-            scenarios,
-            list(config.delta_perm_grid),
-            list(config.factor_values),
-            _search_config(config, config.scenario_labels[0]),
-        )
-        _write(out_dir / "sweep_doe.csv", export_sweep_csv(cells))
+        search = _search_config(config, config.scenario_labels[0])
+        if config.mode == "sweep_doe":
+            cells = sensitivity_sweep(feeder, profiles, scenarios, list(config.delta_perm_grid),
+                                      list(config.factor_values), search)
+            _write(out_dir / "sweep_doe.csv", export_sweep_csv(cells))
+        else:
+            points = threshold_sweep(feeder, profiles, scenarios, list(config.qos_thresholds),
+                                     search)
+            _write(out_dir / "threshold_sweep.csv", csv_table(
+                ("scenario", "qos_threshold", "nahc_kw", "limiting_factor", "qos_at_hc",
+                 "min_qos_at_hc"),
+                ((p.scenario, p.qos_threshold, p.hc, p.limiting_factor or "unconstrained",
+                  p.qos_at_hc, p.min_qos_at_hc) for p in points),
+            ))
 
-    elif config.mode == "sweep_qos_threshold":
-        scenarios = [config.scenario_definitions[s] for s in config.scenario_labels]
-        points = threshold_sweep(
-            feeder,
-            profiles,
-            scenarios,
-            list(config.qos_thresholds),
-            _search_config(config, config.scenario_labels[0]),
-        )
-        lines = ["scenario,qos_threshold,nahc_kw,limiting_factor,qos_at_hc,min_qos_at_hc"]
-        for p in points:
-            lines.append(
-                f"{p.scenario},{fmt(p.qos_threshold)},{fmt(p.hc)},"
-                f"{p.limiting_factor or 'unconstrained'},{fmt(p.qos_at_hc)},{fmt(p.min_qos_at_hc)}"
-            )
-        _write(out_dir / "threshold_sweep.csv", "\n".join(lines) + "\n")
+
+def _columns(path: Path, names: Sequence[str]) -> list[list[str]]:
+    """The named columns of the result table at ``path``, row by row. A table
+    that is not UTF-8, lacks a column or has a ragged row is a ConfigError."""
+    try:
+        with path.open(encoding="utf-8", newline="") as f:
+            header, *rows = [*csv.reader(f)] or [[]]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if missing := [name for name in names if name not in header]:
+        raise ConfigError(f"{path}: no column {', '.join(missing)}")
+    if ragged := [n for n, row in enumerate(rows, 2) if len(row) != len(header)]:
+        raise ConfigError(f"{path}: row {ragged[0]} does not have the header's {len(header)} cells")
+    at = [header.index(name) for name in names]
+    return [[row[i] for i in at] for row in rows]
 
 
 def emit_plot_data(results_dir: Path, out_dir: Path) -> list[str]:
-    """Derive tidy plot-ready tables from a finished run's result files."""
-    written: list[str] = []
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    sweep = results_dir / "sweep_doe.csv"
-    if sweep.exists():
-        rows = sweep.read_text(encoding="utf-8").splitlines()
-        head = "scenario,delta_perm,factor,nahc_kw,qos_agg,limiting_factor"
-        out = [head]
-        for line in rows[1:]:
-            parts = line.split(",")
-            out.append(
-                f"{parts[0]},{parts[1]},{parts[2]},{parts[3]},{parts[5]},{parts[4]}"
-            )
-        _write(out_dir / "fig_sensitivity.csv", "\n".join(out) + "\n")
-        written.append("fig_sensitivity.csv")
-
-    threshold = results_dir / "threshold_sweep.csv"
-    if threshold.exists():
-        rows = threshold.read_text(encoding="utf-8").splitlines()
-        out = ["scenario,qos_threshold,nahc_kw,min_qos"]
-        for line in rows[1:]:
-            parts = line.split(",")
-            out.append(f"{parts[0]},{parts[1]},{parts[2]},{parts[5]}")
-        _write(out_dir / "fig_threshold.csv", "\n".join(out) + "\n")
-        written.append("fig_threshold.csv")
-
+    """Derive tidy plot-ready tables from a finished run's result files,
+    reading each column by its header name. Every table is read before any
+    is written."""
+    figures = {}  # file name -> text
+    if (sweep := results_dir / "sweep_doe.csv").exists():
+        head = ("scenario", "delta_perm", "factor", "nahc_kw", "qos_agg", "limiting_factor")
+        figures["fig_sensitivity.csv"] = csv_table(head, _columns(sweep, head))
+    if (threshold := results_dir / "threshold_sweep.csv").exists():
+        rows = _columns(threshold, ("scenario", "qos_threshold", "nahc_kw", "min_qos_at_hc"))
+        figures["fig_threshold.csv"] = csv_table(
+            ("scenario", "qos_threshold", "nahc_kw", "min_qos"), rows)
     for sub in sorted(results_dir.glob("network_aware_*")):
         label = sub.name.removeprefix("network_aware_")
-        qbp = sub / "qos_by_power.csv"
-        if qbp.exists():
-            rows = qbp.read_text(encoding="utf-8").splitlines()
-            out = ["scenario,candidate_kw,household,node,qos"]
-            for line in rows[1:]:
-                parts = line.split(",")
-                out.append(f"{label},{parts[0]},{parts[1]},{parts[2]},{parts[5]}")
-            _write(out_dir / f"fig_customer_qos_{label}.csv", "\n".join(out) + "\n")
-            written.append(f"fig_customer_qos_{label}.csv")
-        for stem in ("profiles_power", "profiles_voltage"):
-            src = sub / f"{stem}.csv"
-            if src.exists():
-                _write(out_dir / f"fig_{stem}_{label}.csv", src.read_text(encoding="utf-8"))
-                written.append(f"fig_{stem}_{label}.csv")
+        if (qbp := sub / "qos_by_power.csv").exists():
+            head = ("candidate_kw", "household", "node", "qos")
+            figures[f"fig_customer_qos_{label}.csv"] = csv_table(
+                ("scenario", *head), ([label, *row] for row in _columns(qbp, head)))
+        for name, unit in (("power", "kw"), ("voltage", "pu")):
+            if (src := sub / f"profiles_{name}.csv").exists():
+                head = ("step", "household", f"baseline_{unit}", f"network_aware_{unit}")
+                figures[f"fig_profiles_{name}_{label}.csv"] = csv_table(head, _columns(src, head))
 
-    if not written:
+    if not figures:
         raise ConfigError(f"no result files found under {results_dir}")
-    return written
+    for name, text in figures.items():
+        _write(out_dir / name, text)
+    return list(figures)
 
 
 def main(argv: list[str] | None = None) -> int:

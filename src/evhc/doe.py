@@ -48,7 +48,7 @@ from .trace import (
     ZONE_RED,
     ZONE_YELLOW,
     SimulationTrace,
-    fmt,
+    csv_table,
 )
 
 FIXED_POINT_TOL_KW = 0.01
@@ -619,17 +619,13 @@ def export_envelope_csv(trace: SimulationTrace, feeder: FeederModel) -> str:
     """Per (step, EV) envelope record: local voltage, zone, bounds, powers."""
     comp = feeder.compiled
     vu = [comp.household_voltage[comp.household_slot[h]] for h in trace.household_ids]
-    lines = ["step,household,u_pu,zone,floor_kw,cap_kw,desired_kw,granted_kw"]
-    for t in range(trace.step_count):
-        for e, household in enumerate(trace.household_ids):
-            u = trace.voltage_pu[t, vu[e]]
-            zone = ZONE_LABELS[int(trace.envelope_zone[t, e])]
-            floor = trace.envelope_floor_kw[t, e]
-            cap = trace.envelope_cap_kw[t, e]
-            lines.append(
-                f"{t},{household},{fmt(u)},{zone},"
-                f"{'' if np.isnan(floor) else fmt(floor)},"
-                f"{'' if np.isnan(cap) else fmt(cap)},"
-                f"{fmt(trace.ev_desired_kw[t, e])},{fmt(trace.ev_power_kw[t, e])}"
-            )
-    return "\n".join(lines) + "\n"
+    zone = [[ZONE_LABELS[z] for z in step] for step in trace.envelope_zone.tolist()]
+    # a NaN bound (no EV connected or no control) is an empty cell
+    floor, cap = (np.where(np.isnan(a), None, a).tolist()
+                  for a in (trace.envelope_floor_kw, trace.envelope_cap_kw))
+    steps = zip(trace.voltage_pu[:, vu].tolist(), zone, floor, cap, trace.ev_desired_kw.tolist(),
+                trace.ev_power_kw.tolist())
+    return csv_table(
+        ("step", "household", "u_pu", "zone", "floor_kw", "cap_kw", "desired_kw", "granted_kw"),
+        ((t, *cells) for t, step in enumerate(steps) for cells in zip(trace.household_ids, *step)),
+    )

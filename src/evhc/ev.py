@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .trace import STEP_HOURS, STEPS_PER_DAY
+from .trace import STEP_HOURS, STEPS_PER_DAY, csv_table
 
 DEFAULT_RATED_POWER_KW = 22.0
 _MAX_DRAWS = 1000
@@ -237,14 +237,12 @@ def quiet_step(sessions: list[EvSession]) -> int:
 
 
 def serialize_fleet(sessions: list[EvSession]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["household", "arrival_step", "departure_step", "requested_kwh", "rated_kw"])
-    for s in sessions:
-        writer.writerow(
-            [s.household, s.arrival_step, s.departure_step, repr(s.requested_kwh), repr(s.rated_kw)]
-        )
-    return out.getvalue()
+    # repr, not fmt: an exported fleet reloads to the same floats
+    return csv_table(
+        ("household", "arrival_step", "departure_step", "requested_kwh", "rated_kw"),
+        ((s.household, s.arrival_step, s.departure_step, repr(s.requested_kwh), repr(s.rated_kw))
+         for s in sessions),
+    )
 
 
 def load_fleet(path: str | Path) -> list[EvSession]:

@@ -41,7 +41,7 @@ from .feeder import BaselineLoadProfile, FeederModel
 from .incidents import Incident, IncidentLimits, KIND_DIAGNOSTIC
 from .powerflow import PowerFlowOptions, VoltageCollapseError
 from .qos import QosError, QosReport, build_report
-from .trace import fmt
+from .trace import csv_table
 
 LIMIT_AGGREGATED_QOS = "aggregated_qos"
 
@@ -487,11 +487,10 @@ def threshold_sweep(
 
 
 def export_sweep_csv(cells: list[SweepCell]) -> str:
-    lines = ["scenario,delta_perm,factor,nahc_kw,limiting_factor,qos_agg,min_qos,error"]
-    for c in cells:
-        lines.append(
-            f"{c.scenario},{fmt(c.delta_perm)},{fmt(c.factor)},{fmt(c.hc)},"
-            f"{'unconstrained' if c.unconstrained else (c.limiting_factor or '')},"
-            f"{fmt(c.qos_at_hc)},{fmt(c.min_qos_at_hc)},{c.error or ''}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_table(
+        ("scenario", "delta_perm", "factor", "nahc_kw", "limiting_factor", "qos_agg", "min_qos",
+         "error"),
+        ((c.scenario, c.delta_perm, c.factor, c.hc,
+          "unconstrained" if c.unconstrained else c.limiting_factor, c.qos_at_hc,
+          c.min_qos_at_hc, c.error) for c in cells),
+    )

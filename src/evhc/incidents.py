@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feeder import FeederModel
-from .trace import SimulationTrace, fmt
+from .trace import SimulationTrace, csv_table
 
 KIND_UNDERVOLTAGE = "undervoltage"
 KIND_OVERVOLTAGE = "overvoltage"
@@ -137,7 +137,5 @@ def crossings(
 
 
 def export_incidents_csv(incidents: list[Incident]) -> str:
-    lines = ["step,kind,element,magnitude"]
-    for inc in incidents:
-        lines.append(f"{inc.step},{inc.kind},{inc.element},{fmt(inc.magnitude)}")
-    return "\n".join(lines) + "\n"
+    return csv_table(("step", "kind", "element", "magnitude"),
+                     ((inc.step, inc.kind, inc.element, inc.magnitude) for inc in incidents))

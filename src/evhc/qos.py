@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import fmt
+from .trace import csv_table
 
 _REL_SLACK = 1e-9
 
@@ -107,15 +107,10 @@ def build_report(
 
 def export_qos_csv(report: QosReport, node_of: dict[str, str] | None = None) -> str:
     """Per-customer table plus a TOTAL row carrying the aggregate."""
-    lines = ["customer,node,e_baseline_kwh,e_network_aware_kwh,qos"]
-    for i, h in enumerate(report.households):
-        node = node_of.get(h, "") if node_of else ""
-        lines.append(
-            f"{h},{node},{fmt(report.e_baseline_kwh[i])},"
-            f"{fmt(report.e_network_aware_kwh[i])},{fmt(report.individual[i])}"
-        )
-    lines.append(
-        f"TOTAL,,{fmt(report.e_baseline_kwh.sum())},"
-        f"{fmt(report.e_network_aware_kwh.sum())},{fmt(report.aggregated)}"
+    nodes = [(node_of or {}).get(h, "") for h in report.households]
+    base, na = report.e_baseline_kwh, report.e_network_aware_kwh
+    return csv_table(
+        ("customer", "node", "e_baseline_kwh", "e_network_aware_kwh", "qos"),
+        [*zip(report.households, nodes, base.tolist(), na.tolist(), report.individual.tolist()),
+         ("TOTAL", "", base.sum(), na.sum(), report.aggregated)],
     )
-    return "\n".join(lines) + "\n"

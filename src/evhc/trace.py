@@ -8,6 +8,9 @@ QoS accounting both read from here.
 
 from __future__ import annotations
 
+import csv
+import io
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,3 +127,14 @@ def summarize(trace: SimulationTrace, branch_ampacity_a: np.ndarray | None = Non
 def fmt(x: float | None) -> str:
     """The number format of every result table; None is an empty cell."""
     return "" if x is None else format(float(x), ".10g")
+
+
+def csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The writer of every result table: a float cell goes through ``fmt``,
+    None is an empty cell, and a cell is quoted only when it holds a comma,
+    a double quote or a newline."""
+    text = io.StringIO()
+    out = csv.writer(text, lineterminator="\n")
+    out.writerow(header)
+    out.writerows([fmt(x) if isinstance(x, float) else x for x in row] for row in rows)
+    return text.getvalue()

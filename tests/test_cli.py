@@ -1,5 +1,7 @@
 """CLI verbs, exit codes, result files, and rerun determinism."""
 
+import csv
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -568,6 +570,133 @@ def test_emit_plots_sensitivity_schema(tmp_path):
     assert main(["emit-plots", str(out)]) == 0
     lines = (out / "plots" / "fig_sensitivity.csv").read_text().strip().split("\n")
     assert lines[0] == "scenario,delta_perm,factor,nahc_kw,qos_agg,limiting_factor"
+
+
+# arrivals can never fall in their window, so fleet generation fails with a
+# message that holds commas
+LATE = {**ALL_DAY, "arrival": {"mean_h": 18.0, "sd_h": 0.01, "lo_h": 20.0, "hi_h": 21.0},
+        "duration": {"mean_h": 4.0, "sd_h": 0.5, "lo_h": 2.0, "hi_h": 6.0}}
+
+
+def test_sweep_error_with_commas_stays_one_cell(tmp_path):
+    sweep = {"delta_perm_min": 0.05, "delta_perm_max": 0.05, "delta_perm_step": 0.01,
+             "factor_values": [0.5]}
+    path = _write_scenario(tmp_path, scenarios=["low", "late"], sweep=sweep,
+                           scenario_definitions={"late": LATE})
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--output-dir", str(out)]) == 0
+    with (out / "sweep_doe.csv").open(encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert [len(row) for row in rows] == [8, 8, 8]
+    assert rows[2][0] == "late" and rows[2][7] == (
+        "FleetGenerationError: truncated normal(18.0, 0.01) on [20.0, 21.0] rejected 1000 draws"
+    )
+    assert main(["emit-plots", str(out)]) == 0
+    assert (out / "plots" / "fig_sensitivity.csv").read_text().splitlines()[2] == "late,0.05,0.5,,,"
+
+
+SWEEP_HEADER = "scenario,delta_perm,factor,nahc_kw,limiting_factor,qos_agg,min_qos,error\n"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ((SWEEP_HEADER + "low,0.05,0.5,6\n").encode(), "row 2 does not have the header's 8 cells"),
+        (SWEEP_HEADER.replace("qos_agg,", "").encode(), "no column qos_agg"),
+        (SWEEP_HEADER.encode() + b"low,0.05,0.5,6,\xff,,,\n", "'utf-8' codec can't decode"),
+    ],
+    ids=["short_row", "missing_column", "not_utf8"],
+)
+def test_emit_plots_refuses_a_malformed_table(tmp_path, capsys, data, message):
+    (tmp_path / "sweep_doe.csv").write_bytes(data)
+    assert main(["emit-plots", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {tmp_path / 'sweep_doe.csv'}: ")
+    assert message in err
+    assert not (tmp_path / "plots").exists()
+
+
+def test_emit_plots_reads_columns_by_name(tmp_path):
+    header = ["scenario", "qos_threshold", "nahc_kw", "limiting_factor", "qos_at_hc",
+              "min_qos_at_hc"]
+    rows = [["low", "0.7", "7", "aggregated_qos", "0.71", "0.52"],
+            ["low", "0.8", "6", "aggregated_qos", "0.80", "0.61"]]
+    order = [5, 2, 0, 4, 1, 3]
+    for name, columns in (("plain", range(6)), ("permuted", order)):
+        (tmp_path / name).mkdir()
+        with (tmp_path / name / "threshold_sweep.csv").open("w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(
+                [[row[i] for i in columns] for row in [header, *rows]])
+        assert main(["emit-plots", str(tmp_path / name)]) == 0
+    plain, permuted = ((tmp_path / name / "plots" / "fig_threshold.csv").read_text()
+                       for name in ("plain", "permuted"))
+    assert plain == permuted == (
+        "scenario,qos_threshold,nahc_kw,min_qos\nlow,0.7,7,0.52\nlow,0.8,6,0.61\n"
+    )
+
+
+# SHA-256 of every file that `evhc run` writes for the init-example scenario
+# (compare mode, bundled feeder and profiles) and that `evhc emit-plots`
+# derives from it. A refactor leaves them as they are; a change that moves a
+# number on purpose updates them and says which number and why.
+STUDY_SHA256 = {
+    "manifest.json": "057f4cb62622e05104cb7210f7beeaa3256656155fa4732b509e5231641afbfd",
+    "network_aware_high/candidates.csv": "9bd93461d1ea60ec4645168b8d0678e2c16b9c91f88ca07062cd2983662c9859",
+    "network_aware_high/envelope_trace.csv": "e2317078b3d331750cae4481558e39d23d9c8339da3f92bfccbb5e5a49af572e",
+    "network_aware_high/incidents_next.csv": "c3a2b4da244b87bd647cf78bd9421a265f1fad21725b2a6481af68640fa91774",
+    "network_aware_high/profiles_power.csv": "13cc614edf5d1d7466ce7337ad04e5bd91681b6826d908d02a0fbe88b3094092",
+    "network_aware_high/profiles_voltage.csv": "925abe37b46382e1b7d59ff6dbfde7cf44d0963bbb015fb8f4980ae8472c3b87",
+    "network_aware_high/qos_at_hc.csv": "66db5a7bcd9820a6777297e1ee1afde23517c3713f57f0b3a6273c338687411e",
+    "network_aware_high/qos_by_power.csv": "f83d30035746250f85dfe59e4ff0bbcaaa1d768ed1ff959a9d50654f495223a5",
+    "network_aware_high/report.json": "ab67a9c090cfb6f0df73e0bd4b814066f6762af7445efcde1a083ee3781289de",
+    "network_aware_low/candidates.csv": "3eaa36410c885812bf4cd228d9450d233184e7166522050387bff0814179b3a1",
+    "network_aware_low/envelope_trace.csv": "cdc9c821c3b14fa648e271601271e497469ccfc85f20027713c801d8814b1106",
+    "network_aware_low/incidents_next.csv": "c3a2b4da244b87bd647cf78bd9421a265f1fad21725b2a6481af68640fa91774",
+    "network_aware_low/profiles_power.csv": "d225982ebf912912aec3f3dc43c88e405c9d417aa3879f5548b0970ac0453e87",
+    "network_aware_low/profiles_voltage.csv": "5f1859582585cf0a4e44bb015d5962b936f8005d0203f1733fd0ceb3c3783e03",
+    "network_aware_low/qos_at_hc.csv": "cb14db8a23e056956621fa4504c9ae1ee7f878103516dc2753075c7d94c45d44",
+    "network_aware_low/qos_by_power.csv": "2470eb93b9b8728b88e47185dbf4c9b025b2add640753e979d22790684d29b4a",
+    "network_aware_low/report.json": "fb12f094c324623388ec3542e93dd1912087cbb06fcd5c849ae4673f4e3766f9",
+    "network_aware_medium/candidates.csv": "793ceebd3a4a544269b19a70bcb1ef438d20333807bbeca193ceca273df2994f",
+    "network_aware_medium/envelope_trace.csv": "a9c6b154e8a86a1e574c7ebed194a7175cbad372b57ba328e924c9dd4e990279",
+    "network_aware_medium/incidents_next.csv": "c3a2b4da244b87bd647cf78bd9421a265f1fad21725b2a6481af68640fa91774",
+    "network_aware_medium/profiles_power.csv": "10d32c4562765cff5a1dae720f539fff8f275c44fa31be865ee73eb2fce7abe2",
+    "network_aware_medium/profiles_voltage.csv": "ec02b26ddf7a51bd9c51aee0326bec8c38b35a6cdd6d653e90e0db8bfc05b624",
+    "network_aware_medium/qos_at_hc.csv": "91c833439aab43ee0da341794c66932ae5948f867fb3ba2f14457e5e2319b584",
+    "network_aware_medium/qos_by_power.csv": "87f35a27d12ff4ad80eb71849d61b1e7bb3876a84e732172ffadacbf7ad3e2f9",
+    "network_aware_medium/report.json": "e4a0f2e6655b6e3c07158f568b54c097cdd69c390d562c89c93fe2d73c044f56",
+    "passive_high/candidates.csv": "613c1a33f286d47e46483e340bb4e2ca0e8a483a86f5508a5fed7c882f112c7a",
+    "passive_high/incidents_next.csv": "b0c78cc8035f6468763585b4ff8e5ce31aa66c3eff89406b6a997dfc229d1960",
+    "passive_high/report.json": "278f864ac01a657213dcac61c3b31baeb06f8eadff9a47abf2b15ba9446f790d",
+    "passive_low/candidates.csv": "27ee949a1f07df8771558bed759c745d72cdc9cdaddf92ced642a10b14a5db20",
+    "passive_low/incidents_next.csv": "381164287861317cbc495d0954471d79139fbf57f113973648a07a4025d0f55d",
+    "passive_low/report.json": "1d5fcc7babfec30cac37d1f72e142efc440bb89d15de4fae6ad8a39ef6a7ce25",
+    "passive_medium/candidates.csv": "fab05c275c66b99bd4e0a015e88c72e1f56f0f2b542a9cf78492dfe0926f4e8d",
+    "passive_medium/incidents_next.csv": "4c4580225007451a6ae7b42d93f22fa566b1f54b2cbc4b95ba12e01108a2c756",
+    "passive_medium/report.json": "5df6c88c5c08f567dc9ecf3dd58025027481c5dbbdcb94e5f437de55a07c13c4",
+    "plots/fig_customer_qos_high.csv": "b9bd149ff68fdce7d09ba4e39755c61144dc4a3ead48d83e764fa90b0beb0c6f",
+    "plots/fig_customer_qos_low.csv": "d6395cc387e94a7190b16194ec19cca42c6b32ff1453e443a8d5ab1bbf46533c",
+    "plots/fig_customer_qos_medium.csv": "149f8d30883a9ede0089dcd7a3ebab24d23aa627077bbf8e236882b430bbe963",
+    "plots/fig_profiles_power_high.csv": "13cc614edf5d1d7466ce7337ad04e5bd91681b6826d908d02a0fbe88b3094092",
+    "plots/fig_profiles_power_low.csv": "d225982ebf912912aec3f3dc43c88e405c9d417aa3879f5548b0970ac0453e87",
+    "plots/fig_profiles_power_medium.csv": "10d32c4562765cff5a1dae720f539fff8f275c44fa31be865ee73eb2fce7abe2",
+    "plots/fig_profiles_voltage_high.csv": "925abe37b46382e1b7d59ff6dbfde7cf44d0963bbb015fb8f4980ae8472c3b87",
+    "plots/fig_profiles_voltage_low.csv": "5f1859582585cf0a4e44bb015d5962b936f8005d0203f1733fd0ceb3c3783e03",
+    "plots/fig_profiles_voltage_medium.csv": "ec02b26ddf7a51bd9c51aee0326bec8c38b35a6cdd6d653e90e0db8bfc05b624",
+    "table1.csv": "ba2d7ae2ebed26a9d9bdb93976391c0f314d752f447678217faaa86551c613b4",
+}
+
+
+def test_bundled_study_files_are_pinned(tmp_path):
+    example, out = tmp_path / "example.yaml", tmp_path / "out"
+    assert main(["init-example", "--output", str(example)]) == 0
+    assert main(["run", str(example), "--output-dir", str(out)]) == 0
+    assert main(["emit-plots", str(out)]) == 0
+    digests = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*")) if path.is_file()
+    }
+    assert digests == STUDY_SHA256
 
 
 def test_seed_override_changes_manifest(tmp_path):
