@@ -44,7 +44,7 @@ from .hc import (
     threshold_sweep,
 )
 from .incidents import Incident, IncidentLimits, detect
-from .powerflow import InjectionSet, PowerFlowOptions, PowerFlowSolution, solve
+from .powerflow import InjectionSet, PowerFlowSolution, solve
 from .qos import QosReport, qos_aggregated, qos_individual
 from .trace import SimulationTrace, TraceSummary, summarize
 
@@ -67,7 +67,6 @@ __all__ = [
     "IncidentLimits",
     "InjectionSet",
     "Node",
-    "PowerFlowOptions",
     "PowerFlowSolution",
     "QosReport",
     "SimulationTrace",

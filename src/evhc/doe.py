@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
-from math import acos, tan
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -37,8 +36,7 @@ import numpy as np
 from .ev import ChargingTrajectory, EvSession, quiet_step
 from .feeder import BaselineLoadProfile, FeederModel
 from .incidents import Incident, IncidentLimits, crossings
-from .powerflow import (DEFAULT_BASELINE_POWER_FACTOR, LaneSolution, PowerFlowOptions,
-                        VoltageCollapseError, _solve_lanes)
+from .powerflow import BASELINE_Q_PER_KW, LaneSolution, VoltageCollapseError, _solve_lanes
 from .trace import (
     STEP_HOURS,
     STEPS_PER_DAY,
@@ -164,18 +162,17 @@ def _clamp(desired: np.ndarray, floor: np.ndarray, cap: np.ndarray) -> np.ndarra
 def baseline_matrix(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
-    steps: int = STEPS_PER_DAY,
 ) -> np.ndarray:
     """Baseline demand as a (steps, households) array in feeder order."""
     by_household = {p.household: p for p in profiles}
     missing = [h for h in feeder.household_ids if h not in by_household]
     if missing:
         raise ValueError(f"baseline profiles missing households: {missing}")
-    mat = np.zeros((steps, len(feeder.household_ids)))
+    mat = np.zeros((STEPS_PER_DAY, len(feeder.household_ids)))
     for j, h in enumerate(feeder.household_ids):
         series = by_household[h].power_kw
-        if len(series) != steps:
-            raise ValueError(f"profile {h} has {len(series)} steps, expected {steps}")
+        if len(series) != STEPS_PER_DAY:
+            raise ValueError(f"profile {h} has {len(series)} steps, expected {STEPS_PER_DAY}")
         mat[:, j] = series
     return mat
 
@@ -236,12 +233,10 @@ def network_aware_horizon(
     sessions: list[EvSession],
     hc_power: float,
     params: DoeParams,
-    pf_options: PowerFlowOptions = PowerFlowOptions(),
-    baseline_power_factor: float = DEFAULT_BASELINE_POWER_FACTOR,
 ) -> tuple[list[ChargingTrajectory], SimulationTrace]:
     """Simulate one day of envelope-controlled charging."""
     lane = Lane(sessions, hc_power, params)
-    return _replay(feeder, profiles, lane, None, pf_options, baseline_power_factor)
+    return _replay(feeder, profiles, lane)
 
 
 def passive_horizon(
@@ -249,12 +244,10 @@ def passive_horizon(
     profiles: tuple[BaselineLoadProfile, ...],
     sessions: list[EvSession],
     hc_power: float,
-    pf_options: PowerFlowOptions = PowerFlowOptions(),
-    baseline_power_factor: float = DEFAULT_BASELINE_POWER_FACTOR,
 ) -> tuple[list[ChargingTrajectory], SimulationTrace]:
     """Simulate one day of uncontrolled charging (no envelopes)."""
     lane = Lane(sessions, hc_power)
-    return _replay(feeder, profiles, lane, None, pf_options, baseline_power_factor)
+    return _replay(feeder, profiles, lane)
 
 
 def _raised(outcome):
@@ -339,8 +332,6 @@ def _simulate_lanes(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
     lanes: list[Lane],
-    pf_options: PowerFlowOptions = PowerFlowOptions(),
-    baseline_power_factor: float = DEFAULT_BASELINE_POWER_FACTOR,
     judge: IncidentLimits | None = None,
 ) -> list[LaneDay | Exception]:
     """Simulate many independent days together, one step of all at a time.
@@ -371,10 +362,10 @@ def _simulate_lanes(
     if not started:
         return out
     count, n_house = len(started), len(comp.household_ids)
-    baseline_q = baseline * tan(acos(baseline_power_factor))
+    baseline_q = baseline * BASELINE_Q_PER_KW
     base = SimpleNamespace(p=baseline, q=baseline_q, weights=np.sqrt(np.arange(2.0, n_house + 2.0)))
     base.key = np.arange(steps) + 1j * np.einsum("ij,j->i", baseline, base.weights)
-    base.solution = _solve_lanes(feeder, baseline, baseline_q, pf_options, list(range(steps)))
+    base.solution = _solve_lanes(feeder, baseline, baseline_q, list(range(steps)))
 
     rows.v_house = np.ones((count, n_house))  # the voltages the next clamp reads, pu
     keys: dict = {None: -1}  # search key -> id; rows run in lane order
@@ -428,7 +419,7 @@ def _simulate_lanes(
             for r in todo[negative]:
                 fail(r, ValueError("active injections must be >= 0 (loads only)"))
             solved = todo[~negative]
-            sol = _solve_distinct(feeder, p_kw[~negative], t[solved], base, pf_options)
+            sol = _solve_distinct(feeder, p_kw[~negative], t[solved], base)
             if any(sol.collapse):
                 for r, exc in zip(solved, sol.collapse):
                     if exc is not None:  # each lane its own error, also of a shared row
@@ -498,8 +489,6 @@ def _replay(
     profiles: tuple[BaselineLoadProfile, ...],
     lane: Lane,
     day: LaneDay | None = None,
-    pf_options: PowerFlowOptions = PowerFlowOptions(),
-    baseline_power_factor: float = DEFAULT_BASELINE_POWER_FACTOR,
 ) -> tuple[list[ChargingTrajectory], SimulationTrace]:
     """The day of ``lane``, rebuilt with no fixed point: each step replays
     desired -> clamp at the voltages the kernel's last clamp read (kept in
@@ -512,7 +501,7 @@ def _replay(
     a collapse)."""
     steps, comp, controlled = STEPS_PER_DAY, feeder.compiled, lane.params is not None
     if controlled and day is None:
-        day = _simulate_lanes(feeder, profiles, [lane], pf_options, baseline_power_factor)[0]
+        day = _simulate_lanes(feeder, profiles, [lane])[0]
     out, started, baseline, rows = _start(feeder, profiles, [lane])
     _raised(out[0])
     _raised(day)
@@ -531,8 +520,8 @@ def _replay(
         granted[t], desired[t] = ev_kw, wanted
         rows.delivered += ev_kw * STEP_HOURS
     p_kw = baseline + granted
-    q_kvar = baseline * tan(acos(baseline_power_factor))
-    sol = _solve_lanes(feeder, p_kw, q_kvar, pf_options, list(range(steps)))
+    q_kvar = baseline * BASELINE_Q_PER_KW
+    sol = _solve_lanes(feeder, p_kw, q_kvar, list(range(steps)))
     negative = (p_kw < 0).any(axis=1)
     for t in order:
         if negative[t]:
@@ -588,7 +577,7 @@ def _apply_envelope(
     )
 
 
-def _solve_distinct(feeder, p_kw, t, base, options) -> LaneSolution:
+def _solve_distinct(feeder, p_kw, t, base) -> LaneSolution:
     """``_solve_lanes`` of injection rows ``p_kw`` at steps ``t``, solving each
     distinct ``(t, p_kw)`` row once: rows keyed alike by ``base.weights`` are
     shared only when equal exactly, and a baseline row reads ``base.solution``.
@@ -600,7 +589,7 @@ def _solve_distinct(feeder, p_kw, t, base, options) -> LaneSolution:
     first = order[head]  # a row of each key
     at_idle = key[first] == base.key[t[first]]
     if head.all() and not at_idle.any():
-        return _solve_lanes(feeder, p_kw, base.q[t], options, t.tolist())
+        return _solve_lanes(feeder, p_kw, base.q[t], t.tolist())
     group = (head.cumsum() - 1)[order.argsort()]  # each row's key, counted in key order
     alone = np.flatnonzero((p_kw[first[group]] != p_kw).any(axis=1))  # a weighting clash
     group[alone] = len(first) + np.arange(len(alone))
@@ -609,7 +598,7 @@ def _solve_distinct(feeder, p_kw, t, base, options) -> LaneSolution:
     solve, known = first[~at_idle], base.solution
     source = np.where(at_idle, t[first], (~at_idle).cumsum() + (len(base.p) - 1))[group]
     if solve.size:
-        sol = _solve_lanes(feeder, p_kw[solve], base.q[t[solve]], options, t[solve].tolist())
+        sol = _solve_lanes(feeder, p_kw[solve], base.q[t[solve]], t[solve].tolist())
         known = LaneSolution(*(np.concatenate(pair) for pair in zip(known, sol)))
     errors = [known.collapse[i] for i in source] if any(known.collapse) else [None] * len(t)
     return LaneSolution(*(a[source] for a in known[:-1]), errors)

@@ -24,6 +24,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .trace import STEPS_PER_DAY
+
 BUNDLED_FEEDER = "feeder_19node.yaml"
 BUNDLED_PROFILES = "baseline_profiles.csv"
 
@@ -83,7 +85,7 @@ class FeederModel:
     @cached_property
     def compiled(self) -> CompiledFeeder:
         """The tree index that every solve and day simulation reads, built
-        on first use and kept for the life of the model."""
+        (and the feeder checked) at load and kept for the life of the model."""
         return _compile(self)
 
     @property
@@ -133,12 +135,36 @@ class CompiledFeeder:
 
 
 def _compile(feeder: FeederModel) -> CompiledFeeder:
-    """Index a validated feeder: one breadth-first walk from the slack."""
+    """Check every feeder invariant and index the tree: one breadth-first
+    walk from the slack, each node's children in node order. An edge that
+    reaches a visited node, other than the one its node was entered through,
+    closes a cycle, and nodes never reached are disconnected. Cycles are
+    diagnosed before the branch count so the offending branch gets named."""
     node_ids = tuple(n.id for n in feeder.nodes)
+    dup = {i for i in node_ids if node_ids.count(i) > 1}
+    if dup:
+        raise FeederError(f"duplicate node ids: {sorted(dup)}")
+    slacks = [n.id for n in feeder.nodes if n.is_slack]
+    if len(slacks) != 1:
+        raise FeederError(
+            f"feeder must have exactly one slack node, found {len(slacks)}: {slacks}"
+        )
     node_slot = {n: i for i, n in enumerate(node_ids)}
-    slack = next(n.id for n in feeder.nodes if n.is_slack)
-    adjacency = _adjacency(node_ids, feeder.branches)
+    adjacency: dict[str, list[tuple[str, int]]] = {n: [] for n in node_ids}
+    for bi, b in enumerate(feeder.branches):
+        for end in (b.from_node, b.to_node):
+            if end not in node_slot:
+                raise FeederError(f"branch {b.from_node}-{b.to_node}: unknown node {end}")
+        if b.r_ohm < 0 or b.x_ohm < 0:
+            raise FeederError(f"branch {b.from_node}-{b.to_node}: negative impedance")
+        if b.ampacity_a <= 0:
+            raise FeederError(f"branch {b.from_node}-{b.to_node}: ampacity must be > 0")
+        adjacency[b.from_node].append((b.to_node, bi))
+        adjacency[b.to_node].append((b.from_node, bi))
+
+    slack = slacks[0]
     m = len(node_ids) - 1
+    entered_via = {slack: -1}  # reached node -> index of the branch it was entered through
     parent: dict[str, tuple[str, Branch]] = {}
     pos: dict[str, int] = {}
     path = np.zeros((m, m), dtype=bool)  # path[i, j]: node j's branch is on node i's path
@@ -147,10 +173,13 @@ def _compile(feeder: FeederModel) -> CompiledFeeder:
     frontier = [slack]
     for current in frontier:
         for child, bi in sorted(adjacency[current], key=lambda e: node_slot[e[0]]):
-            if child == slack or child in pos:
+            if bi == entered_via[current]:
                 continue
-            i = pos[child] = len(pos)
             branch = feeder.branches[bi]
+            if child in entered_via:
+                raise FeederError(f"branch {branch.from_node}-{branch.to_node} closes a cycle")
+            entered_via[child] = bi
+            i = pos[child] = len(pos)
             parent[child] = (current, branch)
             if current != slack:
                 path[i] = path[pos[current]]
@@ -158,6 +187,28 @@ def _compile(feeder: FeederModel) -> CompiledFeeder:
             z[i] = complex(branch.r_ohm, branch.x_ohm)
             branch_of_child[bi] = i
             frontier.append(child)
+
+    if len(feeder.branches) != m:
+        raise FeederError(
+            f"radial feeder needs |branches| = |nodes| - 1, "
+            f"got {len(feeder.branches)} branches for {len(node_ids)} nodes"
+        )
+    missing = node_slot.keys() - entered_via.keys()
+    if missing:
+        raise FeederError(f"nodes not connected to the slack: {sorted(missing)}")
+    if feeder.transformer_kva <= 0:
+        raise FeederError("transformer rating must be > 0 kVA")
+    if feeder.base_voltage_v <= 0:
+        raise FeederError("base voltage must be > 0 V")
+    hids = [h.id for h in feeder.households]
+    dup = {i for i in hids if hids.count(i) > 1}
+    if dup:
+        raise FeederError(f"duplicate household ids: {sorted(dup)}")
+    for h in feeder.households:
+        if h.node not in node_slot:
+            raise FeederError(f"household {h.id} attached to unknown node {h.node}")
+        if h.node == slack:
+            raise FeederError(f"household {h.id} may not attach to the slack node")
 
     branch_path = path.T.astype(float)
     return CompiledFeeder(
@@ -185,81 +236,8 @@ class BaselineLoadProfile:
     power_kw: tuple[float, ...]
 
 
-def _adjacency(node_ids, branches: tuple[Branch, ...]) -> dict[str, list[tuple[str, int]]]:
-    """Each node's (neighbor, branch index) pairs, in branch order."""
-    adjacency: dict[str, list[tuple[str, int]]] = {n: [] for n in node_ids}
-    for bi, b in enumerate(branches):
-        adjacency[b.from_node].append((b.to_node, bi))
-        adjacency[b.to_node].append((b.from_node, bi))
-    return adjacency
-
-
-def _validate_topology(nodes: tuple[Node, ...], branches: tuple[Branch, ...]) -> str:
-    """Check the tree and return the slack node id."""
-    ids = [n.id for n in nodes]
-    dup = {i for i in ids if ids.count(i) > 1}
-    if dup:
-        raise FeederError(f"duplicate node ids: {sorted(dup)}")
-    slacks = [n.id for n in nodes if n.is_slack]
-    if len(slacks) != 1:
-        raise FeederError(
-            f"feeder must have exactly one slack node, found {len(slacks)}: {slacks}"
-        )
-    id_set = set(ids)
-    for b in branches:
-        for end in (b.from_node, b.to_node):
-            if end not in id_set:
-                raise FeederError(f"branch {b.from_node}-{b.to_node}: unknown node {end}")
-        if b.r_ohm < 0 or b.x_ohm < 0:
-            raise FeederError(f"branch {b.from_node}-{b.to_node}: negative impedance")
-        if b.ampacity_a <= 0:
-            raise FeederError(f"branch {b.from_node}-{b.to_node}: ampacity must be > 0")
-
-    # BFS from the slack; an edge (other than the one we arrived through)
-    # touching an already-visited node closes a cycle, and nodes never
-    # reached are disconnected. Cycles are diagnosed before the branch-count
-    # check so the offending branch gets named.
-    adjacency = _adjacency(ids, branches)
-    entered_via: dict[str, int | None] = {slacks[0]: None}
-    frontier = [slacks[0]]
-    while frontier:
-        current = frontier.pop(0)
-        for neighbor, bi in adjacency[current]:
-            if bi == entered_via[current]:
-                continue
-            if neighbor in entered_via:
-                b = branches[bi]
-                raise FeederError(f"branch {b.from_node}-{b.to_node} closes a cycle")
-            entered_via[neighbor] = bi
-            frontier.append(neighbor)
-
-    if len(branches) != len(nodes) - 1:
-        raise FeederError(
-            f"radial feeder needs |branches| = |nodes| - 1, "
-            f"got {len(branches)} branches for {len(nodes)} nodes"
-        )
-    missing = id_set - entered_via.keys()
-    if missing:
-        raise FeederError(f"nodes not connected to the slack: {sorted(missing)}")
-    return slacks[0]
-
-
 def _validate(model: FeederModel) -> None:
-    slack = _validate_topology(model.nodes, model.branches)
-    if model.transformer_kva <= 0:
-        raise FeederError("transformer rating must be > 0 kVA")
-    if model.base_voltage_v <= 0:
-        raise FeederError("base voltage must be > 0 V")
-    node_set = {n.id for n in model.nodes}
-    hids = [h.id for h in model.households]
-    dup = {i for i in hids if hids.count(i) > 1}
-    if dup:
-        raise FeederError(f"duplicate household ids: {sorted(dup)}")
-    for h in model.households:
-        if h.node not in node_set:
-            raise FeederError(f"household {h.id} attached to unknown node {h.node}")
-        if h.node == slack:
-            raise FeederError(f"household {h.id} may not attach to the slack node")
+    model.compiled  # the walk that indexes the feeder checks every invariant
 
 
 def build_feeder(
@@ -369,29 +347,23 @@ def path_to_slack(feeder: FeederModel, node_id: str) -> tuple[Branch, ...]:
     return tuple(path)
 
 
-def load_baseline_profiles(
-    path: str | Path, expected_steps: int = 96
-) -> tuple[BaselineLoadProfile, ...]:
+def load_baseline_profiles(path: str | Path) -> tuple[BaselineLoadProfile, ...]:
     """Read household baseline profiles from a CSV table.
 
     Header row holds household ids, each following row one time step in kW.
     """
-    return parse_baseline_profiles(
-        Path(path).read_text(encoding="utf-8"), expected_steps
-    )
+    return parse_baseline_profiles(Path(path).read_text(encoding="utf-8"))
 
 
-def parse_baseline_profiles(
-    text: str, expected_steps: int = 96
-) -> tuple[BaselineLoadProfile, ...]:
+def parse_baseline_profiles(text: str) -> tuple[BaselineLoadProfile, ...]:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         raise FeederError("baseline profile table is empty")
     header = [c.strip() for c in rows[0]]
     data = rows[1:]
-    if len(data) != expected_steps:
+    if len(data) != STEPS_PER_DAY:
         raise FeederError(
-            f"baseline profile table has {len(data)} steps, expected {expected_steps}"
+            f"baseline profile table has {len(data)} steps, expected {STEPS_PER_DAY}"
         )
     profiles = []
     for col, household in enumerate(header):
@@ -411,7 +383,7 @@ def bundled_feeder() -> FeederModel:
     return parse_feeder(text)
 
 
-def bundled_baseline_profiles(expected_steps: int = 96) -> tuple[BaselineLoadProfile, ...]:
+def bundled_baseline_profiles() -> tuple[BaselineLoadProfile, ...]:
     """The packaged synthetic winter-evening-peak household profiles."""
     text = resources.files("evhc.data").joinpath(BUNDLED_PROFILES).read_text("utf-8")
-    return parse_baseline_profiles(text, expected_steps)
+    return parse_baseline_profiles(text)

@@ -39,7 +39,7 @@ from .ev import (
 )
 from .feeder import BaselineLoadProfile, FeederModel
 from .incidents import Incident, IncidentLimits, KIND_DIAGNOSTIC
-from .powerflow import PowerFlowOptions, VoltageCollapseError
+from .powerflow import VoltageCollapseError
 from .qos import QosError, QosReport, build_report
 from .trace import csv_table
 
@@ -65,7 +65,6 @@ class HcSearchConfig:
     v_upper_pu: float = 1.1
     sweep_dimension: str = SWEEP_POWER
     count_mode_power_kw: float = 7.4
-    pf_options: PowerFlowOptions = PowerFlowOptions()
 
     def __post_init__(self) -> None:
         if not self.power_grid_kw:
@@ -153,20 +152,24 @@ def _evaluate_days(
     day, as the kernel keeps it, and its candidate result.
 
     A job is a candidate point ``(candidate, sessions, power)``, its search
-    config and mode. The jobs share the first config's limits and solver
-    options. A candidate whose day cannot be simulated or judged is the
-    exception that stopped it; a collapse is a diagnostic incident.
-    ``searches`` gives each job's search key: a search's jobs, passed in
-    candidate order, stop past its first incident (``doe._simulate_lanes``).
+    config and mode. All jobs must share one pair of voltage limits, as one
+    kernel call judges them all; a batch that mixes them is a ``ValueError``.
+    A candidate whose day cannot be simulated or judged is the exception
+    that stopped it; a collapse is a diagnostic incident. ``searches`` gives
+    each job's search key: a search's jobs, passed in candidate order, stop
+    past its first incident (``doe._simulate_lanes``).
     """
-    config = jobs[0][1]
+    limits = list(dict.fromkeys((cfg.v_lower_pu, cfg.v_upper_pu) for _, cfg, _ in jobs))
+    if len(limits) > 1:
+        raise ValueError(f"batched searches must share (v_lower_pu, v_upper_pu), got {limits}")
+    [(v_lower, v_upper)] = limits
     lanes = [
         Lane(sessions, power, None if mode == "passive" else cfg.doe, key)
         for ((_, sessions, power), cfg, mode), key in zip(jobs, searches or [None] * len(jobs))
     ]
     days = _simulate_lanes(
-        feeder, profiles, lanes, config.pf_options,
-        judge=IncidentLimits.from_feeder(feeder, config.v_lower_pu, config.v_upper_pu),
+        feeder, profiles, lanes,
+        judge=IncidentLimits.from_feeder(feeder, v_lower, v_upper),
     )
     energy: dict = {}  # (session, power) -> its uncontrolled energy, shared by the jobs
     return days, [_judge(day, *job, energy) for day, job in zip(days, jobs)]
@@ -247,8 +250,8 @@ def reduce_searches(
     stops running once one of its outcomes has not passed, after
     ceil(n / ``ROUND_WIDTH``) rounds if that is candidate n: the up to
     ``ROUND_WIDTH - 1`` candidates simulated past it are never read. A
-    search that hits an error ends as that exception. The searches share
-    the first config's limits and solver options.
+    search that hits an error ends as that exception. The searches must
+    share one pair of voltage limits (``_evaluate_days``).
     """
     points = [_points(fleet, config) for fleet, config, _ in searches]
     evaluated: list[list[CandidateResult | Exception]] = [[] for _ in searches]

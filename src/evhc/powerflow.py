@@ -24,7 +24,13 @@ import numpy as np
 
 from .feeder import FeederModel
 
+# Fixed modelling constants: LV feeders at 15-minute resolution.
+TOLERANCE_PU = 1e-8       # a lane converges when no node voltage moves more between sweeps
+MAX_ITERATIONS = 50       # sweeps before a lane is reported unconverged
+COLLAPSE_FLOOR_PU = 0.5   # a node magnitude below this is a voltage collapse
+
 DEFAULT_BASELINE_POWER_FACTOR = 0.95
+BASELINE_Q_PER_KW = tan(acos(DEFAULT_BASELINE_POWER_FACTOR))  # kvar per kW of baseline demand
 
 
 class PowerFlowError(RuntimeError):
@@ -43,15 +49,6 @@ class VoltageCollapseError(PowerFlowError):
             f"voltage collapse{at_step}: |V| reached {min_voltage_pu:.3f} pu "
             f"in iteration {iteration}"
         )
-
-
-@dataclass(frozen=True)
-class PowerFlowOptions:
-    """Solver settings; defaults suit LV feeders at 15-minute resolution."""
-
-    tolerance_pu: float = 1e-8
-    max_iterations: int = 50
-    collapse_floor_pu: float = 0.5
 
 
 @dataclass
@@ -83,13 +80,12 @@ def injections_from_loads(
     households: tuple[str, ...],
     baseline_kw: np.ndarray,
     ev_kw: np.ndarray,
-    baseline_power_factor: float = DEFAULT_BASELINE_POWER_FACTOR,
 ) -> InjectionSet:
     """Combine baseline demand (at a fixed lagging power factor) with EV
     charging (unity power factor) into one injection set."""
     baseline_kw = np.asarray(baseline_kw, dtype=float)
     ev_kw = np.asarray(ev_kw, dtype=float)
-    q = baseline_kw * tan(acos(baseline_power_factor))
+    q = baseline_kw * BASELINE_Q_PER_KW
     return InjectionSet(households=households, p_kw=baseline_kw + ev_kw, q_kvar=q)
 
 
@@ -128,7 +124,7 @@ class PowerFlowSolution:
 def solve(
     feeder: FeederModel,
     injections: InjectionSet,
-    options: PowerFlowOptions = PowerFlowOptions(),
+    *,
     _step: int | None = None,
 ) -> PowerFlowSolution:
     """Solve one step. Non-convergence is reported in the solution, voltage
@@ -137,7 +133,7 @@ def solve(
     if injections.households != comp.household_ids:
         raise ValueError("injections must cover the feeder households in order")
     sol = _solve_lanes(
-        feeder, injections.p_kw[np.newaxis], injections.q_kvar[np.newaxis], options, [_step]
+        feeder, injections.p_kw[np.newaxis], injections.q_kvar[np.newaxis], [_step]
     )
     if sol.collapse[0] is not None:
         raise sol.collapse[0]
@@ -174,7 +170,6 @@ def _solve_lanes(
     feeder: FeederModel,
     p_kw: np.ndarray,
     q_kvar: np.ndarray,
-    options: PowerFlowOptions,
     steps,
 ) -> LaneSolution:
     """Solve (lanes, households) injections, each lane on its own.
@@ -202,15 +197,15 @@ def _solve_lanes(
     collapse: list[VoltageCollapseError | None] = [None] * lanes
     # the lanes still iterating, and their working arrays
     active, s_act, v = np.arange(lanes), s_node, v_out
-    for it in range(1, (options.max_iterations if m else 0) + 1):
+    for it in range(1, (MAX_ITERATIONS if m else 0) + 1):
         i_act = (s_act / v).conj()
         v_new = v0 - np.matmul(comp.impedance, i_act[:, :, np.newaxis])[:, :, 0]
         res = np.abs(v_new - v).max(axis=1) / v_base
         v = v_new
         low = np.abs(v).min(axis=1) / v_base
-        collapsed = low < options.collapse_floor_pu
-        done = collapsed | (res <= options.tolerance_pu)
-        last = it == options.max_iterations
+        collapsed = low < COLLAPSE_FLOOR_PU
+        done = collapsed | (res <= TOLERANCE_PU)
+        last = it == MAX_ITERATIONS
         if last or np.count_nonzero(done):
             leave = done | last
             lane = active[leave]

@@ -9,9 +9,9 @@ QoS accounting both read from here.
 from __future__ import annotations
 
 import csv
-import io
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -131,10 +131,12 @@ def fmt(x: float | None) -> str:
 
 def csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """The writer of every result table: a float cell goes through ``fmt``,
-    None is an empty cell, and a cell is quoted only when it holds a comma,
-    a double quote or a newline."""
-    text = io.StringIO()
-    out = csv.writer(text, lineterminator="\n")
+    None is an empty cell, a cell is quoted only when it holds a comma, a
+    double quote, a line feed or a carriage return, and rows end in a line
+    feed."""
+    lines: list[str] = []
+    # the writer quotes only the characters of its terminator, so it writes "\r\n" rows
+    out = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     out.writerow(header)
     out.writerows([fmt(x) if isinstance(x, float) else x for x in row] for row in rows)
-    return text.getvalue()
+    return "".join(line[:-2] + "\n" for line in lines)

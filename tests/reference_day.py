@@ -8,8 +8,6 @@ whole-trace summary. The lane kernel must reproduce them bit for bit.
 
 from __future__ import annotations
 
-from math import acos, tan
-
 import numpy as np
 
 from evhc.doe import FIXED_POINT_MAX_ITER, FIXED_POINT_TOL_KW, baseline_matrix
@@ -23,8 +21,10 @@ from evhc.incidents import (
     Incident,
 )
 from evhc.powerflow import (
-    DEFAULT_BASELINE_POWER_FACTOR,
-    PowerFlowOptions,
+    BASELINE_Q_PER_KW,
+    COLLAPSE_FLOOR_PU,
+    MAX_ITERATIONS,
+    TOLERANCE_PU,
     PowerFlowSolution,
     VoltageCollapseError,
 )
@@ -40,7 +40,7 @@ from evhc.trace import (
 )
 
 
-def scalar_solve(feeder, p_kw, q_kvar, options=PowerFlowOptions(), step=None):
+def scalar_solve(feeder, p_kw, q_kvar, step=None):
     """One step, one sweep at a time."""
     comp = feeder.compiled
     v_base = feeder.base_voltage_v
@@ -53,16 +53,16 @@ def scalar_solve(feeder, p_kw, q_kvar, options=PowerFlowOptions(), step=None):
     iterations = 0
     residual = 0.0 if m == 0 else np.inf
     i_node = np.zeros(m, dtype=complex)
-    for it in range(1, (options.max_iterations if m else 0) + 1):
+    for it in range(1, (MAX_ITERATIONS if m else 0) + 1):
         i_node = np.conj(s_node / v)
         v_new = v0 - comp.impedance @ i_node
         residual = float(np.max(np.abs(v_new - v))) / v_base
         v = v_new
         iterations = it
         low = float(np.min(np.abs(v))) / v_base
-        if low < options.collapse_floor_pu:
+        if low < COLLAPSE_FLOOR_PU:
             raise VoltageCollapseError(low, it, step=step)
-        if residual <= options.tolerance_pu:
+        if residual <= TOLERANCE_PU:
             converged = True
             break
     i_branch = comp.branch_path @ i_node
@@ -108,21 +108,13 @@ def _apply_envelope(desired, connected, v_house, p_max, params):
     )
 
 
-def reference_day(
-    feeder,
-    profiles,
-    sessions,
-    hc_power,
-    params=None,
-    pf_options=PowerFlowOptions(),
-    baseline_power_factor=DEFAULT_BASELINE_POWER_FACTOR,
-):
+def reference_day(feeder, profiles, sessions, hc_power, params=None):
     """(trajectories, trace) of one day; ``params`` None is uncontrolled."""
     steps = STEPS_PER_DAY
     comp = feeder.compiled
     ordered = [s for h in feeder.household_ids for s in sessions if s.household == h]
-    baseline = baseline_matrix(feeder, profiles, steps)
-    baseline_q = baseline * tan(acos(baseline_power_factor))
+    baseline = baseline_matrix(feeder, profiles)
+    baseline_q = baseline * BASELINE_Q_PER_KW
     ev_house = np.array([comp.household_slot[s.household] for s in ordered], dtype=int)
     house_idx = comp.household_voltage[ev_house]
     n_ev = len(ordered)
@@ -149,7 +141,7 @@ def reference_day(
     def solve_step(t, ev_kw):
         per_household = np.zeros(len(comp.household_ids))
         per_household[ev_house] = ev_kw
-        return scalar_solve(feeder, baseline[t] + per_household, baseline_q[t], pf_options, t)
+        return scalar_solve(feeder, baseline[t] + per_household, baseline_q[t], t)
 
     for k in range(steps):
         t = (start + k) % steps

@@ -353,8 +353,8 @@ def test_recorded_envelope_is_the_scalar_envelope(
     calls = []
     original = evhc.doe._solve_lanes
 
-    def recording(feeder, p_kw, q_kvar, options, steps):
-        sol = original(feeder, p_kw, q_kvar, options, steps)
+    def recording(feeder, p_kw, q_kvar, steps):
+        sol = original(feeder, p_kw, q_kvar, steps)
         calls.append(list(zip(steps, sol.voltage_pu)))
         return sol
 

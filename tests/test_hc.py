@@ -1,6 +1,7 @@
 """Hosting-capacity searches: termination, equivalences, sweeps."""
 
 import math
+import re
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -420,3 +421,17 @@ def test_rounds_reduce_many_searches_together(feeder, profiles, monkeypatch):
             (last, offset + c - 1 - last * w) for c in range(first_incident + 1, rounds * w + 1)
         ]
     assert stopped == sorted(expected_stops)
+
+
+def test_a_batch_that_mixes_voltage_limits_is_refused(feeder, profiles):
+    """One kernel call judges a whole batch at one pair of voltage limits, so
+    searches with different limits cannot share it: ``reduce_searches``
+    refuses them, naming both pairs, instead of judging the second search at
+    the first one's limits. Alone, each search keeps its own limits."""
+    strict = HcSearchConfig(v_lower_pu=0.95)
+    fleet = fleet_for_scenario(feeder, DEFAULT_SCENARIOS["medium"], strict)
+    searches = [(fleet, HcSearchConfig(), "passive"), (fleet, strict, "passive")]
+    with pytest.raises(ValueError, match=re.escape("[(0.9, 1.1), (0.95, 1.1)]")):
+        evhc.hc.reduce_searches(feeder, profiles, searches)
+    assert passive_hc(feeder, profiles, fleet, strict).hc == 1.0
+    assert passive_hc(feeder, profiles, fleet, HcSearchConfig()).hc > 1.0

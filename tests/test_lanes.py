@@ -31,7 +31,7 @@ from evhc.doe import (
 )
 from evhc.ev import DEFAULT_SCENARIOS, EvSession, generate_fleet, quiet_step
 from evhc.incidents import IncidentLimits, crossings, detect
-from evhc.powerflow import PowerFlowOptions, VoltageCollapseError, _solve_lanes
+from evhc.powerflow import VoltageCollapseError, _solve_lanes
 from evhc.trace import SimulationTrace, summarize
 from reference_day import reference_day, reference_detect, reference_summarize
 
@@ -247,9 +247,9 @@ def _solver_rows(monkeypatch) -> list:
     calls = []
     original = evhc.doe._solve_lanes
 
-    def recording(feeder, p_kw, q_kvar, options, steps):
+    def recording(feeder, p_kw, q_kvar, steps):
         calls.append((list(steps), p_kw.copy()))
-        return original(feeder, p_kw, q_kvar, options, steps)
+        return original(feeder, p_kw, q_kvar, steps)
 
     monkeypatch.setattr(evhc.doe, "_solve_lanes", recording)
     return calls
@@ -318,10 +318,10 @@ def test_rows_that_only_share_a_key_are_solved_apart(feeder, profiles, monkeypat
     its own row's solution, bit for bit. Exactly equal rows are shared, and
     a row equal to its step's baseline reads the baseline table."""
     baseline = baseline_matrix(feeder, profiles)
-    q, options = baseline * 0.33, PowerFlowOptions()
+    q = baseline * 0.33
     base = SimpleNamespace(p=baseline, q=q, weights=np.sqrt(np.arange(2.0, baseline.shape[1] + 2)))
     base.key = np.arange(96) + 1j * np.einsum("ij,j->i", baseline, base.weights)
-    base.solution = _solve_lanes(feeder, baseline, q, options, list(range(96)))
+    base.solution = _solve_lanes(feeder, baseline, q, list(range(96)))
     t = np.array([50, 50, 50, 50, 50, 70])
     p_kw = baseline[t]
     p_kw[1, 0] += 1e-16  # a residue on the baseline
@@ -329,9 +329,9 @@ def test_rows_that_only_share_a_key_are_solved_apart(feeder, profiles, monkeypat
     p_kw[4, 5] += 1e-16  # ... of which one carries a residue
     key = t + 1j * np.einsum("ij,j->i", p_kw, base.weights)
     assert key[1] == base.key[50] and key[4] == key[2] and not (p_kw[1] == p_kw[0]).all()
-    expected = _solve_lanes(feeder, p_kw, q[t], options, t.tolist())
+    expected = _solve_lanes(feeder, p_kw, q[t], t.tolist())
     calls = _solver_rows(monkeypatch)
-    got = evhc.doe._solve_distinct(feeder, p_kw, t, base, options)
+    got = evhc.doe._solve_distinct(feeder, p_kw, t, base)
     [(steps, rows)] = calls
     assert sorted(steps) == [50, 50, 50] and sorted(map(bytes, rows)) == sorted(
         bytes(p_kw[i]) for i in (1, 2, 4)

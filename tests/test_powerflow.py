@@ -16,7 +16,6 @@ import pytest
 from evhc.feeder import path_to_slack
 from evhc.powerflow import (
     InjectionSet,
-    PowerFlowOptions,
     VoltageCollapseError,
     injections_from_loads,
     solve,
@@ -122,7 +121,7 @@ def test_convergence_budget_over_the_solvable_load_range(feeder):
     for kw in range(1, 21):
         inj = injections_from_loads(feeder.household_ids, np.full(n, float(kw)), np.zeros(n))
         try:
-            sol = solve(feeder, inj, PowerFlowOptions(tolerance_pu=1e-8, max_iterations=50))
+            sol = solve(feeder, inj)
         except VoltageCollapseError:
             break
         assert sol.converged, f"unconverged at {kw} kW per household"

@@ -1,11 +1,15 @@
-"""Trace bookkeeping: conservation, completeness, summaries, number format."""
+"""Trace bookkeeping: conservation, completeness, summaries, number format
+and the result-table writer."""
+
+import csv
+import io
 
 import numpy as np
 import pytest
 
 from evhc.doe import DoeParams, network_aware_horizon, passive_horizon
 from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
-from evhc.trace import fmt, summarize
+from evhc.trace import csv_table, fmt, summarize
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +83,19 @@ def test_fmt_is_ten_significant_digits_and_blank_for_none():
     assert fmt(0.1) == "0.1"
     assert fmt(np.float64(2.0)) == "2"
     assert fmt(1.0 / 3.0) == "0.3333333333"
+
+
+@pytest.mark.parametrize(
+    "cell", ["a\rb", "a\nb", "a\r\nb", "a,b", 'a"b', "\r", '\r\n,"'],
+    ids=["cr", "lf", "crlf", "comma", "quote", "bare_cr", "all"],
+)
+def test_csv_table_quotes_cells_that_would_split_a_row(cell):
+    """A cell holding a carriage return, a line feed, a comma or a double
+    quote is quoted (its quotes doubled), every row ends in a line feed, and
+    the table reads back through ``csv.reader`` cell for cell."""
+    text = csv_table(("x", "y"), [(cell, 1.0), ("plain", None)])
+    quoted = '"' + cell.replace('"', '""') + '"'
+    assert text == f"x,y\n{quoted},1\nplain,\n"
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        ["x", "y"], [cell, "1"], ["plain", ""]
+    ]
