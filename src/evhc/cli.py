@@ -28,8 +28,7 @@ from typing import NamedTuple
 import yaml
 
 from . import __version__
-from .doe import (VOLTAGE_SOURCES, DoeParams, Lane, _raised, _replay, _simulate_lanes,
-                  export_envelope_csv)
+from .doe import VOLTAGE_SOURCES, DoeParams, Lane, _raised, _replay, export_envelope_csv
 from .ev import (
     DEFAULT_RATED_POWER_KW,
     DEFAULT_SCENARIOS,
@@ -58,7 +57,6 @@ from .hc import (
     _reduce_search,
     export_sweep_csv,
     fleet_for_scenario,
-    reduce_searches,
     sensitivity_sweep,
     threshold_sweep,
 )
@@ -530,53 +528,41 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
     _write(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
     if config.mode in ("passive", "network_aware", "compare"):
-        # one kernel pass: one judged call holds every label's network-aware
-        # power grid, unkeyed as qos_by_power.csv reads all of it and the day
-        # at its HC is rebuilt from it, and each passive grid under its own
-        # key. Network-aware ev_count searches run in rounds after it, as a
-        # QoS breach is known only at the end of a day; their HCs lie outside
-        # the power grid, so one more call simulates the days at them.
+        # one kernel pass: one judged call holds every search's grid, each
+        # reduced to its report. A passive grid runs under its own key, so its
+        # lanes stop past its first incident. A network-aware grid runs
+        # unkeyed: its lanes keep the clamp voltages the day at its HC is
+        # rebuilt from, and its power grid, which qos_by_power.csv reads
+        # whole, is judged too.
         modes = [m for m in ("passive", "network_aware") if config.mode in (m, "compare")]
         runs = []
         for label in config.scenario_labels:
             search = _search_config(config, label)
             fleet = _fleet(config, feeder, search)
             runs += [(fleet, search, mode) for mode in modes]
-        jobs, keys, spans = [], [], []
+        jobs, keys, spans = [], [], {}  # (run, dimension) -> its grid's slice of jobs
         for i, (fleet, search, mode) in enumerate(runs):
             passive = mode == "passive"
-            cfg = search if passive else replace(search, sweep_dimension=SWEEP_POWER)
-            points = _points(fleet, cfg)
-            spans.append(slice(len(jobs), len(jobs) + len(points)))
-            jobs += [(point, cfg, mode) for point in points]
-            keys += [i if passive else None] * len(points)
+            grids = [search] if passive else [search, replace(search, sweep_dimension=SWEEP_POWER)]
+            for cfg in grids:
+                if (i, cfg.sweep_dimension) not in spans:
+                    points = _points(fleet, cfg)
+                    spans[i, cfg.sweep_dimension] = slice(len(jobs), len(jobs) + len(points))
+                    jobs += [(point, cfg, mode) for point in points]
+                    keys += [i if passive else None] * len(points)
         days, judged = _evaluate_days(feeder, profiles, jobs, keys) if jobs else ([], [])
-        grids = [judged[span] for span in spans]
-
-        in_rounds = config.dimension != SWEEP_POWER  # the network-aware ev_count searches
-        rounds = iter(reduce_searches(
-            feeder, profiles, [run for run in runs if in_rounds and run[2] == "network_aware"]
-        ))
-        reports = [
-            next(rounds) if in_rounds and mode == "network_aware"
-            else _reduce_search(grid, search, mode)
-            for (_, search, mode), grid in zip(runs, grids)
-        ]
-        at_hc = {}  # run index -> the network-aware lane at its HC and the day it kept
-        for i, ((fleet, search, mode), report) in enumerate(zip(runs, reports)):
-            if mode != "passive" and not isinstance(report, Exception) and report.hc is not None:
-                points = _points(fleet, search)
-                k = next(k for k, point in enumerate(points) if point[0] == report.hc)
-                day = None if in_rounds else days[spans[i]][k]
-                at_hc[i] = Lane(*points[k][1:], config.doe), day
-        if in_rounds and at_hc:
-            alone = _simulate_lanes(feeder, profiles, [lane for lane, _ in at_hc.values()])
-            at_hc = {i: (lane, day) for (i, (lane, _)), day in zip(at_hc.items(), alone)}
 
         table = []
-        for i, ((_, search, mode), grid) in enumerate(zip(runs, grids)):
-            label, report = search.scenario, _raised(reports[i])
-            hc_days = _hc_days(feeder, profiles, *at_hc[i]) if i in at_hc else ()
+        for i, (fleet, search, mode) in enumerate(runs):
+            span = spans[i, search.sweep_dimension]
+            label, report = search.scenario, _raised(_reduce_search(judged[span], search, mode))
+            hc_days = ()
+            if mode != "passive" and report.hc is not None:
+                points = _points(fleet, search)
+                k = next(k for k, point in enumerate(points) if point[0] == report.hc)
+                lane = Lane(*points[k][1:], config.doe)
+                hc_days = _hc_days(feeder, profiles, lane, days[span][k])
+            grid = judged[spans.get((i, SWEEP_POWER), span)]
             _write_search_outputs(out_dir / f"{mode}_{label}", report, feeder, grid, hc_days)
             limiting = "unconstrained" if report.unconstrained else report.limiting_factor
             # a passive report has no QoS, so its QoS cells are empty

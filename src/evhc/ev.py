@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,10 +126,11 @@ class EvSession:
             raise ValueError(f"{self.household}: arrival_step out of horizon")
         if not self.arrival_step < self.departure_step <= self.arrival_step + STEPS_PER_DAY:
             raise ValueError(f"{self.household}: departure must follow arrival within one day")
-        if self.requested_kwh <= 0:
-            raise ValueError(f"{self.household}: requested energy must be > 0")
-        if self.rated_kw <= 0:
-            raise ValueError(f"{self.household}: rated power must be > 0")
+        for name in ("requested_kwh", "rated_kw"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{self.household}: {name} must be finite and > 0, got {getattr(self, name)}"
+                )
         window_h = self.duration_steps * STEP_HOURS
         if self.requested_kwh > self.rated_kw * window_h * (1 + 1e-9):
             raise ValueError(

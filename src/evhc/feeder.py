@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -155,10 +156,13 @@ def _compile(feeder: FeederModel) -> CompiledFeeder:
         for end in (b.from_node, b.to_node):
             if end not in node_slot:
                 raise FeederError(f"branch {b.from_node}-{b.to_node}: unknown node {end}")
-        if b.r_ohm < 0 or b.x_ohm < 0:
-            raise FeederError(f"branch {b.from_node}-{b.to_node}: negative impedance")
-        if b.ampacity_a <= 0:
-            raise FeederError(f"branch {b.from_node}-{b.to_node}: ampacity must be > 0")
+        for name, value in (("r_ohm", b.r_ohm), ("x_ohm", b.x_ohm)):
+            if not 0 <= value < math.inf:
+                raise FeederError(f"branch {b.from_node}-{b.to_node}: {name} must be finite "
+                                  f"and >= 0, got {value}")
+        if not 0 < b.ampacity_a < math.inf:
+            raise FeederError(f"branch {b.from_node}-{b.to_node}: ampacity_a must be finite "
+                              f"and > 0, got {b.ampacity_a}")
         adjacency[b.from_node].append((b.to_node, bi))
         adjacency[b.to_node].append((b.from_node, bi))
 
@@ -196,10 +200,9 @@ def _compile(feeder: FeederModel) -> CompiledFeeder:
     missing = node_slot.keys() - entered_via.keys()
     if missing:
         raise FeederError(f"nodes not connected to the slack: {sorted(missing)}")
-    if feeder.transformer_kva <= 0:
-        raise FeederError("transformer rating must be > 0 kVA")
-    if feeder.base_voltage_v <= 0:
-        raise FeederError("base voltage must be > 0 V")
+    for name in ("transformer_kva", "base_voltage_v"):
+        if not 0 < getattr(feeder, name) < math.inf:
+            raise FeederError(f"{name} must be finite and > 0, got {getattr(feeder, name)}")
     hids = [h.id for h in feeder.households]
     dup = {i for i in hids if hids.count(i) > 1}
     if dup:
@@ -360,6 +363,9 @@ def parse_baseline_profiles(text: str) -> tuple[BaselineLoadProfile, ...]:
     if not rows:
         raise FeederError("baseline profile table is empty")
     header = [c.strip() for c in rows[0]]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise FeederError(f"baseline profile table repeats households: {repeated}")
     data = rows[1:]
     if len(data) != STEPS_PER_DAY:
         raise FeederError(
@@ -371,8 +377,11 @@ def parse_baseline_profiles(text: str) -> tuple[BaselineLoadProfile, ...]:
             series = tuple(float(r[col]) for r in data)
         except (IndexError, ValueError) as exc:
             raise FeederError(f"bad value in profile column {household}: {exc}") from exc
-        if any(p < 0 for p in series):
-            raise FeederError(f"household {household}: baseline power must be >= 0")
+        bad = [p for p in series if not 0 <= p < math.inf]
+        if bad:
+            raise FeederError(
+                f"household {household}: baseline power must be >= 0 and finite, got {bad[0]}"
+            )
         profiles.append(BaselineLoadProfile(household=household, power_kw=series))
     return tuple(profiles)
 

@@ -33,11 +33,7 @@ DEFAULT_BASELINE_POWER_FACTOR = 0.95
 BASELINE_Q_PER_KW = tan(acos(DEFAULT_BASELINE_POWER_FACTOR))  # kvar per kW of baseline demand
 
 
-class PowerFlowError(RuntimeError):
-    """Raised for solver failures that the caller cannot interpret as data."""
-
-
-class VoltageCollapseError(PowerFlowError):
+class VoltageCollapseError(RuntimeError):
     """Any node magnitude fell below the collapse floor during iteration."""
 
     def __init__(self, min_voltage_pu: float, iteration: int, step: int | None = None):

@@ -185,6 +185,72 @@ def test_feeder_file_must_be_valid_yaml(tmp_path, capsys):
     _assert_config_error(tmp_path, capsys, path, "not valid YAML")
 
 
+def _edited_inputs(tmp_path, edit) -> Path:
+    """A compare scenario over the bundled feeder and profiles and a
+    generated fleet, written to files after ``edit`` changes their parsed
+    rows: ``edit(feeder document, profile rows, fleet rows)``."""
+    from importlib import resources
+
+    from evhc.ev import DEFAULT_SCENARIOS, generate_fleet, serialize_fleet
+    from evhc.feeder import bundled_feeder, serialize_feeder
+
+    feeder = bundled_feeder()
+    doc = yaml.safe_load(serialize_feeder(feeder))
+    profiles = resources.files("evhc.data").joinpath("baseline_profiles.csv").read_text()
+    fleet = serialize_fleet(generate_fleet(DEFAULT_SCENARIOS["low"], feeder.household_ids, 3))
+    rows = [[line.split(",") for line in text.splitlines()] for text in (profiles, fleet)]
+    edit(doc, *rows)
+    (tmp_path / "feeder.yaml").write_text(yaml.safe_dump(doc))
+    for name, table in zip(("profiles.csv", "fleet.csv"), rows):
+        (tmp_path / name).write_text("".join(",".join(row) + "\n" for row in table))
+    return _write_scenario(tmp_path, mode="compare", feeder="feeder.yaml",
+                           baseline_profiles="profiles.csv",
+                           fleet={"source": "import", "fleet_file": "fleet.csv"})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc, profiles, fleet: doc["branches"][0].update(r_ohm=math.nan),
+         "branch tx-t1: r_ohm must be finite and >= 0, got nan"),
+        (lambda doc, profiles, fleet: doc["branches"][2].update(x_ohm=-math.inf),
+         "x_ohm must be finite and >= 0, got -inf"),
+        (lambda doc, profiles, fleet: doc["branches"][1].update(ampacity_a=math.inf),
+         "ampacity_a must be finite and > 0, got inf"),
+        (lambda doc, profiles, fleet: doc.update(transformer_kva=math.inf),
+         "transformer_kva must be finite and > 0, got inf"),
+        (lambda doc, profiles, fleet: doc.update(base_voltage_v=math.nan),
+         "base_voltage_v must be finite and > 0, got nan"),
+        (lambda doc, profiles, fleet: profiles[40].__setitem__(3, "nan"),
+         "household h04: baseline power must be >= 0 and finite, got nan"),
+        (lambda doc, profiles, fleet: profiles[1].__setitem__(0, "inf"),
+         "household h01: baseline power must be >= 0 and finite, got inf"),
+        (lambda doc, profiles, fleet: fleet[2].__setitem__(3, "nan"),
+         "h02: requested_kwh must be finite and > 0, got nan"),
+        (lambda doc, profiles, fleet: fleet[1].__setitem__(4, "inf"),
+         "h01: rated_kw must be finite and > 0, got inf"),
+    ],
+    ids=["r_ohm_nan", "x_ohm_-inf", "ampacity_inf", "transformer_inf", "base_voltage_nan",
+         "profile_nan", "profile_inf", "requested_kwh_nan", "rated_kw_inf"],
+)
+def test_non_finite_number_in_an_input_file_is_config_error(tmp_path, capsys, edit, message):
+    """Each input-file number must lie in a range, and NaN and ±inf lie in
+    none; the message names the field."""
+    path = _edited_inputs(tmp_path, edit)
+    _assert_config_error(tmp_path, capsys, path, message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_household_in_the_profile_table_is_config_error(tmp_path, capsys):
+    """A profile table names each household once: a repeated column would
+    replace the first one's profile."""
+    path = _edited_inputs(tmp_path, lambda doc, profiles, fleet: [
+        row.append("h01" if t == 0 else "9.0") for t, row in enumerate(profiles)
+    ])
+    _assert_config_error(tmp_path, capsys, path, "repeats households: ['h01']")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_override_must_be_positive(tmp_path, capsys, workers):
     path = _write_scenario(tmp_path, mode="passive")
@@ -240,12 +306,15 @@ def test_network_aware_run_simulates_each_grid_candidate_once(tmp_path, monkeypa
     assert sum(aware for _, aware, _ in calls) == 12
 
 
-def test_compare_run_makes_one_kernel_pass(tmp_path, monkeypatch):
-    """One judged call holds every label's network-aware grid and, keyed by
-    label, its passive grid; the network-aware and passive day at each
-    capacity are rebuilt without another kernel call. A passive run makes
-    the judged call alone. A network-aware horizon is one kernel call and
-    then one solve of its rebuilt day; a passive horizon is that solve alone."""
+@pytest.mark.parametrize("dimension", ["power", "ev_count"])
+def test_compare_run_makes_one_kernel_pass(tmp_path, monkeypatch, dimension):
+    """One judged call holds every label's network-aware grid, unkeyed, and,
+    keyed by label, its passive grid; an EV-count network-aware search adds
+    its power grid, which qos_by_power.csv reads whole. The network-aware
+    and passive day at each capacity are rebuilt without another kernel
+    call. A passive or a network-aware run makes the judged call alone. A
+    network-aware horizon is one kernel call and then one solve of its
+    rebuilt day; a passive horizon is that solve alone."""
     from evhc.doe import network_aware_horizon, passive_horizon
     from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
     from evhc.feeder import bundled_baseline_profiles, bundled_feeder
@@ -253,22 +322,25 @@ def test_compare_run_makes_one_kernel_pass(tmp_path, monkeypatch):
     lanes = []
     calls = _kernel_calls(monkeypatch, lanes)
     labels = ["low", "medium", "high"]
-    path = _write_scenario(tmp_path, mode="compare", scenarios=labels)
+    search = {**BASE["search"], "dimension": dimension}
+    aware = 3 * 12 * (1 if dimension == "power" else 2)  # 12 EVs, 12 power candidates
+    path = _write_scenario(tmp_path, mode="compare", scenarios=labels, search=search)
     out = tmp_path / "out"
     assert main(["run", str(path), "--output-dir", str(out)]) == 0
     assert all(
         json.loads((out / f"network_aware_{label}" / "report.json").read_text())["hc"] is not None
         for label in labels
     )
-    assert calls == [(True, 3 * 12, 3 * 12)]
+    assert calls == [(True, aware, 3 * 12)]
     assert {lane.search for lane in lanes[0] if lane.params is not None} == {None}
     keys = [lane.search for lane in lanes[0] if lane.params is None]  # one key per label
     assert None not in keys and [keys.count(k) for k in dict.fromkeys(keys)] == [12] * len(labels)
 
-    calls.clear()
-    path = _write_scenario(tmp_path, mode="passive", scenarios=labels)
-    assert main(["run", str(path), "--output-dir", str(tmp_path / "passive")]) == 0
-    assert calls == [(True, 0, 3 * 12)]
+    for mode, counts in (("passive", (True, 0, 3 * 12)), ("network_aware", (True, aware, 0))):
+        calls.clear()
+        path = _write_scenario(tmp_path, mode=mode, scenarios=labels, search=search)
+        assert main(["run", str(path), "--output-dir", str(tmp_path / mode)]) == 0
+        assert calls == [counts]
 
     events = []
     kernel, solve = evhc.doe._simulate_lanes, evhc.doe._solve_lanes
@@ -687,16 +759,76 @@ STUDY_SHA256 = {
 }
 
 
-def test_bundled_study_files_are_pinned(tmp_path):
+# The same study with ``search.dimension: ev_count``: its network-aware HC
+# days lie outside the power grid.
+EV_COUNT_STUDY_SHA256 = {
+    "manifest.json": "f57b80560485ec1a9996c07a679f1f3103d641678371bfe9d3e1c0a27b25084f",
+    "network_aware_high/candidates.csv": "0adf2463c233c539357f7d2f1baff8aac9de3f28a1a5c601758a81ee23b900b8",
+    "network_aware_high/envelope_trace.csv": "aed863b67b7c8f3c5dcd44af709ff012708b4a8332500863a47a9e08a6d7bd6c",
+    "network_aware_high/incidents_next.csv": "b49558c1263772c7aab29dee29bab201f127a03ff1a77774c741cb6e3f89af30",
+    "network_aware_high/profiles_power.csv": "7c2b5066dccbf9443c3a6413b572803e2e02801af0cf8b7389bcd803b5889fde",
+    "network_aware_high/profiles_voltage.csv": "30a9fc65b5ee2c1928e4b8f773585d10f742b91e292cf58a0e20cd68ae917ec9",
+    "network_aware_high/qos_at_hc.csv": "73f169b9088e04341368b028032e89ad461a1ec44357682e47177df63e5b31f0",
+    "network_aware_high/qos_by_power.csv": "f83d30035746250f85dfe59e4ff0bbcaaa1d768ed1ff959a9d50654f495223a5",
+    "network_aware_high/report.json": "4aefc1ec23b364cb7aa43fb048c4708360a2cc75465d0bba53ce2ac945cc0699",
+    "network_aware_low/candidates.csv": "79ef2ef8f80acd1548a5c51504bf5107c7059dd04fb1627fa86ae0ae54ecf842",
+    "network_aware_low/envelope_trace.csv": "5f0b73d1e849e9704517121a86e3f6751c956f32ea2243b09f7438d91fb5a9c0",
+    "network_aware_low/incidents_next.csv": "ef490c643aa8244ba83ef903e8e18f8c90bf7182e91fb0d108cf64e5af4eed12",
+    "network_aware_low/profiles_power.csv": "29979989b68377fa28ad05bb946e3de8213f4e2933c8652acfdf3ff7080fbaee",
+    "network_aware_low/profiles_voltage.csv": "2f51ddfe465840d7e09082a9ac281e05209c4ae72ec77bde5dc8fe223c4902d5",
+    "network_aware_low/qos_at_hc.csv": "b9d5ce90481ee7eefabe30f6d0b39d593f384457932235b8e14dce3f1ad3d890",
+    "network_aware_low/qos_by_power.csv": "2470eb93b9b8728b88e47185dbf4c9b025b2add640753e979d22790684d29b4a",
+    "network_aware_low/report.json": "e9b157d8a6b38e817be779b358c4ff1a81404f7904c67c1f5beb8c2998d0a565",
+    "network_aware_medium/candidates.csv": "fde9d645d7ab94e8cdede67f7b20eb05a4a3e05044df7fd8f0d046506b5cba9c",
+    "network_aware_medium/envelope_trace.csv": "523ee0b72d229c83485988d82993429b99b6fd4faa77d81da5886664045a28ed",
+    "network_aware_medium/incidents_next.csv": "c3a2b4da244b87bd647cf78bd9421a265f1fad21725b2a6481af68640fa91774",
+    "network_aware_medium/profiles_power.csv": "b22adf0b877e21d803f486ddf7942a209fd7ef6079808b0b32926b5c7e280723",
+    "network_aware_medium/profiles_voltage.csv": "bae6a52a56f180cef926be80f0cc8b7ccae0c8807baa83095a37f94213da59ef",
+    "network_aware_medium/qos_at_hc.csv": "c032cd8440633a0b487d3e4686383b0d47b47b3fceef4bb603057442a026a4b3",
+    "network_aware_medium/qos_by_power.csv": "87f35a27d12ff4ad80eb71849d61b1e7bb3876a84e732172ffadacbf7ad3e2f9",
+    "network_aware_medium/report.json": "8997ab014eb50b2698199c3bb381842441aeb7b103c94a724d5a6a096f7bab99",
+    "passive_high/candidates.csv": "decceaf2d15daddde7015a372f93fb6fe5c8c67ae478142e406176ca19ac67be",
+    "passive_high/incidents_next.csv": "20a495f53ce3ce45af67f5e82908c06c74eb5bedb045dcce27e73b1ed00f8a5a",
+    "passive_high/report.json": "702da1599529e5dfbb0aeeab2ad123aa51502b161d3510c463d078b0373da6ff",
+    "passive_low/candidates.csv": "f6c0a7fcfe54352e447ec6265b3dc5ac381f7a3e36e483acc4a8ecf60737f73a",
+    "passive_low/incidents_next.csv": "193e7643361fa19fa9d70a8f15615788dd3c95de89c80d02696c81f8ca9a5283",
+    "passive_low/report.json": "43f867f8d40fec7562243e67bcb78fe65ca338b323c74b414c673e9e6dd57cee",
+    "passive_medium/candidates.csv": "8da1148f5b3a01b4d8102f62ebdfb0cbf8c796d017e8ddb2cb614e139ec635ba",
+    "passive_medium/incidents_next.csv": "b3d0371901d9130888fde1cb321cab0373edb4f9934092f5577125d2ed33b597",
+    "passive_medium/report.json": "d1753f36aa55d9ef77a71046120ffcd6404cc3f6d68ff2bbe4bcb3ddc3dd603b",
+    "plots/fig_customer_qos_high.csv": "b9bd149ff68fdce7d09ba4e39755c61144dc4a3ead48d83e764fa90b0beb0c6f",
+    "plots/fig_customer_qos_low.csv": "d6395cc387e94a7190b16194ec19cca42c6b32ff1453e443a8d5ab1bbf46533c",
+    "plots/fig_customer_qos_medium.csv": "149f8d30883a9ede0089dcd7a3ebab24d23aa627077bbf8e236882b430bbe963",
+    "plots/fig_profiles_power_high.csv": "7c2b5066dccbf9443c3a6413b572803e2e02801af0cf8b7389bcd803b5889fde",
+    "plots/fig_profiles_power_low.csv": "29979989b68377fa28ad05bb946e3de8213f4e2933c8652acfdf3ff7080fbaee",
+    "plots/fig_profiles_power_medium.csv": "b22adf0b877e21d803f486ddf7942a209fd7ef6079808b0b32926b5c7e280723",
+    "plots/fig_profiles_voltage_high.csv": "30a9fc65b5ee2c1928e4b8f773585d10f742b91e292cf58a0e20cd68ae917ec9",
+    "plots/fig_profiles_voltage_low.csv": "2f51ddfe465840d7e09082a9ac281e05209c4ae72ec77bde5dc8fe223c4902d5",
+    "plots/fig_profiles_voltage_medium.csv": "bae6a52a56f180cef926be80f0cc8b7ccae0c8807baa83095a37f94213da59ef",
+    "table1.csv": "9bf6586b7a9841c465559bdb3d23600601cc88e02935ec2b1ad2375136aebed7",
+}
+
+
+def _study_digests(tmp_path, dimension: str) -> dict:
+    """The SHA-256 of each file of the ``init-example`` study at ``dimension``
+    and of its ``emit-plots`` tables."""
     example, out = tmp_path / "example.yaml", tmp_path / "out"
     assert main(["init-example", "--output", str(example)]) == 0
+    example.write_text(example.read_text().replace("dimension: power", f"dimension: {dimension}"))
     assert main(["run", str(example), "--output-dir", str(out)]) == 0
     assert main(["emit-plots", str(out)]) == 0
-    digests = {
+    return {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*")) if path.is_file()
     }
-    assert digests == STUDY_SHA256
+
+
+def test_bundled_study_files_are_pinned(tmp_path):
+    assert _study_digests(tmp_path, "power") == STUDY_SHA256
+
+
+def test_ev_count_study_files_are_pinned(tmp_path):
+    assert _study_digests(tmp_path, "ev_count") == EV_COUNT_STUDY_SHA256
 
 
 def test_seed_override_changes_manifest(tmp_path):

@@ -6,14 +6,15 @@ one. Here ``hypothesis`` draws feeders of 2 to 25 nodes with random
 branching, impedances and ampacities, some nodes carrying two households,
 and tiles the bundled profiles over the households. Each day rebuilt from
 what the kernel kept must equal ``reference_day`` bit for bit, and each
-judged lane's incidents and two extrema must equal the reference's. The
-walk that checks and indexes a feeder must name a cycle's branch, count the
+judged lane's incidents and two extrema must equal the reference's. A
+search reduced from its whole grid, judged in one kernel call with or
+without its search key, must equal the same search run in candidate
+rounds. The walk that checks and indexes a feeder must name a cycle's branch, count the
 branches, and index the tree breadth-first with children in node order,
 whatever the order and orientation of its branches.
 """
 
 import re
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -32,10 +33,19 @@ from evhc.feeder import (
     bundled_baseline_profiles,
     path_to_slack,
 )
+from evhc.hc import (
+    SWEEP_EV_COUNT,
+    SWEEP_POWER,
+    HcSearchConfig,
+    _evaluate,
+    _points,
+    _reduce_search,
+    reduce_searches,
+)
 from evhc.incidents import IncidentLimits
 from evhc.powerflow import VoltageCollapseError
-from evhc.trace import SimulationTrace
 from reference_day import reference_day, reference_detect, reference_summarize
+from test_hc import _assert_same
 
 ENVELOPES = (
     DoeParams(),
@@ -72,17 +82,23 @@ def _feeder_parts(draw, shuffled=False):
 
 
 @st.composite
-def _studies(draw):
-    """A random radial feeder, its tiled profiles and a day's lanes."""
+def _fleets(draw):
+    """A random radial feeder, its tiled profiles and a seeded fleet."""
     feeder = build_feeder(**draw(_feeder_parts()))
-    households = feeder.households
     bundled = bundled_baseline_profiles()
     profiles = tuple(
         BaselineLoadProfile(h.id, bundled[j % len(bundled)].power_kw)
-        for j, h in enumerate(households)
+        for j, h in enumerate(feeder.households)
     )
     scenario = DEFAULT_SCENARIOS[draw(st.sampled_from(sorted(DEFAULT_SCENARIOS)))]
     fleet = generate_fleet(scenario, feeder.household_ids, seed=draw(st.integers(0, 10_000)))
+    return feeder, profiles, fleet
+
+
+@st.composite
+def _studies(draw):
+    """A random radial feeder, its tiled profiles and a day's lanes."""
+    feeder, profiles, fleet = draw(_fleets())
     power = draw(st.sampled_from([3.0, 7.0, 11.0, 22.0]))
     return feeder, profiles, [Lane(fleet, power), *(Lane(fleet, power, p) for p in ENVELOPES)]
 
@@ -92,19 +108,6 @@ def _outcome(run):
         return run()
     except (ValueError, VoltageCollapseError) as exc:
         return exc
-
-
-def _assert_same(got, want):
-    if isinstance(want, Exception):
-        assert type(got) is type(want) and str(got) == str(want)
-        return
-    for f in fields(SimulationTrace):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert np.array_equal(a, b, equal_nan=b.dtype.kind == "f"), f.name
-        else:
-            assert a == b, f.name
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -131,6 +134,34 @@ def test_rebuilt_and_judged_days_equal_the_reference_on_random_feeders(study):
         assert judged_day.min_voltage_pu == summary.overall_min_voltage_pu
         assert judged_day.max_slack_kva == summary.max_slack_kva
         assert np.array_equal(judged_day.delivered_kwh, expected.delivered_kwh)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    _fleets(),
+    st.sampled_from(["passive", "network_aware"]),
+    st.sampled_from([SWEEP_POWER, SWEEP_EV_COUNT]),
+    st.sampled_from(ENVELOPES),
+    st.sampled_from([7.4, 22.0]),
+    st.sampled_from([0.8, 0.99]),
+)
+def test_a_whole_grid_reduces_to_the_search_in_rounds(
+    study, mode, dimension, doe, count_mode_power_kw, qos_threshold
+):
+    """``evhc run`` judges each search's whole grid in one kernel call and
+    reduces it: a network-aware grid unkeyed, so every lane runs its whole
+    day, and a passive grid under its search key, so lanes past its first
+    incident stop. Either way the report equals the search in candidate
+    rounds, field by field and candidate by candidate."""
+    feeder, profiles, fleet = study
+    config = HcSearchConfig(
+        power_grid_kw=(2.0, 4.0, 7.0, 11.0, 16.0, 22.0), qos_threshold=qos_threshold, doe=doe,
+        sweep_dimension=dimension, count_mode_power_kw=count_mode_power_kw,
+    )
+    [expected] = reduce_searches(feeder, profiles, [(fleet, config, mode)])
+    jobs = [(point, config, mode) for point in _points(fleet, config)]
+    for keys in (None, [0] * len(jobs)):
+        _assert_same(_reduce_search(_evaluate(feeder, profiles, jobs, keys), config, mode), expected)
 
 
 @settings(max_examples=50, deadline=None)
