@@ -13,7 +13,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .doe import DoeParams, EnvelopeBound, clamp_to_envelope, envelope_bound, floor_power
+from .doe import DoeParams, EnvelopeBound, envelope_bound
 from .ev import (
     DEFAULT_SCENARIOS,
     ChargingTrajectory,
@@ -46,7 +46,7 @@ from .hc import (
 from .incidents import Incident, IncidentLimits, detect
 from .powerflow import InjectionSet, PowerFlowSolution, solve
 from .qos import QosReport, qos_aggregated, qos_individual
-from .trace import SimulationTrace, TraceSummary, summarize
+from .trace import SimulationTrace
 
 __all__ = [
     "__version__",
@@ -70,14 +70,11 @@ __all__ = [
     "PowerFlowSolution",
     "QosReport",
     "SimulationTrace",
-    "TraceSummary",
     "baseline_trajectory",
     "bundled_baseline_profiles",
     "bundled_feeder",
-    "clamp_to_envelope",
     "detect",
     "envelope_bound",
-    "floor_power",
     "generate_fleet",
     "load_baseline_profiles",
     "load_feeder",
@@ -88,6 +85,5 @@ __all__ = [
     "qos_individual",
     "sensitivity_sweep",
     "solve",
-    "summarize",
     "threshold_sweep",
 ]

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import yaml
 
 from . import __version__
-from .doe import VOLTAGE_SOURCES, DoeParams, Lane, _raised, _replay, export_envelope_csv
+from .doe import VOLTAGE_SOURCES, DoeParams, Lane, LaneDay, _raised, _replay, export_envelope_csv
 from .ev import (
     DEFAULT_RATED_POWER_KW,
     DEFAULT_SCENARIOS,
@@ -54,15 +54,15 @@ from .hc import (
     SWEEP_POWER,
     _evaluate_days,
     _points,
-    _reduce_search,
     export_sweep_csv,
     fleet_for_scenario,
+    reduce_candidates,
     sensitivity_sweep,
     threshold_sweep,
 )
 from .incidents import export_incidents_csv
 from .qos import export_qos_csv
-from .trace import SimulationTrace, csv_table
+from .trace import csv_table
 
 MODES = ("passive", "network_aware", "compare", "sweep_doe", "sweep_qos_threshold")
 
@@ -458,26 +458,29 @@ def _write_search_outputs(
     out: Path,
     report: HcReport,
     feeder: FeederModel,
+    profiles: tuple[BaselineLoadProfile, ...],
     grid: list,
-    hc_days: Iterable[SimulationTrace],
+    hc_day: tuple[Lane, LaneDay] | None,
 ) -> None:
-    """Write one search's files; a network-aware HC adds its day (``hc_days``,
-    read only then: the network-aware and passive trace) and per-customer QoS
-    over its power ``grid``."""
+    """Write one search's files; a network-aware HC adds its day, rebuilt
+    from ``hc_day`` (its lane and the day its kernel lane kept), the passive
+    day of that lane, and per-customer QoS over its power ``grid``."""
     _write(out / "report.json", _report_json(report))
     _write(out / "candidates.csv", _candidates_csv(report))
     failing = report.candidates[-1] if report.candidates and not report.unconstrained else None
     if failing is not None:
         _write(out / "incidents_next.csv", export_incidents_csv(failing.incidents))
-    if report.mode != "network_aware" or report.hc is None:
+    at_hc = report.at_hc
+    if report.mode != "network_aware" or at_hc is None:
         return
 
     # trace exports at the hosting-capacity candidate
-    na_trace, base_trace = hc_days
+    lane, day = hc_day
+    na_trace = _replay(feeder, profiles, lane, day)[1]
+    base_trace = _replay(feeder, profiles, lane._replace(params=None))[1]
 
     comp = feeder.compiled
-    at_hc = next((c for c in report.candidates if c.candidate == report.hc), None)
-    if at_hc is not None and at_hc.qos is not None:
+    if at_hc.qos is not None:
         _write(out / "qos_at_hc.csv", export_qos_csv(at_hc.qos, comp.household_node))
 
     _write(out / "envelope_trace.csv", export_envelope_csv(na_trace, feeder))
@@ -502,14 +505,6 @@ def _write_search_outputs(
                                  result.qos.e_network_aware_kwh.tolist(),
                                  result.qos.individual.tolist())),
     ))
-
-
-def _hc_days(feeder: FeederModel, profiles, lane: Lane, day) -> Iterator[SimulationTrace]:
-    """The network-aware and then the passive trace at a network-aware HC,
-    each rebuilt as it is read from ``lane``, the HC's, and ``day``, the
-    network-aware day its kernel lane kept."""
-    yield _replay(feeder, profiles, lane, day)[1]
-    yield _replay(feeder, profiles, lane._replace(params=None))[1]
 
 
 def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
@@ -555,15 +550,15 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
         table = []
         for i, (fleet, search, mode) in enumerate(runs):
             span = spans[i, search.sweep_dimension]
-            label, report = search.scenario, _raised(_reduce_search(judged[span], search, mode))
-            hc_days = ()
-            if mode != "passive" and report.hc is not None:
-                points = _points(fleet, search)
-                k = next(k for k, point in enumerate(points) if point[0] == report.hc)
-                lane = Lane(*points[k][1:], config.doe)
-                hc_days = _hc_days(feeder, profiles, lane, days[span][k])
+            label, report = search.scenario, _raised(reduce_candidates(
+                judged[span], search.qos_threshold, mode, search.scenario, search.sweep_dimension))
+            hc_day = None
+            if mode != "passive" and report.at_hc is not None:
+                k = len(report.candidates) - 1 - (not report.unconstrained)  # at_hc's grid point
+                hc_day = Lane(*_points(fleet, search)[k][1:], config.doe), days[span][k]
             grid = judged[spans.get((i, SWEEP_POWER), span)]
-            _write_search_outputs(out_dir / f"{mode}_{label}", report, feeder, grid, hc_days)
+            _write_search_outputs(out_dir / f"{mode}_{label}", report, feeder, profiles, grid,
+                                  hc_day)
             limiting = "unconstrained" if report.unconstrained else report.limiting_factor
             # a passive report has no QoS, so its QoS cells are empty
             table.append((label, mode, report.hc, limiting, report.qos_at_hc, report.min_qos_at_hc))

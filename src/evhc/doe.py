@@ -105,31 +105,14 @@ class EnvelopeBound:
     degenerate: bool = False
 
 
-def floor_power(p_max_kw: float, params: DoeParams) -> float:
-    """Envelope floor: the red-zone charging power."""
-    if p_max_kw <= 0:
-        raise ValueError("p_max_kw must be > 0")
-    return params.factor * p_max_kw
-
-
 def envelope_bound(u_t: float, p_max_kw: float, params: DoeParams) -> EnvelopeBound:
     """Power interval admitted at local voltage ``u_t`` (per-unit)."""
     if u_t <= 0:
         raise ValueError("voltage must be > 0 pu")
-    floor_power(p_max_kw, params)  # rejects p_max_kw <= 0
+    if p_max_kw <= 0:
+        raise ValueError("p_max_kw must be > 0")
     floor, cap, zone = _envelope(np.float64(u_t), np.float64(p_max_kw), params)
     return EnvelopeBound(float(floor), float(cap), ZONE_LABELS[int(zone)], params.degenerate)
-
-
-def clamp_to_envelope(p_desired_kw: float, bound: EnvelopeBound) -> float:
-    """Admissible power closest to the desired one.
-
-    The effective lower edge is min(floor, desired): an EV that needs less
-    than the floor to finish its charge is never forced to draw more.
-    """
-    if p_desired_kw < 0:
-        raise ValueError("desired power must be >= 0")
-    return float(_clamp(np.float64(p_desired_kw), bound.floor_kw, bound.cap_kw))
 
 
 def _envelope(u: np.ndarray, p_max: np.ndarray, params) -> tuple[np.ndarray, ...]:
@@ -156,6 +139,7 @@ def _envelope(u: np.ndarray, p_max: np.ndarray, params) -> tuple[np.ndarray, ...
 
 
 def _clamp(desired: np.ndarray, floor: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """Admissible power closest to the desired one, never forced above it."""
     return np.minimum(np.maximum(desired, np.minimum(floor, desired)), cap)
 
 

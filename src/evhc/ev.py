@@ -249,7 +249,7 @@ def serialize_fleet(sessions: list[EvSession]) -> str:
 
 def load_fleet(path: str | Path) -> list[EvSession]:
     """Read an externally supplied session table (same columns as export)."""
-    rows = list(csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8"))))
+    rows = list(csv.reader(io.StringIO(Path(path).read_text(encoding="utf-8-sig"))))
     header = ["household", "arrival_step", "departure_step", "requested_kwh", "rated_kw"]
     if not rows or rows[0] != header:
         raise ValueError(f"fleet file must start with header {','.join(header)}")
@@ -270,4 +270,6 @@ def load_fleet(path: str | Path) -> list[EvSession]:
                 rated_kw=float(row[4]),
             )
         )
+    if not sessions:
+        raise ValueError("fleet file has no sessions")
     return sessions

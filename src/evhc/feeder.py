@@ -355,7 +355,7 @@ def load_baseline_profiles(path: str | Path) -> tuple[BaselineLoadProfile, ...]:
 
     Header row holds household ids, each following row one time step in kW.
     """
-    return parse_baseline_profiles(Path(path).read_text(encoding="utf-8"))
+    return parse_baseline_profiles(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def parse_baseline_profiles(text: str) -> tuple[BaselineLoadProfile, ...]:
@@ -371,11 +371,14 @@ def parse_baseline_profiles(text: str) -> tuple[BaselineLoadProfile, ...]:
         raise FeederError(
             f"baseline profile table has {len(data)} steps, expected {STEPS_PER_DAY}"
         )
+    for n, r in enumerate(data, start=2):
+        if len(r) != len(header):
+            raise FeederError(f"profile table row {n} has {len(r)} cells, its header {len(header)}")
     profiles = []
     for col, household in enumerate(header):
         try:
             series = tuple(float(r[col]) for r in data)
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise FeederError(f"bad value in profile column {household}: {exc}") from exc
         bad = [p for p in series if not 0 <= p < math.inf]
         if bad:

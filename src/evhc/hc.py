@@ -8,17 +8,19 @@ below the threshold. When an incident and a QoS breach coincide, the
 incident is reported as the limiting factor (grid safety outranks service
 quality) and the QoS breach is still visible in the candidate detail.
 
-Every candidate is simulated independently of the others. A search is the
-first-failure reduction of its candidates, so it returns exactly what an
-exhaustive per-candidate scan returns. Searches run in candidate rounds:
-each round simulates the next four (``ROUND_WIDTH``) candidates of every
-search still running, all in one batched kernel call, each search under
-its own key; the kernel (``doe._simulate_lanes``) solves a row its lanes
-share once. At most three candidates past a search's first failure are
-simulated, and none is read. The QoS-threshold sweep instead judges every
-scenario's whole power grid in one kernel call, each scenario one search
-whose candidates stop past its first incident. Every search and sweep
-runs in the calling process.
+Every candidate is simulated independently of the others. A search is its
+candidates' first-failure reduction, ``reduce_candidates``: its report, or
+the error before its first failure, exactly what an exhaustive per-
+candidate scan returns. The capacity is found by position, as the last
+candidate before the failure (``HcReport.at_hc``). Searches run in
+candidate rounds: each round simulates the next four (``ROUND_WIDTH``)
+candidates of every search still running, all in one batched kernel call,
+each search under its own key; the kernel (``doe._simulate_lanes``) solves
+a row its lanes share once. At most three candidates past a search's first
+failure are simulated, and none is read. The QoS-threshold sweep instead
+judges every scenario's whole power grid in one kernel call, each scenario
+one search whose candidates stop past its first incident. Every search and
+sweep runs in the calling process.
 """
 
 from __future__ import annotations
@@ -108,18 +110,18 @@ class HcReport:
     candidates: list[CandidateResult] = field(default_factory=list)
 
     @property
+    def at_hc(self) -> CandidateResult | None:
+        """The capacity's candidate, by position: the last before the failure, or None."""
+        passed = self.candidates[:len(self.candidates) - (not self.unconstrained)]
+        return passed[-1] if passed else None
+
+    @property
     def qos_at_hc(self) -> float | None:
-        for c in self.candidates:
-            if c.candidate == self.hc and c.qos is not None:
-                return c.qos.aggregated
-        return None
+        return self.at_hc and self.at_hc.qos and self.at_hc.qos.aggregated
 
     @property
     def min_qos_at_hc(self) -> float | None:
-        for c in self.candidates:
-            if c.candidate == self.hc and c.qos is not None:
-                return c.qos.minimum
-        return None
+        return self.at_hc and self.at_hc.qos and self.at_hc.qos.minimum
 
 
 def _failure(result: CandidateResult, qos_threshold: float) -> CandidateResult:
@@ -135,11 +137,6 @@ def _failure(result: CandidateResult, qos_threshold: float) -> CandidateResult:
     else:
         failure = LIMIT_AGGREGATED_QOS if breach else None
     return replace(result, qos_breach=breach, failure=failure)
-
-
-def _evaluate(feeder, profiles, jobs, searches=None) -> list[CandidateResult | Exception]:
-    """The judged candidates of ``_evaluate_days``."""
-    return _evaluate_days(feeder, profiles, jobs, searches)[1]
 
 
 def _evaluate_days(
@@ -219,7 +216,7 @@ def evaluate_network_aware_candidate(
 ) -> CandidateResult:
     """Simulate envelope-controlled charging at one candidate power."""
     jobs = [((hc_power, fleet, hc_power), config, "network_aware")]
-    return _raised(_evaluate(feeder, profiles, jobs)[0])
+    return _raised(_evaluate_days(feeder, profiles, jobs)[1][0])
 
 
 def _points(
@@ -260,53 +257,39 @@ def reduce_searches(
         window = [(j, p) for j in running for p in points[j][len(evaluated[j]):][:ROUND_WIDTH]]
         jobs = [(point, *searches[j][1:]) for j, point in window]
         keys = [j for j, _ in window]
-        for j, result in zip(keys, _evaluate(feeder, profiles, jobs, keys)):
+        for j, result in zip(keys, _evaluate_days(feeder, profiles, jobs, keys)[1]):
             evaluated[j].append(result)
         running = [
-            j for j in running
-            if len(evaluated[j]) < len(points[j]) and all(map(_passed, evaluated[j]))
+            j for j in running if len(evaluated[j]) < len(points[j])
+            and not any(isinstance(o, Exception) or o.failure is not None for o in evaluated[j])
         ]
     return [
-        _reduce_search(evaluated[j], config, mode) for j, (_, config, mode) in enumerate(searches)
+        reduce_candidates(outcomes, cfg.qos_threshold, mode, cfg.scenario, cfg.sweep_dimension)
+        for outcomes, (_, cfg, mode) in zip(evaluated, searches)
     ]
 
 
-def _passed(outcome: CandidateResult | Exception) -> bool:
-    return not isinstance(outcome, Exception) and outcome.failure is None
-
-
-def _reduce_search(
-    outcomes: list[CandidateResult | Exception], config: HcSearchConfig, mode: str
-) -> HcReport | Exception:
-    """A search from its candidates' outcomes in search order: the exception
-    that ended it when one comes before the first failure, else the
-    first-failure reduction (outcomes after the failure are never read)."""
-    stop = next((o for o in outcomes if not _passed(o)), None)
-    if isinstance(stop, Exception):
-        return stop
-    return reduce_candidates(
-        outcomes, config.qos_threshold, mode, config.scenario, config.sweep_dimension
-    )
-
-
 def reduce_candidates(
-    results: Iterable[CandidateResult],
+    results: Iterable[CandidateResult | Exception],
     qos_threshold: float,
     mode: str,
     scenario: str = "",
     dimension: str = SWEEP_POWER,
-) -> HcReport:
-    """First-failure reduction of a candidate stream.
+) -> HcReport | Exception:
+    """First-failure reduction of a candidate stream: the search's report,
+    or the exception that ended it when one comes before the first failure.
 
-    The capacity is the last candidate before the first failure. Results are
-    pulled only up to that failure, so reducing the lazy candidate stream is
-    the sequential search. Candidate results are threshold-independent, so
-    one evaluated grid can also be reduced at many thresholds.
+    Results are pulled only up to that failure, so reducing the lazy
+    candidate stream is the sequential search. Candidate results are
+    threshold-independent, so one evaluated grid can also be reduced at
+    many thresholds.
     """
     hc: float | None = None
     limiting: str | None = None
     kept: list[CandidateResult] = []
     for r in results:
+        if isinstance(r, Exception):
+            return r
         judged = _failure(r, qos_threshold)
         kept.append(judged)
         if judged.failure is not None:
@@ -314,14 +297,8 @@ def reduce_candidates(
             break
         hc = judged.candidate
     return HcReport(
-        mode=mode,
-        dimension=dimension,
-        scenario=scenario,
-        hc=hc,
-        limiting_factor=limiting,
-        unconstrained=limiting is None,
-        qos_threshold=qos_threshold,
-        candidates=kept,
+        mode=mode, dimension=dimension, scenario=scenario, hc=hc, limiting_factor=limiting,
+        unconstrained=limiting is None, qos_threshold=qos_threshold, candidates=kept,
     )
 
 
@@ -356,7 +333,7 @@ def network_aware_grid(
     call: the whole grid, as a per-customer QoS table needs it."""
     power = replace(config, sweep_dimension=SWEEP_POWER)
     jobs = [(point, power, "network_aware") for point in _points(fleet, power)]
-    return [_raised(result) for result in _evaluate(feeder, profiles, jobs)]
+    return [_raised(result) for result in _evaluate_days(feeder, profiles, jobs)[1]]
 
 
 @dataclass
@@ -475,7 +452,7 @@ def threshold_sweep(
         for point in _points(fleet_for_scenario(feeder, scenario, cfg), cfg):
             jobs.append((point, cfg, "network_aware"))
             searches.append(i)
-    outcomes = _evaluate(feeder, profiles, jobs, searches) if jobs else []
+    outcomes = _evaluate_days(feeder, profiles, jobs, searches)[1] if jobs else []
     size, points = len(power.power_grid_kw), []
     for i, scenario in enumerate(scenarios):
         grid = outcomes[i * size:(i + 1) * size]

@@ -169,6 +169,21 @@ def test_fleet_must_fit_the_feeder(tmp_path, capsys, rows, message):
     _assert_config_error(tmp_path, capsys, path, message)
 
 
+@pytest.mark.parametrize("dimension", ["power", "ev_count"])
+def test_an_imported_fleet_without_sessions_is_config_error(tmp_path, capsys, dimension):
+    """A fleet file of only its header has no candidate to search: a power
+    search would end in an undefined QoS and an EV-count one in no HC."""
+    fleet_path = tmp_path / "fleet.csv"
+    fleet_path.write_text("household,arrival_step,departure_step,requested_kwh,rated_kw\n")
+    path = _write_scenario(
+        tmp_path, mode="compare", search={**BASE["search"], "dimension": dimension},
+        fleet={"source": "import", "fleet_file": str(fleet_path)},
+    )
+    message = f"configuration error: fleet.fleet_file: {fleet_path}: fleet file has no sessions"
+    _assert_config_error(tmp_path, capsys, path, message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_profiles_must_cover_the_feeder_households(tmp_path, capsys):
     from evhc.feeder import Household, bundled_feeder, save_feeder
 

@@ -15,9 +15,7 @@ import evhc.doe
 from evhc.doe import (
     DoeParams,
     _apply_envelope,
-    clamp_to_envelope,
     envelope_bound,
-    floor_power,
     network_aware_horizon,
     passive_horizon,
 )
@@ -31,12 +29,18 @@ def path_impedance(feeder, node_id):
     return sum((complex(b.r_ohm, b.x_ohm) for b in path_to_slack(feeder, node_id)), start=0j)
 
 
+def reference_clamp(desired: float, bound) -> float:
+    """The reference clamp: the admissible power closest to ``desired``,
+    whose lower edge is min(floor, desired)."""
+    return min(max(desired, min(bound.floor_kw, desired)), bound.cap_kw)
+
+
 def test_floor_power_is_a_fraction_of_maximum():
-    assert floor_power(11.0, DoeParams(factor=0.5)) == 5.5
-    assert floor_power(11.0, DoeParams(factor=0.0)) == 0.0
-    assert floor_power(11.0, DoeParams(factor=1.0)) == 11.0
+    assert envelope_bound(1.0, 11.0, DoeParams(factor=0.5)).floor_kw == 5.5
+    assert envelope_bound(1.0, 11.0, DoeParams(factor=0.0)).floor_kw == 0.0
+    assert envelope_bound(1.0, 11.0, DoeParams(factor=1.0)).floor_kw == 11.0
     with pytest.raises(ValueError):
-        floor_power(0.0, DoeParams())
+        envelope_bound(1.0, 0.0, DoeParams())
 
 
 def test_envelope_red_boundary():
@@ -109,18 +113,18 @@ def test_envelope_cap_nondecreasing_in_factor():
 
 def test_clamp_upper():
     bound = envelope_bound(0.925, 11.0, DoeParams(delta_perm=0.05, factor=0.5))
-    assert clamp_to_envelope(11.0, bound) == pytest.approx(8.25, rel=1e-12)
+    assert reference_clamp(11.0, bound) == pytest.approx(8.25, rel=1e-12)
 
 
 def test_clamp_unconstrained_in_green():
     bound = envelope_bound(0.99, 11.0, DoeParams(delta_perm=0.05, factor=0.5))
-    assert clamp_to_envelope(11.0, bound) == 11.0
+    assert reference_clamp(11.0, bound) == 11.0
 
 
 def test_clamp_never_forces_extra_energy():
     # EV nearly full wants 2 kW; the 5.5 kW floor must not push it higher
     bound = envelope_bound(0.925, 11.0, DoeParams(delta_perm=0.05, factor=0.5))
-    assert clamp_to_envelope(2.0, bound) == 2.0
+    assert reference_clamp(2.0, bound) == 2.0
 
 
 def test_clamp_optimality_by_grid_search():
@@ -133,7 +137,7 @@ def test_clamp_optimality_by_grid_search():
         p_max = float(rng.uniform(1.0, 22.0))
         bound = envelope_bound(float(rng.uniform(0.85, 1.0)), p_max, params)
         desired = float(rng.uniform(0.0, p_max * 1.2))
-        granted = clamp_to_envelope(desired, bound)
+        granted = reference_clamp(desired, bound)
         lo = min(bound.floor_kw, desired)
         assert lo - 1e-12 <= granted <= bound.cap_kw + 1e-12
         for x in np.linspace(lo, bound.cap_kw, 41):
@@ -194,7 +198,7 @@ def test_array_envelope_properties(case):
         assert (floor[i], cap[i], ZONE_LABELS[int(zone[i])]) == (
             bound.floor_kw, bound.cap_kw, bound.zone
         )
-        assert ev_kw[i] == clamp_to_envelope(float(desired[i]), bound)
+        assert ev_kw[i] == reference_clamp(float(desired[i]), bound)
 
 
 def test_params_validation():
@@ -270,7 +274,7 @@ def test_fixed_point_self_consistency(feeder, profiles):
                 continue
             u = trace.voltage_pu[t, vu[e]]
             bound = envelope_bound(float(u), min(6.0, fleet[e].rated_kw), params)
-            regranted = clamp_to_envelope(float(trace.ev_desired_kw[t, e]), bound)
+            regranted = reference_clamp(float(trace.ev_desired_kw[t, e]), bound)
             assert regranted == pytest.approx(float(trace.ev_power_kw[t, e]), abs=0.011)
 
 
@@ -349,7 +353,7 @@ def test_recorded_envelope_is_the_scalar_envelope(
 ):
     """At every connected (step, EV) the recorded floor, cap and zone are
     ``envelope_bound`` at the voltage the envelope used, and the granted
-    power is ``clamp_to_envelope`` of the desired power, exactly."""
+    power is ``reference_clamp`` of the desired power, exactly."""
     calls = []
     original = evhc.doe._solve_lanes
 
@@ -383,6 +387,6 @@ def test_recorded_envelope_is_the_scalar_envelope(
             assert trace.envelope_cap_kw[t, e] == bound.cap_kw
             assert ZONE_LABELS[int(trace.envelope_zone[t, e])] == bound.zone
             desired = float(trace.ev_desired_kw[t, e])
-            assert trace.ev_power_kw[t, e] == clamp_to_envelope(desired, bound)
+            assert trace.ev_power_kw[t, e] == reference_clamp(desired, bound)
             zones.add(bound.zone)
     assert "red" in zones and "green" in zones

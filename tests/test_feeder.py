@@ -10,7 +10,7 @@ import yaml
 import evhc.cli
 import evhc.feeder
 from evhc.doe import DoeParams, network_aware_horizon
-from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
+from evhc.ev import DEFAULT_SCENARIOS, generate_fleet, load_fleet, serialize_fleet
 from evhc.feeder import (
     Branch,
     FeederError,
@@ -268,3 +268,31 @@ def test_compiled_impedance_is_the_shared_path_impedance(feeder):
             shared = set(path_to_slack(feeder, a)) & set(path_to_slack(feeder, b))
             expected = sum((complex(br.r_ohm, br.x_ohm) for br in shared), start=0j)
             assert comp.impedance[position[a], position[b]] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("change, cells", [("insert", 13), ("drop", 11)], ids=["long", "short"])
+def test_a_profile_row_with_the_wrong_cell_count_is_refused(change, cells):
+    """Cells are read by position, so a row with one cell too many would
+    shift every later household's value and one too few would lose one."""
+    text = resources.files("evhc.data").joinpath("baseline_profiles.csv").read_text("utf-8")
+    rows = text.splitlines()
+    row = rows[4].split(",")
+    rows[4] = ",".join(row[:1] + ["9.9"] + row[1:] if change == "insert" else row[:-1])
+    with pytest.raises(FeederError, match=f"row 5 has {cells} cells, its header 12"):
+        parse_baseline_profiles("\n".join(rows) + "\n")
+
+
+def test_a_byte_order_mark_is_no_part_of_a_table(tmp_path, profiles):
+    """A spreadsheet export may start a table with U+FEFF; the profile and
+    fleet tables read the same with it as without it."""
+    text = resources.files("evhc.data").joinpath("baseline_profiles.csv").read_text("utf-8")
+    fleet = generate_fleet(DEFAULT_SCENARIOS["low"], [p.household for p in profiles], seed=3)
+    for name, body, load in (
+        ("profiles", text, evhc.feeder.load_baseline_profiles),
+        ("fleet", serialize_fleet(fleet), load_fleet),
+    ):
+        plain, marked = tmp_path / f"{name}.csv", tmp_path / f"{name}_bom.csv"
+        plain.write_text(body, encoding="utf-8")
+        marked.write_text("\ufeff" + body, encoding="utf-8")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load(marked) == load(plain)

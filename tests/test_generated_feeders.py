@@ -8,19 +8,23 @@ and tiles the bundled profiles over the households. Each day rebuilt from
 what the kernel kept must equal ``reference_day`` bit for bit, and each
 judged lane's incidents and two extrema must equal the reference's. A
 search reduced from its whole grid, judged in one kernel call with or
-without its search key, must equal the same search run in candidate
-rounds. The walk that checks and indexes a feeder must name a cycle's branch, count the
-branches, and index the tree breadth-first with children in node order,
-whatever the order and orientation of its branches.
+without its search key, must equal the same search run in candidate rounds,
+at any round width. The power-flow oracle of criterion 4 holds, every
+connected EV draws the clamp of its desire to its recorded envelope, and
+every judged network-aware candidate has a QoS in [0, 1]. The walk that
+checks and indexes a feeder must name a cycle's branch, count the branches,
+and index the tree breadth-first with children in node order, whatever the
+order and orientation of its branches.
 """
 
 import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import evhc.hc
 from evhc.doe import DoeParams, Lane, _raised, _replay, _simulate_lanes
 from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
 from evhc.feeder import (
@@ -37,13 +41,15 @@ from evhc.hc import (
     SWEEP_EV_COUNT,
     SWEEP_POWER,
     HcSearchConfig,
-    _evaluate,
+    _evaluate_days,
     _points,
-    _reduce_search,
+    reduce_candidates,
     reduce_searches,
 )
 from evhc.incidents import IncidentLimits
-from evhc.powerflow import VoltageCollapseError
+from evhc.powerflow import VoltageCollapseError, injections_from_loads, solve
+from evhc.qos import QosError
+from evhc.trace import ZONE_NONE
 from reference_day import reference_day, reference_detect, reference_summarize
 from test_hc import _assert_same
 
@@ -161,7 +167,95 @@ def test_a_whole_grid_reduces_to_the_search_in_rounds(
     [expected] = reduce_searches(feeder, profiles, [(fleet, config, mode)])
     jobs = [(point, config, mode) for point in _points(fleet, config)]
     for keys in (None, [0] * len(jobs)):
-        _assert_same(_reduce_search(_evaluate(feeder, profiles, jobs, keys), config, mode), expected)
+        outcomes = _evaluate_days(feeder, profiles, jobs, keys)[1]
+        report = reduce_candidates(outcomes, qos_threshold, mode, config.scenario, dimension)
+        _assert_same(report, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_feeder_parts(), st.data())
+def test_the_power_flow_oracle_holds_on_random_feeders(parts, data):
+    """Criterion 4's checks on feeders other than the bundled one: a
+    converged solve of random household loads supplies their sum plus the
+    branch losses at the slack, within 1e-6 relative, and |V| never rises
+    going up a path to the slack, within 1e-9 pu."""
+    feeder = build_feeder(**parts)
+    n = len(feeder.household_ids)
+    scale = data.draw(st.sampled_from([0.05, 0.3, 1.0]))  # deep feeders collapse at full load
+    p = scale * np.array(data.draw(st.lists(st.floats(0.0, 7.0), min_size=n, max_size=n)))
+    inj = injections_from_loads(feeder.household_ids, p, np.zeros_like(p))
+    try:
+        sol = solve(feeder, inj)
+    except VoltageCollapseError:
+        sol = None
+    assume(sol is not None and sol.converged)
+    r_ohm = np.array([b.r_ohm for b in feeder.branches])
+    expected = float(np.sum(inj.p_kw)) + 3.0 * float(np.sum(sol.branch_current_a**2 * r_ohm)) / 1e3
+    assert abs(sol.slack_p_kw - expected) <= 1e-6 * expected
+    for node in feeder.node_ids:
+        current = node
+        for branch in path_to_slack(feeder, node):
+            upstream = branch.to_node if current == branch.from_node else branch.from_node
+            assert sol.voltage_of(current) <= sol.voltage_of(upstream) + 1e-9
+            current = upstream
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_studies())
+def test_every_connected_ev_draws_its_clamped_desire_on_random_feeders(study):
+    """At every connected step of a rebuilt controlled day each EV draws
+    exactly min(desired, cap) of its recorded envelope, as the envelope's
+    lower edge min(floor, desired) never lifts it; an uncontrolled EV draws
+    what it desires."""
+    feeder, profiles, lanes = study
+    for lane, day in zip(lanes, _simulate_lanes(feeder, profiles, lanes)):
+        kept = None if lane.params is None else day
+        try:  # a heavy day may collapse; no other error may end it
+            trace = _replay(feeder, profiles, lane, _raised(kept))[1]
+        except VoltageCollapseError:
+            continue
+        granted, desired = trace.ev_power_kw, trace.ev_desired_kw
+        if lane.params is None:
+            assert np.array_equal(granted, desired)
+            continue
+        connected = trace.envelope_zone != ZONE_NONE
+        clamped = np.minimum(desired, trace.envelope_cap_kw)
+        assert np.array_equal(granted[connected], clamped[connected])
+        assert not granted[~connected].any()
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_fleets(), st.sampled_from(ENVELOPES))
+def test_every_judged_network_aware_candidate_has_a_qos_in_0_1(study, doe):
+    feeder, profiles, fleet = study
+    config = HcSearchConfig(power_grid_kw=(2.0, 4.0, 7.0, 11.0, 16.0, 22.0), doe=doe)
+    jobs = [(point, config, "network_aware") for point in _points(fleet, config)]
+    for outcome in _evaluate_days(feeder, profiles, jobs)[1]:
+        assert not isinstance(outcome, QosError)
+        if isinstance(outcome, Exception) or outcome.qos is None:
+            continue
+        qos = outcome.qos
+        assert 0.0 <= qos.aggregated <= 1.0
+        assert np.all((0.0 <= qos.individual) & (qos.individual <= 1.0))
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_fleets(), st.sampled_from(ENVELOPES), st.sampled_from([SWEEP_POWER, SWEEP_EV_COUNT]))
+def test_the_round_width_leaves_every_report_unchanged(study, doe, dimension):
+    """Rounds only batch the candidates a search reads: at any
+    ``ROUND_WIDTH`` ``reduce_searches`` gives the same reports."""
+    feeder, profiles, fleet = study
+    config = HcSearchConfig(
+        power_grid_kw=(2.0, 4.0, 7.0, 11.0, 16.0, 22.0), doe=doe, sweep_dimension=dimension
+    )
+    searches = [(fleet, config, "passive"), (fleet, config, "network_aware")]
+    reports = []
+    for width in (1, 3, 4, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evhc.hc, "ROUND_WIDTH", width)
+            reports.append(reduce_searches(feeder, profiles, searches))
+    for other in reports[1:]:
+        _assert_same(other, reports[0])
 
 
 @settings(max_examples=50, deadline=None)

@@ -14,6 +14,8 @@ from evhc.cli import main
 from evhc.doe import DoeParams, _Stopped
 from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
 from evhc.hc import (
+    CandidateResult,
+    HcReport,
     HcSearchConfig,
     LIMIT_AGGREGATED_QOS,
     SWEEP_EV_COUNT,
@@ -27,6 +29,7 @@ from evhc.hc import (
     sensitivity_sweep,
     threshold_sweep,
 )
+from evhc.incidents import Incident
 
 GREEN_EVERYWHERE = DoeParams(delta_perm=0.4, factor=0.5, u_min=0.55)
 
@@ -287,6 +290,70 @@ def test_qos_breach_flag_consistency(feeder, profiles, low_fleet):
             assert c.qos_breach == (c.qos.aggregated < config.qos_threshold)
 
 
+# --- the one reduction ---------------------------------------------------------
+
+
+def _outcome(candidate, failing=False):
+    incidents = [Incident("undervoltage", 0, "n1", 0.85)] if failing else []
+    return CandidateResult(float(candidate), incidents, qos=None)
+
+
+def _stream(*outcomes):
+    """``outcomes`` as a lazy stream that must not be read past its end."""
+    yield from outcomes
+    raise AssertionError("the reduction read past the first failure")
+
+
+def test_an_error_before_the_first_failure_is_the_reduction():
+    error = ValueError("no session-free step")
+    assert reduce_candidates(_stream(_outcome(1), error), 0.8, "passive") is error
+
+
+def test_an_error_after_the_first_failure_is_never_read():
+    outcomes = [_outcome(1), _outcome(2, failing=True), ValueError("past the failure")]
+    for stream in (outcomes, _stream(*outcomes[:2])):
+        report = reduce_candidates(stream, 0.8, "passive")
+        assert isinstance(report, HcReport)
+        assert (report.hc, report.limiting_factor) == (1.0, "undervoltage")
+        assert [c.candidate for c in report.candidates] == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("search", ["passive", "network_aware", "ev_count"])
+def test_at_hc_is_the_candidate_of_the_capacity(feeder, profiles, low_fleet, search):
+    """The capacity's candidate is found by position, the last before the
+    failure; its QoS is the report's QoS at the HC."""
+    config = HcSearchConfig(doe=DoeParams(0.05, 0.5))
+    if search == "passive":
+        report = passive_hc(feeder, profiles, low_fleet, config)
+    elif search == "network_aware":
+        report = network_aware_hc(feeder, profiles, low_fleet, config)
+    else:
+        config = replace(config, sweep_dimension=SWEEP_EV_COUNT)
+        report = network_aware_hc(feeder, profiles, _high_fleet(feeder), config)
+    assert report.hc is not None and not report.unconstrained
+    assert report.at_hc is report.candidates[-2]
+    assert report.at_hc.candidate == report.hc
+    qos = report.at_hc.qos
+    assert (qos is None) == (search == "passive")
+    assert report.qos_at_hc == (qos and qos.aggregated)
+    assert report.min_qos_at_hc == (qos and qos.minimum)
+
+
+def test_at_hc_is_none_without_a_capacity():
+    for stream in ([_outcome(1, failing=True), _outcome(2)], []):
+        report = reduce_candidates(stream, 0.8, "network_aware")
+        assert report.hc is None and report.at_hc is None
+        assert report.qos_at_hc is None and report.min_qos_at_hc is None
+
+
+def test_at_hc_of_an_unconstrained_search_is_its_last_candidate(strong_feeder, flat_profiles):
+    fleet = generate_fleet(DEFAULT_SCENARIOS["low"], strong_feeder.household_ids, seed=1)
+    report = network_aware_hc(strong_feeder, flat_profiles, fleet, HcSearchConfig())
+    assert report.unconstrained and report.at_hc is report.candidates[-1]
+    assert report.at_hc.candidate == report.hc == 20.0
+    assert report.qos_at_hc == report.at_hc.qos.aggregated
+
+
 # --- candidate rounds ---------------------------------------------------------
 
 
@@ -352,10 +419,12 @@ def _assert_same(a, b):
 def _judged_alone(feeder, profiles, fleet, config, mode):
     """The search from every candidate judged alone, one kernel call each."""
     outcomes = [
-        evhc.hc._evaluate(feeder, profiles, [(point, config, mode)])[0]
+        evhc.hc._evaluate_days(feeder, profiles, [(point, config, mode)])[1][0]
         for point in evhc.hc._points(fleet, config)
     ]
-    return evhc.hc._reduce_search(outcomes, config, mode)
+    return evhc.hc.reduce_candidates(
+        outcomes, config.qos_threshold, mode, config.scenario, config.sweep_dimension
+    )
 
 
 def _kernel_days(monkeypatch) -> list:
