@@ -6,22 +6,18 @@ permissible-band boundary (green), a fixed floor at or below the minimum
 voltage threshold (red), and a linear ramp between the two (yellow). The
 charger then draws the admissible power closest to what it wants.
 
-Note on the ramp direction: the interpolation denominator is written as
-((1 - delta_perm) - u_min), making the power cap increase with voltage so
-that the green zone allows full power and the red zone the floor. The
-mirrored denominator sign sometimes seen for this rule produces a ramp that
-decreases with voltage, contradicting the zone semantics; it is deliberately
-not used here.
+The ramp divides by ((1 - delta_perm) - u_min), so the cap rises with
+voltage: full power in the green zone, the floor in the red. The mirrored
+sign sometimes seen for this rule contradicts the zones and is not used.
 
-This module also contains the day-long quasi-static simulation for both
-regimes: ``network_aware_horizon`` (envelope active, voltage fed back) and
-``passive_horizon`` (uncontrolled charging, same bookkeeping). Both walk the
-circular day starting from a session-free step so wrapped sessions are
-visited arrival-first. The one kernel, ``_simulate_lanes``, steps many days
-("lanes") through the day together and keeps only what its callers read;
-``_replay`` rebuilds a day's trace from what its lane kept, with no fixed
-point. A network-aware horizon is one kernel lane, replayed; a passive one
-needs no kernel, as its EVs are granted what they desire.
+The day-long quasi-static simulation of both regimes lives here too. The
+one kernel, ``_simulate_lanes``, steps many days ("lanes") through the
+circular day together, each from a session-free step so wrapped sessions
+are visited arrival-first, and keeps only what its callers read. ``_step``
+grants and solves one step of the lanes: the only home of the envelope's
+bound -> clamp -> solve fixed point. ``_replay`` rebuilds a day's trace from
+what its lane kept, with no fixed point: ``network_aware_horizon`` is one
+kernel lane, replayed; ``passive_horizon`` needs no kernel.
 """
 
 from __future__ import annotations
@@ -219,8 +215,7 @@ def network_aware_horizon(
     params: DoeParams,
 ) -> tuple[list[ChargingTrajectory], SimulationTrace]:
     """Simulate one day of envelope-controlled charging."""
-    lane = Lane(sessions, hc_power, params)
-    return _replay(feeder, profiles, lane)
+    return _replay(feeder, profiles, Lane(sessions, hc_power, params))
 
 
 def passive_horizon(
@@ -230,8 +225,7 @@ def passive_horizon(
     hc_power: float,
 ) -> tuple[list[ChargingTrajectory], SimulationTrace]:
     """Simulate one day of uncontrolled charging (no envelopes)."""
-    lane = Lane(sessions, hc_power)
-    return _replay(feeder, profiles, lane)
+    return _replay(feeder, profiles, Lane(sessions, hc_power))
 
 
 def _raised(outcome):
@@ -296,9 +290,8 @@ def _start(
     params = [lanes[j].params for j, _ in started]
     shapes = [p or DoeParams() for p in params]  # uncontrolled lanes never use theirs
     rows.controlled = np.array([p is not None for p in params], dtype=bool)
-    rows.fixed_point = np.array(
-        [p is not None and p.voltage_source == "fixed_point" for p in params], dtype=bool
-    )
+    fixed_point = [p.voltage_source == "fixed_point" for p in shapes]
+    rows.fixed_point = rows.controlled & np.array(fixed_point, dtype=bool)
     for name in _SHAPE:
         setattr(rows, name, np.array([[getattr(p, name)] for p in shapes]))
     return out, started, baseline, rows
@@ -312,6 +305,66 @@ def _demand(rows: _Rows, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return connected, np.where(connected, desired, 0.0)
 
 
+def _step(feeder, base, t, connected, desired, v_house, env: _Rows) -> _Rows:
+    """Grant and solve step ``t`` of every running lane, each as if alone.
+
+    A lane brings its ``connected`` EVs, ``desired`` power, the household
+    voltages ``v_house`` its first clamp reads and its envelope columns
+    (``p_max``, ``_SHAPE``, ``controlled``, ``fixed_point``); ``base`` is the
+    kernel's baseline table. A controlled lane clamps its connected EVs to
+    the envelope at those voltages, any other lane is granted its desire,
+    and each is solved; an uncontrolled or ``previous_step`` lane ends there.
+    A ``fixed_point`` lane repeats bound -> clamp -> solve at its last
+    solve's voltages while it moves: a clamp that did not move keeps the
+    last solve, one that moved less than ``FIXED_POINT_TOL_KW`` this one,
+    and one still moving after ``FIXED_POINT_MAX_ITER`` solves is a fallback.
+
+    Returns, per lane: the ``granted`` power; the ``solution`` rows of its
+    final solve (baseline + granted); the voltages ``v_clamp`` its last
+    clamp read (``v_house`` if none); its ``fallback`` flag; and its own
+    ``error`` (a negative desire or injection, or a collapse; also the
+    rows' ``collapse``), else None.
+    """
+    clamped = env.controlled & connected.any(axis=1)
+    ok = ~(clamped & (desired < 0).any(axis=1))
+    error = [None if fine else ValueError("desired power must be >= 0") for fine in ok]
+    granted, v, v_clamp, moved = desired.copy(), v_house.copy(), v_house.copy(), np.zeros(len(t))
+    pieces, last, offset = [base.solution], t.copy(), len(base.p)  # unsolved: its baseline row
+    todo = np.flatnonzero(ok)
+    for it in range(FIXED_POINT_MAX_ITER):
+        clamp = todo[clamped[todo]]
+        if clamp.size:
+            lanes = env.take(clamp, ("p_max", *_SHAPE))
+            kw = _apply_envelope(desired[clamp], connected[clamp], v[clamp], lanes.p_max, lanes)[0]
+            moved[clamp] = np.abs(kw - granted[clamp]).max(axis=1)
+            granted[clamp], v_clamp[clamp] = kw, v[clamp]
+        if it:  # a lane whose clamp did not move holds its last solve: it has settled
+            todo = todo[moved[todo] > 0]
+            if not todo.size:
+                break
+        p_kw = base.p[t[todo]] + granted[todo]
+        negative = (p_kw < 0).any(axis=1)
+        for r in todo[negative]:
+            ok[r], error[r] = False, ValueError("active injections must be >= 0 (loads only)")
+        solved = todo[~negative]
+        sol = _solve_distinct(feeder, p_kw[~negative], t[solved], base)
+        for r, exc in zip(solved, sol.collapse):
+            if exc is not None:  # each lane its own error, also of a shared row
+                ok[r] = False
+                error[r] = VoltageCollapseError(exc.min_voltage_pu, exc.iteration, exc.step)
+        pieces.append(sol)
+        last[solved], offset = offset + np.arange(len(solved)), offset + len(solved)
+        v[solved] = sol.voltage_pu[:, feeder.compiled.household_voltage]
+        todo = solved[env.fixed_point[solved] & clamped[solved] & ok[solved]]
+        if it:
+            todo = todo[moved[todo] >= FIXED_POINT_TOL_KW]
+        if not todo.size:
+            break
+    rows = LaneSolution(*(np.concatenate(field)[last] for field in list(zip(*pieces))[:-1]), error)
+    fallback = np.isin(np.arange(len(t)), todo)  # still moving at the iteration cap
+    return _Rows(granted=granted, solution=rows, v_clamp=v_clamp, fallback=fallback, error=error)
+
+
 def _simulate_lanes(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
@@ -321,13 +374,8 @@ def _simulate_lanes(
     """Simulate many independent days together, one step of all at a time.
 
     Each lane walks the circular day from its own session-free step, so
-    wrapped sessions are visited arrival-first. A step clamps every
-    controlled lane's EVs to their envelopes and solves all lanes in one
-    batched power flow; a fixed-point lane repeats bound -> clamp -> solve
-    until its EV powers move less than ``FIXED_POINT_TOL_KW`` (or the
-    iteration cap, a fallback) while its batch-mates wait. Each lane does
-    the arithmetic of a day simulated alone, though lanes share the
-    solution of a row they have in common (``_solve_distinct``).
+    wrapped sessions are visited arrival-first, and ``_step`` grants and
+    solves every step of all lanes, each lane as if alone.
 
     A lane that cannot start (``ValueError``) or whose power flow collapses
     ends as that exception; the other lanes carry on. No lane records its
@@ -339,8 +387,7 @@ def _simulate_lanes(
     later lanes of that search, which lie past a certain failure, as
     ``_Stopped``. A ``ValueError`` stops no other lane.
     """
-    steps = STEPS_PER_DAY
-    comp = feeder.compiled
+    steps, comp = STEPS_PER_DAY, feeder.compiled
     labels = tuple(f"{b.from_node}->{b.to_node}" for b in feeder.branches)
     out, started, baseline, rows = _start(feeder, profiles, lanes)
     if not started:
@@ -360,8 +407,7 @@ def _simulate_lanes(
     keep = rows.controlled & (rows.search < 0)
     rows.kept = np.where(keep, keep.cumsum() - 1, -1)  # the lane's row of the kept arrays
     clamp_voltage = np.ones((np.count_nonzero(keep), steps, n_house))
-    fallback_at = np.zeros((np.count_nonzero(keep), steps), dtype=bool)
-    fallback_steps = np.zeros(count, dtype=int)
+    fallback = np.zeros((count, steps), dtype=bool)  # the step's fixed point hit its cap
     if judge is not None:
         incidents: list[list[Incident]] = [[] for _ in range(count)]
         low_voltage, max_slack_kva = np.full(count, np.inf), np.full(count, -np.inf)
@@ -371,77 +417,32 @@ def _simulate_lanes(
         out[started[rows.row[r]][0]] = exc
 
     for k in range(steps):
-        n = len(rows.row)
         t = (rows.start + k) % steps
-        connected, desired = _demand(rows, t)
-        controlled = rows.controlled & connected.any(axis=1)
-        alive = np.ones(n, dtype=bool)
-        for r in np.flatnonzero(controlled & (desired < 0).any(axis=1)):
-            fail(r, ValueError("desired power must be >= 0"))
-
-        ev_kw = desired.copy()
-        voltage = np.zeros((n, len(comp.node_ids)))
-        current = np.zeros((n, len(labels)))
-        slack_p, slack_q, residual = np.zeros(n), np.zeros(n), np.zeros(n)
-        converged = np.zeros(n, dtype=bool)
-        todo = np.flatnonzero(alive)
-        for it in range(FIXED_POINT_MAX_ITER):
-            clamp = todo[controlled[todo]]
-            if clamp.size:
-                clamped = rows.take(clamp, ("v_house", "p_max", *_SHAPE))
-                ev_kw[clamp] = _apply_envelope(
-                    desired[clamp], connected[clamp], clamped.v_house, clamped.p_max, clamped
-                )[0]
-                held = clamp[rows.kept[clamp] >= 0]
-                clamp_voltage[rows.kept[held], t[held]] = rows.v_house[held]
-            if it:  # a lane whose clamp did not move holds its solution: it has settled
-                todo = todo[(ev_kw[todo] != previous[todo]).any(axis=1)]
-                if not todo.size:
-                    break
-            p_kw = baseline[t[todo]] + ev_kw[todo]
-            negative = (p_kw < 0).any(axis=1)
-            for r in todo[negative]:
-                fail(r, ValueError("active injections must be >= 0 (loads only)"))
-            solved = todo[~negative]
-            sol = _solve_distinct(feeder, p_kw[~negative], t[solved], base)
-            if any(sol.collapse):
-                for r, exc in zip(solved, sol.collapse):
-                    if exc is not None:  # each lane its own error, also of a shared row
-                        fail(r, VoltageCollapseError(exc.min_voltage_pu, exc.iteration, exc.step))
-            voltage[solved], current[solved] = sol.voltage_pu, sol.branch_current_a
-            slack_p[solved], slack_q[solved] = sol.slack_p_kw, sol.slack_q_kvar
-            converged[solved], residual[solved] = sol.converged, sol.residual_pu
-            rows.v_house[solved] = sol.voltage_pu[:, comp.household_voltage]
-            iterating = solved[rows.fixed_point[solved] & controlled[solved] & alive[solved]]
-            if it:
-                moved = np.max(np.abs(ev_kw[iterating] - previous[iterating]), axis=1)
-                iterating = iterating[moved >= FIXED_POINT_TOL_KW]
-            previous = ev_kw.copy()
-            todo = iterating
-            if not todo.size:
-                break
-        fallback = np.zeros(n, dtype=bool)
-        fallback[todo] = True  # still moving at the iteration cap
-        rows.delivered += ev_kw * STEP_HOURS
-
+        step = _step(feeder, base, t, *_demand(rows, t), rows.v_house, rows)
+        alive = np.ones(len(t), dtype=bool)
+        for r in np.flatnonzero([exc is not None for exc in step.error]):
+            fail(r, step.error[r])
+        sol = step.solution
+        rows.v_house = sol.voltage_pu[:, comp.household_voltage]
+        rows.delivered += step.granted * STEP_HOURS
         live = np.flatnonzero(alive)
         lane_rows, t_live = rows.row[live], t[live]
-        fallback_steps[lane_rows] += fallback[live]
+        fallback[lane_rows, t_live] = step.fallback[live]
         held = live[rows.kept[live] >= 0]
-        fallback_at[rows.kept[held], t[held]] = fallback[held]
+        clamp_voltage[rows.kept[held], t[held]] = step.v_clamp[held]
         if judge is not None:
-            kva = np.hypot(slack_p, slack_q)[live]
+            voltage, kva = sol.voltage_pu[live], np.hypot(sol.slack_p_kw, sol.slack_q_kvar)[live]
             found = crossings(
-                judge, comp.node_ids, labels, t_live[:, np.newaxis], voltage[live, np.newaxis],
-                current[live, np.newaxis], kva[:, np.newaxis], converged[live, np.newaxis],
-                residual[live, np.newaxis],
+                judge, comp.node_ids, labels, t_live[:, np.newaxis], voltage[:, np.newaxis],
+                sol.branch_current_a[live, np.newaxis], kva[:, np.newaxis],
+                sol.converged[live, np.newaxis], sol.residual_pu[live, np.newaxis],
             )
             for r, crossed in zip(lane_rows, found):
                 incidents[r].extend(crossed)
-            low_voltage[lane_rows] = np.minimum(low_voltage[lane_rows], voltage[live].min(axis=1))
+            low_voltage[lane_rows] = np.minimum(low_voltage[lane_rows], voltage.min(axis=1))
             max_slack_kva[lane_rows] = np.maximum(max_slack_kva[lane_rows], kva)
         if len(keys) > 1:  # a search's first incident or collapse this step stops later lanes
-            hit, ended = np.zeros(n, dtype=bool), np.flatnonzero(~alive)
+            hit, ended = np.zeros(len(t), dtype=bool), np.flatnonzero(~alive)
             hit[live] = [bool(crossed) for crossed in found]
             hit[ended] = [not isinstance(out[started[i][0]], ValueError) for i in rows.row[ended]]
             first = np.full(len(keys), count)  # id -1 holds the unkeyed lanes: no stop
@@ -456,14 +457,14 @@ def _simulate_lanes(
 
     for r, lane in enumerate(rows.row):  # the lanes that ran their whole day
         j, ordered = started[lane]
-        day = LaneDay(ordered, rows.delivered[r, rows.duration[r] > 0], int(fallback_steps[lane]))
+        day = LaneDay(ordered, rows.delivered[r, rows.duration[r] > 0], int(fallback[lane].sum()))
         if judge is not None:
             day.incidents = sorted(incidents[lane], key=lambda inc: inc.step)
             day.min_voltage_pu = float(low_voltage[lane])
             day.max_slack_kva = float(max_slack_kva[lane])
         if rows.kept[r] >= 0:
             day.clamp_voltage_pu = clamp_voltage[rows.kept[r]]
-            day.fallback = fallback_at[rows.kept[r]]
+            day.fallback = fallback[lane]
         out[j] = day
     return out
 
@@ -504,8 +505,7 @@ def _replay(
         granted[t], desired[t] = ev_kw, wanted
         rows.delivered += ev_kw * STEP_HOURS
     p_kw = baseline + granted
-    q_kvar = baseline * BASELINE_Q_PER_KW
-    sol = _solve_lanes(feeder, p_kw, q_kvar, list(range(steps)))
+    sol = _solve_lanes(feeder, p_kw, baseline * BASELINE_Q_PER_KW, list(range(steps)))
     negative = (p_kw < 0).any(axis=1)
     for t in order:
         if negative[t]:

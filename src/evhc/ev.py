@@ -257,19 +257,18 @@ def load_fleet(path: str | Path) -> list[EvSession]:
     for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != len(header):
-            raise ValueError(
-                f"fleet file line {line}: expected {len(header)} fields, got {len(row)}"
-            )
-        sessions.append(
-            EvSession(
-                household=row[0],
-                arrival_step=int(row[1]),
-                departure_step=int(row[2]),
-                requested_kwh=float(row[3]),
-                rated_kw=float(row[4]),
-            )
-        )
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            cells = [row[0]]
+            for name, kind, cell in zip(header[1:], (int, int, float, float), row[1:]):
+                try:
+                    cells.append(kind(cell))
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from exc
+            sessions.append(EvSession(*cells))
+        except ValueError as exc:
+            raise ValueError(f"fleet file line {line}: {exc}") from exc
     if not sessions:
         raise ValueError("fleet file has no sessions")
     return sessions

@@ -96,8 +96,10 @@ def test_rated_power_must_be_positive(tmp_path, capsys):
     [
         ("house,arrive,leave,kwh,kw\nh01,70,80,5.0,22.0\n", "header"),
         ("household,arrival_step,departure_step,requested_kwh,rated_kw\nh01,70,80\n", "line 2"),
+        ("household,arrival_step,departure_step,requested_kwh,rated_kw\nh01,7.5,80,5.0,22.0\n",
+         "line 2: arrival_step: invalid literal"),
     ],
-    ids=["bad_header", "short_row"],
+    ids=["bad_header", "short_row", "not_a_number"],
 )
 def test_malformed_fleet_file_is_config_error(tmp_path, capsys, text, message):
     fleet_path = tmp_path / "fleet.csv"

@@ -176,6 +176,26 @@ def test_fleet_file_header_checked(tmp_path):
         load_fleet(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("h02,7.5,80,5.0,22.0",
+         "arrival_step: invalid literal for int() with base 10: '7.5'"),
+        ("h02,70,80,abc,22.0", "requested_kwh: could not convert string to float: 'abc'"),
+        ("h02,70,71,50.0,22.0", "h02: 50.0 kWh does not fit the 0.25 h window at 22.0 kW"),
+    ],
+    ids=["fractional_step", "energy_not_a_number", "infeasible_session"],
+)
+def test_a_refused_session_row_is_named_by_its_line(tmp_path, row, message):
+    """The header is line 1, so the second session is line 3."""
+    path = tmp_path / "fleet.csv"
+    header = "household,arrival_step,departure_step,requested_kwh,rated_kw"
+    path.write_text(f"{header}\nh01,70,80,5.0,22.0\n{row}\n")
+    with pytest.raises(ValueError) as refused:
+        load_fleet(path)
+    assert str(refused.value) == f"fleet file line 3: {message}"
+
+
 def test_serialize_fleet_deterministic():
     fleet = generate_fleet(DEFAULT_SCENARIOS["low"], HOUSEHOLDS, seed=5)
     assert serialize_fleet(fleet) == serialize_fleet(fleet)

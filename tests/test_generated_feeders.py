@@ -11,7 +11,8 @@ search reduced from its whole grid, judged in one kernel call with or
 without its search key, must equal the same search run in candidate rounds,
 at any round width. The power-flow oracle of criterion 4 holds, every
 connected EV draws the clamp of its desire to its recorded envelope, and
-every judged network-aware candidate has a QoS in [0, 1]. The walk that
+every judged network-aware candidate has a QoS in [0, 1]. Every step keeps
+the contract of ``_step``, the one controlled-step function. The walk that
 checks and indexes a feeder must name a cycle's branch, count the branches,
 and index the tree breadth-first with children in node order, whatever the
 order and orientation of its branches.
@@ -52,6 +53,7 @@ from evhc.qos import QosError
 from evhc.trace import ZONE_NONE
 from reference_day import reference_day, reference_detect, reference_summarize
 from test_hc import _assert_same
+from test_lanes import assert_step_contract
 
 ENVELOPES = (
     DoeParams(),
@@ -222,6 +224,14 @@ def test_every_connected_ev_draws_its_clamped_desire_on_random_feeders(study):
         clamped = np.minimum(desired, trace.envelope_cap_kw)
         assert np.array_equal(granted[connected], clamped[connected])
         assert not granted[~connected].any()
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_studies())
+def test_every_step_keeps_the_step_contract_on_random_feeders(study):
+    """See ``assert_step_contract``: each drawn study steps an uncontrolled,
+    a fixed-point, a ``previous_step`` and a degenerate-band lane."""
+    assert_step_contract(*study)
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

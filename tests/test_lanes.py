@@ -5,7 +5,8 @@ quiet steps, an EV-count sub-fleet padded with absent EVs, uncontrolled,
 previous-step, fixed-point and degenerate-band days, a day whose power flow
 collapses and a fleet with no idle step. Each lane's day, rebuilt from what
 the kernel kept, must equal the reference bit for bit, and so must what a
-judged lane keeps: its incidents and the day's two extrema.
+judged lane keeps: its incidents and the day's two extrema. Every step of
+the batch keeps the contract of ``_step``, the one controlled-step function.
 """
 
 from dataclasses import fields, replace
@@ -24,6 +25,8 @@ from evhc.doe import (
     _raised,
     _replay,
     _simulate_lanes,
+    _clamp,
+    _envelope,
     _Stopped,
     baseline_matrix,
     network_aware_horizon,
@@ -31,7 +34,7 @@ from evhc.doe import (
 )
 from evhc.ev import DEFAULT_SCENARIOS, EvSession, generate_fleet, quiet_step
 from evhc.incidents import IncidentLimits, crossings, detect
-from evhc.powerflow import VoltageCollapseError, _solve_lanes
+from evhc.powerflow import LaneSolution, VoltageCollapseError, _solve_lanes
 from evhc.trace import SimulationTrace, summarize
 from reference_day import reference_day, reference_detect, reference_summarize
 
@@ -239,6 +242,63 @@ def test_an_uncontrolled_day_rebuilt_alone_ends_in_the_kernels_error(feeder, pro
 
 
 # --- rows shared within a solve ------------------------------------------------
+
+
+def assert_step_contract(feeder, profiles, lanes) -> tuple[int, int, int]:
+    """Run the kernel on ``lanes`` and check each ``_step`` call's contract
+    for every lane it did not end in an error: the granted power is the
+    clamp of the desired power to the envelope at the returned clamp
+    voltages (the desired power itself when uncontrolled); the returned rows
+    are ``_solve_lanes`` of baseline + granted, bit for bit; only a
+    fixed-point lane falls back; and an uncontrolled or ``previous_step``
+    lane, stepped alone, makes one one-row solve (none when its row is its
+    step's baseline row, solved once per kernel call) and is granted what
+    it was in the batch. Returns the fallback lane-steps, the lane-steps
+    that ended in an error, and the lanes stepped alone."""
+    calls, step, solve = [], evhc.doe._step, evhc.doe._solve_lanes
+
+    def recorded(*args):
+        calls.append((args, step(*args)))
+        return calls[-1][1]
+
+    solves = []
+
+    def counted(feeder, p_kw, *args):
+        solves.append(len(p_kw))
+        return solve(feeder, p_kw, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evhc.doe, "_step", recorded)
+        _simulate_lanes(feeder, profiles, lanes)
+    fallbacks = errors = alone = 0
+    for (_, base, t, connected, desired, v_house, env), got in calls:
+        ok = np.array([exc is None for exc in got.error])
+        floor, cap, _ = _envelope(got.v_clamp, env.p_max, env)
+        clamped = np.where(connected, _clamp(desired, floor, cap), 0.0)
+        granted = np.where(env.controlled[:, np.newaxis], clamped, desired)
+        assert np.array_equal(got.granted[ok], granted[ok])
+        p_kw = base.p[t] + got.granted
+        rows = _solve_lanes(feeder, p_kw[ok], base.q[t[ok]], t[ok].tolist())
+        for name in LaneSolution._fields[:-1]:
+            _assert_equal(getattr(got.solution, name)[ok], getattr(rows, name))
+        assert not got.fallback[~env.fixed_point].any()
+        for r in np.flatnonzero(ok & ~env.fixed_point):
+            solves.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(evhc.doe, "_solve_lanes", counted)
+                one = step(feeder, base, t[[r]], connected[[r]], desired[[r]], v_house[[r]],
+                           env.take([r]))
+            assert solves == ([1] if (p_kw[r] != base.p[t[r]]).any() else [])
+            assert np.array_equal(one.granted[0], got.granted[r])
+            alone += 1
+        fallbacks += int(got.fallback.sum())
+        errors += int((~ok).sum())
+    return fallbacks, errors, alone
+
+
+def test_every_step_keeps_the_step_contract(feeder, profiles, batch):
+    fallbacks, errors, alone = assert_step_contract(feeder, profiles, batch)
+    assert fallbacks and errors and alone
 
 
 def _solver_rows(monkeypatch) -> list:

@@ -1,4 +1,4 @@
-"""A tier-1 work ratchet: exact kernel and solver counts of four studies.
+"""A tier-1 work ratchet: exact kernel, solver and fixed-point counts of four studies.
 
 Each study runs the ``init-example`` file (the bundled feeder, profiles and
 fleets) at the search dimension it names. The counts are deterministic, so,
@@ -11,30 +11,36 @@ import pytest
 import evhc.doe
 import evhc.hc
 from evhc.cli import main
+from evhc.doe import LaneDay
 
 # study: its verb, its search dimension, and the most (kernel calls, lanes,
-# solve calls, solved rows) it may take
+# solve calls, solved rows, fixed-point fallback steps) it may take
 PINNED = {
-    "run": (("run",), "power", (1, 120, 500, 10_454)),
-    "ev_count_run": (("run",), "ev_count", (1, 132, 514, 13_425)),
-    "qos_threshold_sweep": (("sweep", "--which", "qos-threshold"), "power", (1, 60, 471, 5_810)),
-    "doe_sweep": (("sweep",), "power", (2, 588, 874, 44_686)),
+    "run": (("run",), "power", (1, 120, 500, 10_454, 241)),
+    "ev_count_run": (("run",), "ev_count", (1, 132, 514, 13_425, 344)),
+    "qos_threshold_sweep": (
+        ("sweep", "--which", "qos-threshold"), "power", (1, 60, 471, 5_810, 62)
+    ),
+    "doe_sweep": (("sweep",), "power", (2, 588, 874, 44_686, 1_619)),
 }
 
 
 @pytest.mark.parametrize("study", list(PINNED))
 def test_study_work_stays_within_its_pins(tmp_path, monkeypatch, study):
     """Kernel calls and lanes count ``_simulate_lanes`` as ``doe`` and ``hc``
-    bind it; solve calls and rows count ``_solve_lanes`` as ``doe`` binds
+    bind it, and fallback steps sum ``fallback_steps`` over the days it
+    returns; solve calls and rows count ``_solve_lanes`` as ``doe`` binds
     it, every solve of the kernel and the day rebuild."""
     verb, dimension, pinned = PINNED[study]
-    counts = [0, 0, 0, 0]
+    counts = [0, 0, 0, 0, 0]
     simulate, solve = evhc.doe._simulate_lanes, evhc.doe._solve_lanes
 
     def counted_simulate(*args, **kwargs):  # (feeder, profiles, lanes, ...)
         counts[0] += 1
         counts[1] += len(args[2])
-        return simulate(*args, **kwargs)
+        days = simulate(*args, **kwargs)
+        counts[4] += sum(day.fallback_steps for day in days if isinstance(day, LaneDay))
+        return days
 
     def counted_solve(*args, **kwargs):  # (feeder, p_kw, ...)
         counts[2] += 1
@@ -48,6 +54,6 @@ def test_study_work_stays_within_its_pins(tmp_path, monkeypatch, study):
     assert main(["init-example", "--output", str(example)]) == 0
     example.write_text(example.read_text().replace("dimension: power", f"dimension: {dimension}"))
     assert main([*verb, str(example), "--output-dir", str(tmp_path / "out")]) == 0
-    names = ("kernel calls", "lanes", "solve calls", "solved rows")
+    names = ("kernel calls", "lanes", "solve calls", "solved rows", "fallback steps")
     over = {name: (got, pin) for name, got, pin in zip(names, counts, pinned) if got > pin}
     assert not over, f"{study} does more work than pinned (got, pin): {over}"
