@@ -28,7 +28,7 @@ from typing import NamedTuple
 import yaml
 
 from . import __version__
-from .doe import VOLTAGE_SOURCES, DoeParams, Lane, LaneDay, _raised, _replay, export_envelope_csv
+from .doe import VOLTAGE_SOURCES, DoeParams, _raised, _replay, export_envelope_csv
 from .ev import (
     DEFAULT_RATED_POWER_KW,
     DEFAULT_SCENARIOS,
@@ -118,8 +118,8 @@ def _above(bound):
     return lambda v: None if v > bound else f"must be > {bound}, got {v}"
 
 
-def _below(bound):
-    return lambda v: None if v < bound else f"must be < {bound}, got {v}"
+def _inside(lo, hi):
+    return lambda v: None if lo < v < hi else f"must lie in ({lo}, {hi}), got {v}"
 
 
 def _within(lo, hi):
@@ -169,7 +169,7 @@ _FIELDS = (
            "red-zone threshold (EN 50160 lower limit)"),
     _Field("doe.voltage_source", str, DoeParams.voltage_source, _by(DoeParams, "voltage_source"),
            " | ".join(VOLTAGE_SOURCES)),
-    _Field("limits.v_lower_pu", float, HcSearchConfig.v_lower_pu, _below(1.0)),
+    _Field("limits.v_lower_pu", float, HcSearchConfig.v_lower_pu, _inside(0.0, 1.0)),
     _Field("limits.v_upper_pu", float, HcSearchConfig.v_upper_pu, _above(1.0)),
     _Field("search.power_min_kw", float, _GRID[0], _above(0.0)),
     _Field("search.power_max_kw", float, _GRID[-1]),
@@ -349,6 +349,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     # only on the feeder's households and at most one per household
     feeder_path, profiles_path = resolve("feeder"), resolve("baseline_profiles")
     feeder = bundled_feeder() if feeder_path == _BUILTIN else load_feeder(feeder_path)
+    if not feeder.households:  # no EV to charge: every study would fail
+        raise ConfigError(f"feeder: {feeder_path}: the feeder has no households")
     profiles = (  # a FeederError from either is a configuration error too
         bundled_baseline_profiles()
         if profiles_path == _BUILTIN
@@ -460,11 +462,10 @@ def _write_search_outputs(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
     grid: list,
-    hc_day: tuple[Lane, LaneDay] | None,
 ) -> None:
     """Write one search's files; a network-aware HC adds its day, rebuilt
-    from ``hc_day`` (its lane and the day its kernel lane kept), the passive
-    day of that lane, and per-customer QoS over its power ``grid``."""
+    from the day its candidate was judged on (``report.at_hc.day``), the
+    passive day of that lane, and per-customer QoS over its power ``grid``."""
     _write(out / "report.json", _report_json(report))
     _write(out / "candidates.csv", _candidates_csv(report))
     failing = report.candidates[-1] if report.candidates and not report.unconstrained else None
@@ -475,9 +476,9 @@ def _write_search_outputs(
         return
 
     # trace exports at the hosting-capacity candidate
-    lane, day = hc_day
-    na_trace = _replay(feeder, profiles, lane, day)[1]
-    base_trace = _replay(feeder, profiles, lane._replace(params=None))[1]
+    day = at_hc.day
+    na_trace = _replay(feeder, profiles, day.lane, day)[1]
+    base_trace = _replay(feeder, profiles, day.lane._replace(params=None))[1]
 
     comp = feeder.compiled
     if at_hc.qos is not None:
@@ -545,20 +546,15 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
                     spans[i, cfg.sweep_dimension] = slice(len(jobs), len(jobs) + len(points))
                     jobs += [(point, cfg, mode) for point in points]
                     keys += [i if passive else None] * len(points)
-        days, judged = _evaluate_days(feeder, profiles, jobs, keys) if jobs else ([], [])
+        judged = _evaluate_days(feeder, profiles, jobs, keys) if jobs else []
 
         table = []
-        for i, (fleet, search, mode) in enumerate(runs):
+        for i, (_, search, mode) in enumerate(runs):
             span = spans[i, search.sweep_dimension]
             label, report = search.scenario, _raised(reduce_candidates(
                 judged[span], search.qos_threshold, mode, search.scenario, search.sweep_dimension))
-            hc_day = None
-            if mode != "passive" and report.at_hc is not None:
-                k = len(report.candidates) - 1 - (not report.unconstrained)  # at_hc's grid point
-                hc_day = Lane(*_points(fleet, search)[k][1:], config.doe), days[span][k]
             grid = judged[spans.get((i, SWEEP_POWER), span)]
-            _write_search_outputs(out_dir / f"{mode}_{label}", report, feeder, profiles, grid,
-                                  hc_day)
+            _write_search_outputs(out_dir / f"{mode}_{label}", report, feeder, profiles, grid)
             limiting = "unconstrained" if report.unconstrained else report.limiting_factor
             # a passive report has no QoS, so its QoS cells are empty
             table.append((label, mode, report.hc, limiting, report.qos_at_hc, report.min_qos_at_hc))

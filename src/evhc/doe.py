@@ -15,9 +15,10 @@ one kernel, ``_simulate_lanes``, steps many days ("lanes") through the
 circular day together, each from a session-free step so wrapped sessions
 are visited arrival-first, and keeps only what its callers read. ``_step``
 grants and solves one step of the lanes: the only home of the envelope's
-bound -> clamp -> solve fixed point. ``_replay`` rebuilds a day's trace from
-what its lane kept, with no fixed point: ``network_aware_horizon`` is one
-kernel lane, replayed; ``passive_horizon`` needs no kernel.
+bound -> clamp -> solve fixed point, keeping each lane's last solve. Every
+kernel call is judged. ``_replay`` rebuilds a day's trace from what its lane
+kept, with no fixed point and no kernel call: ``network_aware_horizon`` is
+one judged kernel lane, replayed; ``passive_horizon`` needs no kernel.
 """
 
 from __future__ import annotations
@@ -191,18 +192,19 @@ class _Stopped(Exception):
 
 @dataclass
 class LaneDay:
-    """What the kernel keeps of a lane. A judged lane keeps its ``incidents``
+    """What the kernel keeps of a lane: the lane itself, its ``incidents``
     (ordered by step) and the two extrema a candidate reports. A controlled
-    lane without a search key keeps, per step, the household voltages its
-    last clamp read and its fallback flag, from which ``_replay`` rebuilds
-    its trace."""
+    lane without a search key also keeps, per step, the household voltages
+    its last clamp read and its fallback flag, from which ``_replay``
+    rebuilds its trace."""
 
+    lane: Lane                   # the lane simulated
     sessions: list[EvSession]    # the lane's sessions in feeder order
     delivered_kwh: np.ndarray    # per session, summed arrival first
     fallback_steps: int
-    incidents: list[Incident] | None = None
-    min_voltage_pu: float | None = None          # the day's lowest node voltage
-    max_slack_kva: float | None = None           # the day's largest slack apparent power
+    incidents: list[Incident]
+    min_voltage_pu: float        # the day's lowest node voltage
+    max_slack_kva: float         # the day's largest slack apparent power
     clamp_voltage_pu: np.ndarray | None = None   # (steps, households), feeder slot order
     fallback: np.ndarray | None = None           # (steps,) bool, the fixed point hit its cap
 
@@ -215,7 +217,9 @@ def network_aware_horizon(
     params: DoeParams,
 ) -> tuple[list[ChargingTrajectory], SimulationTrace]:
     """Simulate one day of envelope-controlled charging."""
-    return _replay(feeder, profiles, Lane(sessions, hc_power, params))
+    lane = Lane(sessions, hc_power, params)
+    [day] = _simulate_lanes(feeder, profiles, [lane], judge=IncidentLimits.from_feeder(feeder))
+    return _replay(feeder, profiles, lane, day)
 
 
 def passive_horizon(
@@ -320,7 +324,8 @@ def _step(feeder, base, t, connected, desired, v_house, env: _Rows) -> _Rows:
     and one still moving after ``FIXED_POINT_MAX_ITER`` solves is a fallback.
 
     Returns, per lane: the ``granted`` power; the ``solution`` rows of its
-    final solve (baseline + granted); the voltages ``v_clamp`` its last
+    final solve (baseline + granted), each solve written over the last,
+    starting from its step's baseline row; the voltages ``v_clamp`` its last
     clamp read (``v_house`` if none); its ``fallback`` flag; and its own
     ``error`` (a negative desire or injection, or a collapse; also the
     rows' ``collapse``), else None.
@@ -329,7 +334,7 @@ def _step(feeder, base, t, connected, desired, v_house, env: _Rows) -> _Rows:
     ok = ~(clamped & (desired < 0).any(axis=1))
     error = [None if fine else ValueError("desired power must be >= 0") for fine in ok]
     granted, v, v_clamp, moved = desired.copy(), v_house.copy(), v_house.copy(), np.zeros(len(t))
-    pieces, last, offset = [base.solution], t.copy(), len(base.p)  # unsolved: its baseline row
+    rows = LaneSolution(*(a[t] for a in base.solution[:-1]), error)  # unsolved: its baseline row
     todo = np.flatnonzero(ok)
     for it in range(FIXED_POINT_MAX_ITER):
         clamp = todo[clamped[todo]]
@@ -352,15 +357,14 @@ def _step(feeder, base, t, connected, desired, v_house, env: _Rows) -> _Rows:
             if exc is not None:  # each lane its own error, also of a shared row
                 ok[r] = False
                 error[r] = VoltageCollapseError(exc.min_voltage_pu, exc.iteration, exc.step)
-        pieces.append(sol)
-        last[solved], offset = offset + np.arange(len(solved)), offset + len(solved)
+        for kept, new in zip(rows[:-1], sol[:-1]):
+            kept[solved] = new
         v[solved] = sol.voltage_pu[:, feeder.compiled.household_voltage]
         todo = solved[env.fixed_point[solved] & clamped[solved] & ok[solved]]
         if it:
             todo = todo[moved[todo] >= FIXED_POINT_TOL_KW]
         if not todo.size:
             break
-    rows = LaneSolution(*(np.concatenate(field)[last] for field in list(zip(*pieces))[:-1]), error)
     fallback = np.isin(np.arange(len(t)), todo)  # still moving at the iteration cap
     return _Rows(granted=granted, solution=rows, v_clamp=v_clamp, fallback=fallback, error=error)
 
@@ -369,7 +373,7 @@ def _simulate_lanes(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
     lanes: list[Lane],
-    judge: IncidentLimits | None = None,
+    judge: IncidentLimits,
 ) -> list[LaneDay | Exception]:
     """Simulate many independent days together, one step of all at a time.
 
@@ -382,7 +386,7 @@ def _simulate_lanes(
     trace: each keeps only what ``LaneDay`` lists, with ``judge`` folding in
     each step's limit crossings and the two extrema as it is solved.
 
-    Judged lanes with a ``search`` key are its candidates in candidate order.
+    Lanes with a ``search`` key are its candidates in candidate order.
     A step that ends with an incident or a collapse in one of them stops the
     later lanes of that search, which lie past a certain failure, as
     ``_Stopped``. A ``ValueError`` stops no other lane.
@@ -400,17 +404,13 @@ def _simulate_lanes(
 
     rows.v_house = np.ones((count, n_house))  # the voltages the next clamp reads, pu
     keys: dict = {None: -1}  # search key -> id; rows run in lane order
-    keyed = judge is not None and any(lane.search is not None for lane in lanes)
-    rows.search = np.array(
-        [keys.setdefault(lanes[j].search, len(keys) - 1) if keyed else -1 for j, _ in started]
-    )
+    rows.search = np.array([keys.setdefault(lanes[j].search, len(keys) - 1) for j, _ in started])
     keep = rows.controlled & (rows.search < 0)
     rows.kept = np.where(keep, keep.cumsum() - 1, -1)  # the lane's row of the kept arrays
     clamp_voltage = np.ones((np.count_nonzero(keep), steps, n_house))
     fallback = np.zeros((count, steps), dtype=bool)  # the step's fixed point hit its cap
-    if judge is not None:
-        incidents: list[list[Incident]] = [[] for _ in range(count)]
-        low_voltage, max_slack_kva = np.full(count, np.inf), np.full(count, -np.inf)
+    incidents: list[list[Incident]] = [[] for _ in range(count)]
+    low_voltage, max_slack_kva = np.full(count, np.inf), np.full(count, -np.inf)
 
     def fail(r: int, exc: Exception) -> None:
         alive[r] = False
@@ -430,17 +430,16 @@ def _simulate_lanes(
         fallback[lane_rows, t_live] = step.fallback[live]
         held = live[rows.kept[live] >= 0]
         clamp_voltage[rows.kept[held], t[held]] = step.v_clamp[held]
-        if judge is not None:
-            voltage, kva = sol.voltage_pu[live], np.hypot(sol.slack_p_kw, sol.slack_q_kvar)[live]
-            found = crossings(
-                judge, comp.node_ids, labels, t_live[:, np.newaxis], voltage[:, np.newaxis],
-                sol.branch_current_a[live, np.newaxis], kva[:, np.newaxis],
-                sol.converged[live, np.newaxis], sol.residual_pu[live, np.newaxis],
-            )
-            for r, crossed in zip(lane_rows, found):
-                incidents[r].extend(crossed)
-            low_voltage[lane_rows] = np.minimum(low_voltage[lane_rows], voltage.min(axis=1))
-            max_slack_kva[lane_rows] = np.maximum(max_slack_kva[lane_rows], kva)
+        voltage, kva = sol.voltage_pu[live], np.hypot(sol.slack_p_kw, sol.slack_q_kvar)[live]
+        found = crossings(
+            judge, comp.node_ids, labels, t_live[:, np.newaxis], voltage[:, np.newaxis],
+            sol.branch_current_a[live, np.newaxis], kva[:, np.newaxis],
+            sol.converged[live, np.newaxis], sol.residual_pu[live, np.newaxis],
+        )
+        for r, crossed in zip(lane_rows, found):
+            incidents[r].extend(crossed)
+        low_voltage[lane_rows] = np.minimum(low_voltage[lane_rows], voltage.min(axis=1))
+        max_slack_kva[lane_rows] = np.maximum(max_slack_kva[lane_rows], kva)
         if len(keys) > 1:  # a search's first incident or collapse this step stops later lanes
             hit, ended = np.zeros(len(t), dtype=bool), np.flatnonzero(~alive)
             hit[live] = [bool(crossed) for crossed in found]
@@ -457,11 +456,11 @@ def _simulate_lanes(
 
     for r, lane in enumerate(rows.row):  # the lanes that ran their whole day
         j, ordered = started[lane]
-        day = LaneDay(ordered, rows.delivered[r, rows.duration[r] > 0], int(fallback[lane].sum()))
-        if judge is not None:
-            day.incidents = sorted(incidents[lane], key=lambda inc: inc.step)
-            day.min_voltage_pu = float(low_voltage[lane])
-            day.max_slack_kva = float(max_slack_kva[lane])
+        day = LaneDay(
+            lanes[j], ordered, rows.delivered[r, rows.duration[r] > 0], int(fallback[lane].sum()),
+            sorted(incidents[lane], key=lambda inc: inc.step), float(low_voltage[lane]),
+            float(max_slack_kva[lane]),
+        )
         if rows.kept[r] >= 0:
             day.clamp_voltage_pu = clamp_voltage[rows.kept[r]]
             day.fallback = fallback[lane]
@@ -477,16 +476,13 @@ def _replay(
 ) -> tuple[list[ChargingTrajectory], SimulationTrace]:
     """The day of ``lane``, rebuilt with no fixed point: each step replays
     desired -> clamp at the voltages the kernel's last clamp read (kept in
-    ``day``; a controlled lane given none is simulated alone first) ->
-    grants, and the final rows of all steps are solved in one call. A row's
-    solution depends on that row alone and the envelope is elementwise, so
-    this is the kernel's trace, bit for bit. An uncontrolled lane keeps
-    nothing and is granted its desired power; it raises the first error of
-    its day in step order, as the kernel would (a negative injection before
-    a collapse)."""
+    the controlled lane's kernel ``day``) -> grants, and the final rows of
+    all steps are solved in one call. A row's solution depends on that row
+    alone and the envelope is elementwise, so this is the kernel's trace,
+    bit for bit. An uncontrolled lane needs no ``day`` and is granted its
+    desired power; it raises the first error of its day in step order, as
+    the kernel would (a negative injection before a collapse)."""
     steps, comp, controlled = STEPS_PER_DAY, feeder.compiled, lane.params is not None
-    if controlled and day is None:
-        day = _simulate_lanes(feeder, profiles, [lane])[0]
     out, started, baseline, rows = _start(feeder, profiles, [lane])
     _raised(out[0])
     _raised(day)

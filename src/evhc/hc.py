@@ -94,6 +94,7 @@ class CandidateResult:
     failure: str | None = None     # None when the candidate passed
     fixed_point_fallback_steps: int = 0
     error: str | None = None
+    day: LaneDay | None = field(default=None, compare=False, repr=False)  # None: a collapse
 
 
 @dataclass
@@ -144,9 +145,9 @@ def _evaluate_days(
     profiles: tuple[BaselineLoadProfile, ...],
     jobs: list[tuple[tuple[float, list[EvSession], float], HcSearchConfig, str]],
     searches: list | None = None,
-) -> tuple[list[LaneDay | Exception], list[CandidateResult | Exception]]:
+) -> list[CandidateResult | Exception]:
     """Simulate candidate days in one kernel call and judge each: each job's
-    day, as the kernel keeps it, and its candidate result.
+    candidate result, carrying its day as the kernel keeps it.
 
     A job is a candidate point ``(candidate, sessions, power)``, its search
     config and mode. All jobs must share one pair of voltage limits, as one
@@ -169,7 +170,7 @@ def _evaluate_days(
         judge=IncidentLimits.from_feeder(feeder, v_lower, v_upper),
     )
     energy: dict = {}  # (session, power) -> its uncontrolled energy, shared by the jobs
-    return days, [_judge(day, *job, energy) for day, job in zip(days, jobs)]
+    return [_judge(day, *job, energy) for day, job in zip(days, jobs)]
 
 
 def _judge(
@@ -203,6 +204,7 @@ def _judge(
         overall_min_voltage_pu=day.min_voltage_pu,
         max_slack_kva=day.max_slack_kva,
         fixed_point_fallback_steps=day.fallback_steps,
+        day=day,
     )
     return _failure(result, config.qos_threshold)
 
@@ -216,7 +218,7 @@ def evaluate_network_aware_candidate(
 ) -> CandidateResult:
     """Simulate envelope-controlled charging at one candidate power."""
     jobs = [((hc_power, fleet, hc_power), config, "network_aware")]
-    return _raised(_evaluate_days(feeder, profiles, jobs)[1][0])
+    return _raised(_evaluate_days(feeder, profiles, jobs)[0])
 
 
 def _points(
@@ -257,7 +259,7 @@ def reduce_searches(
         window = [(j, p) for j in running for p in points[j][len(evaluated[j]):][:ROUND_WIDTH]]
         jobs = [(point, *searches[j][1:]) for j, point in window]
         keys = [j for j, _ in window]
-        for j, result in zip(keys, _evaluate_days(feeder, profiles, jobs, keys)[1]):
+        for j, result in zip(keys, _evaluate_days(feeder, profiles, jobs, keys)):
             evaluated[j].append(result)
         running = [
             j for j in running if len(evaluated[j]) < len(points[j])
@@ -333,7 +335,7 @@ def network_aware_grid(
     call: the whole grid, as a per-customer QoS table needs it."""
     power = replace(config, sweep_dimension=SWEEP_POWER)
     jobs = [(point, power, "network_aware") for point in _points(fleet, power)]
-    return [_raised(result) for result in _evaluate_days(feeder, profiles, jobs)[1]]
+    return [_raised(result) for result in _evaluate_days(feeder, profiles, jobs)]
 
 
 @dataclass
@@ -452,7 +454,7 @@ def threshold_sweep(
         for point in _points(fleet_for_scenario(feeder, scenario, cfg), cfg):
             jobs.append((point, cfg, "network_aware"))
             searches.append(i)
-    outcomes = _evaluate_days(feeder, profiles, jobs, searches)[1] if jobs else []
+    outcomes = _evaluate_days(feeder, profiles, jobs, searches) if jobs else []
     size, points = len(power.power_grid_kw), []
     for i, scenario in enumerate(scenarios):
         grid = outcomes[i * size:(i + 1) * size]

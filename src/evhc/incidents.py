@@ -37,8 +37,8 @@ class IncidentLimits:
     transformer_kva: float
 
     def __post_init__(self) -> None:
-        if not self.v_lower_pu < 1.0 < self.v_upper_pu:
-            raise ValueError("voltage limits must straddle 1.0 pu")
+        if not 0.0 < self.v_lower_pu < 1.0 < self.v_upper_pu:
+            raise ValueError("voltage limits must straddle 1.0 pu, the lower one above 0")
 
     @classmethod
     def from_feeder(

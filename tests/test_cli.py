@@ -119,14 +119,43 @@ def test_malformed_fleet_file_is_config_error(tmp_path, capsys, text, message):
         ({"search": {**BASE["search"], "power_min_kw": [1]}}, "search.power_min_kw"),
         ({"seed": "x"}, "seed"),
         ({"doe": {"delta_perm": "abc"}}, "doe.delta_perm"),
+        ({"limits": {"v_lower_pu": 0.0}}, "limits.v_lower_pu"),
+        ({"limits": {"v_lower_pu": -3.0}}, "limits.v_lower_pu"),
     ],
-    ids=["rated_power", "power_min", "seed", "delta_perm"],
+    ids=["rated_power", "power_min", "seed", "delta_perm", "v_lower_zero", "v_lower_negative"],
 )
 def test_malformed_value_is_config_error(tmp_path, capsys, overrides, field):
     path = _write_scenario(tmp_path, mode="passive", **overrides)
     assert main(["validate", str(path)]) == 1
     assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.count(f"configuration error: {field}: ") == 2
+
+
+def test_a_feeder_without_households_is_config_error(tmp_path, capsys):
+    """A feeder with no households (and its empty profile table) is refused
+    as the file is read, so every verb exits 1 naming ``feeder`` and none
+    writes a result."""
+    from evhc.feeder import Branch, Node, build_feeder, save_feeder
+
+    empty = build_feeder(
+        nodes=(Node("tx", is_slack=True), Node("a")),
+        branches=(Branch("tx", "a", 0.1, 0.05, 100.0),),
+        households=(),
+        transformer_kva=100.0,
+        base_voltage_v=230.0,
+    )
+    save_feeder(empty, tmp_path / "feeder.yaml")
+    (tmp_path / "profiles.csv").write_text("\n" * 97)  # a header and 96 steps, no column
+    path = _write_scenario(tmp_path, mode="compare", feeder="feeder.yaml",
+                           baseline_profiles="profiles.csv")
+    out = tmp_path / "out"
+    verbs = (["validate"], ["run"], ["sweep"], ["sweep", "--which", "qos-threshold"])
+    for verb in verbs:
+        options = ["--output-dir", str(out)] if verb != ["validate"] else []
+        assert main([*verb, str(path), *options]) == 1
+    err = capsys.readouterr().err
+    assert err.count("configuration error: feeder: ") == len(verbs) == len(err.splitlines())
+    assert not out.exists()
 
 
 def _assert_config_error(tmp_path, capsys, path, message):

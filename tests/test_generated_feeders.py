@@ -22,7 +22,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import evhc.hc
@@ -59,6 +59,14 @@ ENVELOPES = (
     DoeParams(),
     DoeParams(factor=0.2, voltage_source="previous_step"),
     DoeParams(delta_perm=0.1),  # degenerate band: a step at u_min
+)
+
+# A kernel-day property reruns whole kernel days for every shrink step, so a
+# failing one would take minutes to shrink; it reports its first failure.
+KERNEL_DAYS = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 
 
@@ -118,21 +126,20 @@ def _outcome(run):
         return exc
 
 
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=20, **KERNEL_DAYS)
 @given(_studies())
 def test_rebuilt_and_judged_days_equal_the_reference_on_random_feeders(study):
     feeder, profiles, lanes = study
     limits = IncidentLimits.from_feeder(feeder)
-    kept = _simulate_lanes(feeder, profiles, lanes)
     judged = _simulate_lanes(feeder, profiles, lanes, judge=limits)
-    for lane, day, judged_day in zip(lanes, kept, judged):
+    for lane, judged_day in zip(lanes, judged):
         expected = _outcome(lambda: reference_day(
             feeder, profiles, lane.sessions, lane.hc_power, lane.params
         )[1])
         if lane.params is None:  # uncontrolled: rebuilt without the kernel
             rebuilt = _outcome(lambda: _replay(feeder, profiles, lane)[1])
         else:
-            rebuilt = _outcome(lambda: _replay(feeder, profiles, lane, _raised(day))[1])
+            rebuilt = _outcome(lambda: _replay(feeder, profiles, lane, _raised(judged_day))[1])
         _assert_same(rebuilt, expected)
         if isinstance(expected, Exception):
             assert type(judged_day) is type(expected) and str(judged_day) == str(expected)
@@ -144,7 +151,7 @@ def test_rebuilt_and_judged_days_equal_the_reference_on_random_feeders(study):
         assert np.array_equal(judged_day.delivered_kwh, expected.delivered_kwh)
 
 
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=30, **KERNEL_DAYS)
 @given(
     _fleets(),
     st.sampled_from(["passive", "network_aware"]),
@@ -169,7 +176,7 @@ def test_a_whole_grid_reduces_to_the_search_in_rounds(
     [expected] = reduce_searches(feeder, profiles, [(fleet, config, mode)])
     jobs = [(point, config, mode) for point in _points(fleet, config)]
     for keys in (None, [0] * len(jobs)):
-        outcomes = _evaluate_days(feeder, profiles, jobs, keys)[1]
+        outcomes = _evaluate_days(feeder, profiles, jobs, keys)
         report = reduce_candidates(outcomes, qos_threshold, mode, config.scenario, dimension)
         _assert_same(report, expected)
 
@@ -202,7 +209,7 @@ def test_the_power_flow_oracle_holds_on_random_feeders(parts, data):
             current = upstream
 
 
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=20, **KERNEL_DAYS)
 @given(_studies())
 def test_every_connected_ev_draws_its_clamped_desire_on_random_feeders(study):
     """At every connected step of a rebuilt controlled day each EV draws
@@ -210,7 +217,8 @@ def test_every_connected_ev_draws_its_clamped_desire_on_random_feeders(study):
     lower edge min(floor, desired) never lifts it; an uncontrolled EV draws
     what it desires."""
     feeder, profiles, lanes = study
-    for lane, day in zip(lanes, _simulate_lanes(feeder, profiles, lanes)):
+    limits = IncidentLimits.from_feeder(feeder)
+    for lane, day in zip(lanes, _simulate_lanes(feeder, profiles, lanes, judge=limits)):
         kept = None if lane.params is None else day
         try:  # a heavy day may collapse; no other error may end it
             trace = _replay(feeder, profiles, lane, _raised(kept))[1]
@@ -226,7 +234,7 @@ def test_every_connected_ev_draws_its_clamped_desire_on_random_feeders(study):
         assert not granted[~connected].any()
 
 
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=10, **KERNEL_DAYS)
 @given(_studies())
 def test_every_step_keeps_the_step_contract_on_random_feeders(study):
     """See ``assert_step_contract``: each drawn study steps an uncontrolled,
@@ -234,13 +242,13 @@ def test_every_step_keeps_the_step_contract_on_random_feeders(study):
     assert_step_contract(*study)
 
 
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=20, **KERNEL_DAYS)
 @given(_fleets(), st.sampled_from(ENVELOPES))
 def test_every_judged_network_aware_candidate_has_a_qos_in_0_1(study, doe):
     feeder, profiles, fleet = study
     config = HcSearchConfig(power_grid_kw=(2.0, 4.0, 7.0, 11.0, 16.0, 22.0), doe=doe)
     jobs = [(point, config, "network_aware") for point in _points(fleet, config)]
-    for outcome in _evaluate_days(feeder, profiles, jobs)[1]:
+    for outcome in _evaluate_days(feeder, profiles, jobs):
         assert not isinstance(outcome, QosError)
         if isinstance(outcome, Exception) or outcome.qos is None:
             continue
@@ -249,7 +257,7 @@ def test_every_judged_network_aware_candidate_has_a_qos_in_0_1(study, doe):
         assert np.all((0.0 <= qos.individual) & (qos.individual <= 1.0))
 
 
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=10, **KERNEL_DAYS)
 @given(_fleets(), st.sampled_from(ENVELOPES), st.sampled_from([SWEEP_POWER, SWEEP_EV_COUNT]))
 def test_the_round_width_leaves_every_report_unchanged(study, doe, dimension):
     """Rounds only batch the candidates a search reads: at any

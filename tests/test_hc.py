@@ -11,8 +11,8 @@ import yaml
 
 import evhc.hc
 from evhc.cli import main
-from evhc.doe import DoeParams, _Stopped
-from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
+from evhc.doe import DoeParams, Lane, _replay, _Stopped
+from evhc.ev import DEFAULT_SCENARIOS, EvSession, generate_fleet
 from evhc.hc import (
     CandidateResult,
     HcReport,
@@ -404,8 +404,9 @@ def _assert_same(a, b):
     if isinstance(a, Exception):
         assert str(a) == str(b)
     elif is_dataclass(a):
-        for f in fields(a):
-            _assert_same(getattr(a, f.name), getattr(b, f.name))
+        for f in fields(a):  # as dataclass equality: a candidate's day takes no part
+            if f.compare:
+                _assert_same(getattr(a, f.name), getattr(b, f.name))
     elif isinstance(a, (list, tuple)):
         assert len(a) == len(b)
         for x, y in zip(a, b):
@@ -419,7 +420,7 @@ def _assert_same(a, b):
 def _judged_alone(feeder, profiles, fleet, config, mode):
     """The search from every candidate judged alone, one kernel call each."""
     outcomes = [
-        evhc.hc._evaluate_days(feeder, profiles, [(point, config, mode)])[1][0]
+        evhc.hc._evaluate_days(feeder, profiles, [(point, config, mode)])[0]
         for point in evhc.hc._points(fleet, config)
     ]
     return evhc.hc.reduce_candidates(
@@ -490,6 +491,50 @@ def test_rounds_reduce_many_searches_together(feeder, profiles, monkeypatch):
             (last, offset + c - 1 - last * w) for c in range(first_incident + 1, rounds * w + 1)
         ]
     assert stopped == sorted(expected_stops)
+
+
+def test_each_candidate_carries_the_day_it_was_judged_on(feeder, profiles):
+    """A mixed keyed and unkeyed batch through ``_evaluate_days``: every
+    result that is not a collapse carries the day of the lane its job made.
+    An unkeyed network-aware day replays to exactly the energies its QoS was
+    judged on; a keyed lane keeps nothing to replay; a collapse has no day."""
+    fleet = fleet_for_scenario(feeder, DEFAULT_SCENARIOS["medium"], HcSearchConfig())
+    burst = [EvSession(h, 40, 48, 30.0, 60.0) for h in feeder.household_ids]
+    power = HcSearchConfig(power_grid_kw=(2.0, 7.0, 11.0, 22.0))
+    count = replace(power, sweep_dimension=SWEEP_EV_COUNT)
+    previous = replace(power, doe=DoeParams(factor=0.2, voltage_source="previous_step"))
+    jobs, keys = [((60.0, burst, 60.0), power, "passive")], [None]
+    for key, config, mode in ((None, power, "network_aware"), ("p", power, "passive"),
+                              (None, previous, "network_aware"), ("c", count, "network_aware"),
+                              (None, count, "passive")):
+        points = evhc.hc._points(fleet, config)
+        jobs += [(point, config, mode) for point in points]
+        keys += [key] * len(points)
+    kinds = []
+    for ((_, sessions, kw), config, mode), key, result in zip(
+        jobs, keys, evhc.hc._evaluate_days(feeder, profiles, jobs, keys)
+    ):
+        if isinstance(result, Exception):
+            kinds.append(type(result).__name__)
+            continue
+        if result.day is None:  # a collapse
+            kinds.append(result.failure)
+            continue
+        aware = mode == "network_aware"
+        assert result.day.lane == Lane(sessions, kw, config.doe if aware else None, key)
+        if aware and key is None:
+            _, trace = _replay(feeder, profiles, result.day.lane, result.day)
+            delivered = dict(zip(trace.household_ids, trace.delivered_kwh.tolist()))
+            qos = result.qos
+            assert [delivered[h] for h in qos.households] == qos.e_network_aware_kwh.tolist()
+            kinds.append("replayed")
+        elif aware:
+            assert result.day.clamp_voltage_pu is None  # a keyed lane keeps nothing to replay
+            kinds.append("keyed")
+        else:
+            kinds.append("passive")
+    assert kinds.count("diagnostic") == 1 and kinds.count("replayed") == 8
+    assert {"keyed", "passive", "_Stopped"} <= set(kinds)
 
 
 def test_a_batch_that_mixes_voltage_limits_is_refused(feeder, profiles):

@@ -147,6 +147,14 @@ def test_limits_must_straddle_one():
         IncidentLimits(1.0, 1.1, (100.0,), 100.0)
 
 
+@pytest.mark.parametrize("v_lower_pu", [0.0, -3.0])
+def test_the_lower_limit_must_lie_above_zero(v_lower_pu):
+    """No node voltage lies below a lower limit at or under 0 pu, so such a
+    limit would never fire."""
+    with pytest.raises(ValueError, match="above 0"):
+        IncidentLimits(v_lower_pu, 1.1, (100.0,), 100.0)
+
+
 def test_raising_charging_power_never_removes_undervoltage(feeder, profiles):
     """Monotone severity on the passive network."""
     fleet = generate_fleet(DEFAULT_SCENARIOS["medium"], feeder.household_ids, seed=2)

@@ -104,7 +104,7 @@ def _assert_same_trace(got, want):
 
 def test_recorded_lanes_equal_the_reference_loop(feeder, profiles, batch):
     """Every lane's rebuilt day is the reference day, or ends in its error."""
-    days = _simulate_lanes(feeder, profiles, batch)
+    days = _simulate_lanes(feeder, profiles, batch, judge=IncidentLimits.from_feeder(feeder))
     kinds = set()
     for lane, day in zip(batch, days):
         expected = _reference(feeder, profiles, lane)
@@ -131,6 +131,28 @@ def test_recorded_lanes_equal_the_reference_loop(feeder, profiles, batch):
         assert day.fallback_steps == int(trace.fixed_point_fallback.sum())
         kinds.add("fallback" if day.fallback_steps else "settled")
     assert kinds == {"VoltageCollapseError", "ValueError", "fallback", "settled"}
+
+
+def test_a_network_aware_horizon_is_its_judged_lane_replayed(feeder, profiles, batch):
+    """``network_aware_horizon`` returns the trace and trajectories that
+    ``_replay`` rebuilds from its lane's judged kernel day, bit for bit, or
+    raises the error that ended that day."""
+    lanes = [lane for lane in batch if lane.params is not None]
+    days = _simulate_lanes(feeder, profiles, lanes, judge=IncidentLimits.from_feeder(feeder))
+    replayed = 0
+    for lane, day in zip(lanes, days):
+        try:
+            got = network_aware_horizon(feeder, profiles, *lane[:3])
+        except (ValueError, VoltageCollapseError) as exc:
+            _assert_same_error(exc, day)
+            continue
+        trajectories, trace = _replay(feeder, profiles, day.lane, day)
+        _assert_same_trace(got[1], trace)
+        for a, b in zip(got[0], trajectories, strict=True):
+            assert a.session == b.session and a.delivered_kwh == b.delivered_kwh
+            _assert_equal(a.power_kw, b.power_kw)
+        replayed += 1
+    assert 0 < replayed < len(lanes)
 
 
 def test_judged_lanes_equal_the_reference_detect_and_summary(feeder, profiles, batch):
@@ -204,6 +226,8 @@ def test_keyed_lanes_stop_past_the_first_failure_of_their_search(feeder, profile
             for f in fields(LaneDay):
                 if key is not None and f.name in ("clamp_voltage_pu", "fallback"):
                     assert getattr(got, f.name) is None  # a keyed lane is never rebuilt
+                elif f.name == "lane":
+                    assert got.lane == want.lane._replace(search=key)
                 else:
                     _assert_equal(getattr(got, f.name), getattr(want, f.name))
     assert stopped == [8, 10, 11, 12, 14]
@@ -211,12 +235,12 @@ def test_keyed_lanes_stop_past_the_first_failure_of_their_search(feeder, profile
 
 def test_judged_lanes_that_all_end_in_one_step_are_their_errors(feeder, profiles):
     """When every lane of a judged call ends in the same step, each is the
-    collapse it hit, as when it is not judged."""
+    collapse it hit, as in the reference loop."""
     burst = [EvSession(h, 40, 48, 30.0, 60.0) for h in feeder.household_ids]
     for lanes in ([Lane(burst, 60.0)], [Lane(burst, 60.0), Lane(burst, 60.0, DoeParams())]):
-        unjudged = _simulate_lanes(feeder, profiles, lanes)
         judged = _simulate_lanes(feeder, profiles, lanes, judge=IncidentLimits.from_feeder(feeder))
-        for got, want in zip(judged, unjudged):
+        for got, lane in zip(judged, lanes):
+            want = _reference(feeder, profiles, lane)
             assert isinstance(want, VoltageCollapseError)
             _assert_same_error(got, want)
 
@@ -236,7 +260,7 @@ def test_an_uncontrolled_day_rebuilt_alone_ends_in_the_kernels_error(feeder, pro
         bad = tuple(
             replace(p, power_kw=tuple(power)) if p.household == ids[1] else p for p in profiles
         )
-        [day] = _simulate_lanes(feeder, bad, [lane])
+        [day] = _simulate_lanes(feeder, bad, [lane], judge=IncidentLimits.from_feeder(feeder))
         assert type(day) is kind
         _assert_same_error(_rebuilt(feeder, bad, lane, None), day)
 
@@ -269,7 +293,7 @@ def assert_step_contract(feeder, profiles, lanes) -> tuple[int, int, int]:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evhc.doe, "_step", recorded)
-        _simulate_lanes(feeder, profiles, lanes)
+        _simulate_lanes(feeder, profiles, lanes, judge=IncidentLimits.from_feeder(feeder))
     fallbacks = errors = alone = 0
     for (_, base, t, connected, desired, v_house, env), got in calls:
         ok = np.array([exc is None for exc in got.error])
@@ -335,11 +359,12 @@ def test_shared_rows_equal_the_reference_loop(feeder, profiles, monkeypatch):
         Lane([], 9.0, DoeParams()),
         Lane(low, 2.0, green),
     ]
+    limits = IncidentLimits.from_feeder(feeder)
     calls = _solver_rows(monkeypatch)
-    _simulate_lanes(feeder, profiles, batch[:1])
+    _simulate_lanes(feeder, profiles, batch[:1], judge=limits)
     alone = _lane_solves(calls)
     calls.clear()
-    days = _simulate_lanes(feeder, profiles, batch)
+    days = _simulate_lanes(feeder, profiles, batch, judge=limits)
     assert _lane_solves(calls) == alone
     for lane, day in zip(batch, days):
         _, trace = _reference(feeder, profiles, lane)
@@ -351,12 +376,12 @@ def test_each_distinct_row_is_solved_once_per_solve(feeder, profiles, batch, mon
     solve call gets pairwise distinct ``(t, p_kw)`` rows, none of them its
     step's baseline. A batch doubled lane for lane costs no extra solve and
     simulates the same days."""
-    baseline = baseline_matrix(feeder, profiles)
+    baseline, limits = baseline_matrix(feeder, profiles), IncidentLimits.from_feeder(feeder)
     calls = _solver_rows(monkeypatch)
-    single = _simulate_lanes(feeder, profiles, batch)
+    single = _simulate_lanes(feeder, profiles, batch, judge=limits)
     alone = _lane_solves(calls)
     calls.clear()
-    doubled = _simulate_lanes(feeder, profiles, batch + batch)
+    doubled = _simulate_lanes(feeder, profiles, batch + batch, judge=limits)
     assert _lane_solves(calls) == alone
     (steps, p_kw), *solves = calls
     assert steps == list(range(96)) and np.array_equal(p_kw, baseline)
@@ -408,13 +433,11 @@ def test_a_shared_collapse_is_each_lanes_own_error(feeder, profiles, monkeypatch
     expected = _reference(feeder, profiles, lanes[0])
     assert isinstance(expected, VoltageCollapseError) and expected.step == 40
     calls = _solver_rows(monkeypatch)
-    for judge in (None, IncidentLimits.from_feeder(feeder)):
-        calls.clear()
-        days = _simulate_lanes(feeder, profiles, lanes, judge=judge)
-        assert [len(steps) for steps, _ in calls[-1:]] == [1]  # the collapsing row, once
-        assert len({id(day) for day in days}) == len(lanes)
-        for day in days:
-            _assert_same_error(day, expected)
+    days = _simulate_lanes(feeder, profiles, lanes, judge=IncidentLimits.from_feeder(feeder))
+    assert [len(steps) for steps, _ in calls[-1:]] == [1]  # the collapsing row, once
+    assert len({id(day) for day in days}) == len(lanes)
+    for day in days:
+        _assert_same_error(day, expected)
 
 
 # --- crossings and extrema on random traces ----------------------------------
