@@ -524,36 +524,31 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
     _write(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
     if config.mode in ("passive", "network_aware", "compare"):
-        # one kernel pass: one judged call holds every search's grid, each
-        # reduced to its report. A passive grid runs under its own key, so its
-        # lanes stop past its first incident. A network-aware grid runs
-        # unkeyed: its lanes keep the clamp voltages the day at its HC is
-        # rebuilt from, and its power grid, which qos_by_power.csv reads
-        # whole, is judged too.
+        # one kernel pass: one judged call holds every run's grid, each reduced
+        # to its report. A passive grid stops past its first incident. A
+        # network-aware grid runs whole: its lanes keep the clamp voltages the
+        # day at its HC is rebuilt from, and an EV-count run adds its power
+        # grid, which qos_by_power.csv reads whole.
         modes = [m for m in ("passive", "network_aware") if config.mode in (m, "compare")]
-        runs = []
+        runs, grids = [], []  # run: (search, mode, whether it adds its power grid)
         for label in config.scenario_labels:
             search = _search_config(config, label)
             fleet = _fleet(config, feeder, search)
-            runs += [(fleet, search, mode) for mode in modes]
-        jobs, keys, spans = [], [], {}  # (run, dimension) -> its grid's slice of jobs
-        for i, (fleet, search, mode) in enumerate(runs):
-            passive = mode == "passive"
-            grids = [search] if passive else [search, replace(search, sweep_dimension=SWEEP_POWER)]
-            for cfg in grids:
-                if (i, cfg.sweep_dimension) not in spans:
-                    points = _points(fleet, cfg)
-                    spans[i, cfg.sweep_dimension] = slice(len(jobs), len(jobs) + len(points))
-                    jobs += [(point, cfg, mode) for point in points]
-                    keys += [i if passive else None] * len(points)
-        judged = _evaluate_days(feeder, profiles, jobs, keys) if jobs else []
+            for mode in modes:
+                adds_power = mode != "passive" and search.sweep_dimension != SWEEP_POWER
+                runs.append((search, mode, adds_power))
+                grids.append((_points(fleet, search), search, mode, mode == "passive"))
+                if adds_power:
+                    power = replace(search, sweep_dimension=SWEEP_POWER)
+                    grids.append((_points(fleet, power), power, mode, False))
+        judged = iter(_evaluate_days(feeder, profiles, grids))
 
         table = []
-        for i, (_, search, mode) in enumerate(runs):
-            span = spans[i, search.sweep_dimension]
+        for search, mode, adds_power in runs:
+            outcomes = next(judged)
+            grid = next(judged) if adds_power else outcomes
             label, report = search.scenario, _raised(reduce_candidates(
-                judged[span], search.qos_threshold, mode, search.scenario, search.sweep_dimension))
-            grid = judged[spans.get((i, SWEEP_POWER), span)]
+                outcomes, search.qos_threshold, mode, search.scenario, search.sweep_dimension))
             _write_search_outputs(out_dir / f"{mode}_{label}", report, feeder, profiles, grid)
             limiting = "unconstrained" if report.unconstrained else report.limiting_factor
             # a passive report has no QoS, so its QoS cells are empty

@@ -303,9 +303,10 @@ def _start(
 
 def _demand(rows: _Rows, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which EVs of each row are connected at its step ``t``, and the power
-    each desires: as fast as allowed until its request is met."""
+    each desires: as fast as allowed until its request is met (or met one
+    rounding over: the energy left is held at 0)."""
     connected = (t[:, np.newaxis] - rows.arrival) % STEPS_PER_DAY < rows.duration
-    desired = np.minimum(rows.p_max, (rows.requested - rows.delivered) / STEP_HOURS)
+    desired = np.minimum(rows.p_max, np.maximum(rows.requested - rows.delivered, 0.0) / STEP_HOURS)
     return connected, np.where(connected, desired, 0.0)
 
 
@@ -327,15 +328,14 @@ def _step(feeder, base, t, connected, desired, v_house, env: _Rows) -> _Rows:
     final solve (baseline + granted), each solve written over the last,
     starting from its step's baseline row; the voltages ``v_clamp`` its last
     clamp read (``v_house`` if none); its ``fallback`` flag; and its own
-    ``error`` (a negative desire or injection, or a collapse; also the
-    rows' ``collapse``), else None.
+    ``error`` (a negative injection or a collapse; also the rows'
+    ``collapse``), else None.
     """
     clamped = env.controlled & connected.any(axis=1)
-    ok = ~(clamped & (desired < 0).any(axis=1))
-    error = [None if fine else ValueError("desired power must be >= 0") for fine in ok]
+    ok, error = np.ones(len(t), dtype=bool), [None] * len(t)
     granted, v, v_clamp, moved = desired.copy(), v_house.copy(), v_house.copy(), np.zeros(len(t))
     rows = LaneSolution(*(a[t] for a in base.solution[:-1]), error)  # unsolved: its baseline row
-    todo = np.flatnonzero(ok)
+    todo = np.arange(len(t))
     for it in range(FIXED_POINT_MAX_ITER):
         clamp = todo[clamped[todo]]
         if clamp.size:

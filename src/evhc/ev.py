@@ -165,14 +165,14 @@ class ChargingTrajectory:
 
 def baseline_trajectory(session: EvSession, hc_power: float) -> ChargingTrajectory:
     """Uncontrolled charging: full allowed power from arrival until the
-    requested energy is delivered or the EV departs."""
+    requested energy is delivered (the energy left held at 0) or the EV departs."""
     if hc_power <= 0:
         raise ValueError("hc_power must be > 0")
     cap = min(hc_power, session.rated_kw)
     power = np.zeros(STEPS_PER_DAY)
     delivered = 0.0
     for t in session.window_steps():
-        p = min(cap, (session.requested_kwh - delivered) / STEP_HOURS)
+        p = min(cap, max(session.requested_kwh - delivered, 0.0) / STEP_HOURS)
         power[t] = p
         delivered += p * STEP_HOURS
     return ChargingTrajectory(session=session, power_kw=power, delivered_kwh=delivered)

@@ -12,15 +12,16 @@ Every candidate is simulated independently of the others. A search is its
 candidates' first-failure reduction, ``reduce_candidates``: its report, or
 the error before its first failure, exactly what an exhaustive per-
 candidate scan returns. The capacity is found by position, as the last
-candidate before the failure (``HcReport.at_hc``). Searches run in
-candidate rounds: each round simulates the next four (``ROUND_WIDTH``)
-candidates of every search still running, all in one batched kernel call,
-each search under its own key; the kernel (``doe._simulate_lanes``) solves
-a row its lanes share once. At most three candidates past a search's first
-failure are simulated, and none is read. The QoS-threshold sweep instead
-judges every scenario's whole power grid in one kernel call, each scenario
-one search whose candidates stop past its first incident. Every search and
-sweep runs in the calling process.
+candidate before the failure (``HcReport.at_hc``). Every batch reaches the
+kernel (``doe._simulate_lanes``) as candidate grids through
+``_evaluate_days``: one kernel call, one list of results per grid, and the
+lanes of a stopping grid stop past its first incident. Searches run in
+candidate rounds: each round passes the next four (``ROUND_WIDTH``)
+candidates of every search still running, each a stopping grid. At most
+three candidates past a search's first failure are simulated, and none is
+read. The QoS-threshold sweep passes every scenario's whole power grid in
+one call, each a stopping grid. Both sweeps search the power grid. Every
+search and sweep runs in the calling process.
 """
 
 from __future__ import annotations
@@ -140,42 +141,48 @@ def _failure(result: CandidateResult, qos_threshold: float) -> CandidateResult:
     return replace(result, qos_breach=breach, failure=failure)
 
 
+_Point = tuple[float, list[EvSession], float]  # (candidate, sessions, power)
+
+
 def _evaluate_days(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
-    jobs: list[tuple[tuple[float, list[EvSession], float], HcSearchConfig, str]],
-    searches: list | None = None,
-) -> list[CandidateResult | Exception]:
-    """Simulate candidate days in one kernel call and judge each: each job's
-    candidate result, carrying its day as the kernel keeps it.
+    grids: list[tuple[list[_Point], HcSearchConfig, str, bool]],
+) -> list[list[CandidateResult | Exception]]:
+    """Judge candidate grids in one kernel call: per grid, its candidates'
+    results in order, each carrying its day as the kernel keeps it.
 
-    A job is a candidate point ``(candidate, sessions, power)``, its search
-    config and mode. All jobs must share one pair of voltage limits, as one
-    kernel call judges them all; a batch that mixes them is a ``ValueError``.
-    A candidate whose day cannot be simulated or judged is the exception
-    that stopped it; a collapse is a diagnostic incident. ``searches`` gives
-    each job's search key: a search's jobs, passed in candidate order, stop
-    past its first incident (``doe._simulate_lanes``).
+    A grid is ``(points, config, mode, stop)``: its candidate points, its
+    search config and mode, and whether its lanes stop past its first
+    incident (one search key of ``doe._simulate_lanes``). All grids must
+    share one pair of voltage limits, as one kernel call judges them all; a
+    batch that mixes them is a ``ValueError``. A candidate whose day cannot
+    be simulated or judged is the exception that stopped it; a collapse is a
+    diagnostic incident. A batch without points makes no kernel call.
     """
-    limits = list(dict.fromkeys((cfg.v_lower_pu, cfg.v_upper_pu) for _, cfg, _ in jobs))
+    lanes = [
+        Lane(sessions, power, None if mode == "passive" else cfg.doe, g if stop else None)
+        for g, (points, cfg, mode, stop) in enumerate(grids) for _, sessions, power in points
+    ]
+    if not lanes:
+        return [[] for _ in grids]
+    limits = list(dict.fromkeys(
+        (cfg.v_lower_pu, cfg.v_upper_pu) for points, cfg, *_ in grids if points))
     if len(limits) > 1:
         raise ValueError(f"batched searches must share (v_lower_pu, v_upper_pu), got {limits}")
     [(v_lower, v_upper)] = limits
-    lanes = [
-        Lane(sessions, power, None if mode == "passive" else cfg.doe, key)
-        for ((_, sessions, power), cfg, mode), key in zip(jobs, searches or [None] * len(jobs))
-    ]
-    days = _simulate_lanes(
+    days = iter(_simulate_lanes(
         feeder, profiles, lanes,
         judge=IncidentLimits.from_feeder(feeder, v_lower, v_upper),
-    )
-    energy: dict = {}  # (session, power) -> its uncontrolled energy, shared by the jobs
-    return [_judge(day, *job, energy) for day, job in zip(days, jobs)]
+    ))
+    energy: dict = {}  # (session, power) -> its uncontrolled energy, shared by the grids
+    return [[_judge(next(days), point, cfg, mode, energy) for point in points]
+            for points, cfg, mode, _ in grids]
 
 
 def _judge(
     day: LaneDay | Exception,
-    point: tuple[float, list[EvSession], float],
+    point: _Point,
     config: HcSearchConfig,
     mode: str,
     energy: dict,
@@ -217,13 +224,11 @@ def evaluate_network_aware_candidate(
     config: HcSearchConfig,
 ) -> CandidateResult:
     """Simulate envelope-controlled charging at one candidate power."""
-    jobs = [((hc_power, fleet, hc_power), config, "network_aware")]
-    return _raised(_evaluate_days(feeder, profiles, jobs)[0])
+    grid = ([(hc_power, fleet, hc_power)], config, "network_aware", False)
+    return _raised(_evaluate_days(feeder, profiles, [grid])[0][0])
 
 
-def _points(
-    fleet: list[EvSession], config: HcSearchConfig
-) -> list[tuple[float, list[EvSession], float]]:
+def _points(fleet: list[EvSession], config: HcSearchConfig) -> list[_Point]:
     """The candidate points ``(candidate, sessions, power)`` of the config's
     dimension, in search order.
 
@@ -244,23 +249,22 @@ def reduce_searches(
     evaluated in candidate rounds.
 
     Each round simulates the next ``ROUND_WIDTH`` candidates of every search
-    that has not yet failed, in one kernel call, each search under its own
-    key, so a lane past an incident of its search stops there. A search
-    stops running once one of its outcomes has not passed, after
-    ceil(n / ``ROUND_WIDTH``) rounds if that is candidate n: the up to
-    ``ROUND_WIDTH - 1`` candidates simulated past it are never read. A
-    search that hits an error ends as that exception. The searches must
-    share one pair of voltage limits (``_evaluate_days``).
+    that has not yet failed, in one kernel call, each a stopping grid, so a
+    lane past an incident of its search stops there. A search stops running
+    once one of its outcomes has not passed, after ceil(n / ``ROUND_WIDTH``)
+    rounds if that is candidate n: the up to ``ROUND_WIDTH - 1`` candidates
+    simulated past it are never read. A search that hits an error ends as
+    that exception. The searches must share one pair of voltage limits
+    (``_evaluate_days``).
     """
     points = [_points(fleet, config) for fleet, config, _ in searches]
     evaluated: list[list[CandidateResult | Exception]] = [[] for _ in searches]
     running = [j for j, p in enumerate(points) if p]
     while running:
-        window = [(j, p) for j in running for p in points[j][len(evaluated[j]):][:ROUND_WIDTH]]
-        jobs = [(point, *searches[j][1:]) for j, point in window]
-        keys = [j for j, _ in window]
-        for j, result in zip(keys, _evaluate_days(feeder, profiles, jobs, keys)):
-            evaluated[j].append(result)
+        windows = [(points[j][len(evaluated[j]):][:ROUND_WIDTH], *searches[j][1:], True)
+                   for j in running]
+        for j, results in zip(running, _evaluate_days(feeder, profiles, windows)):
+            evaluated[j] += results
         running = [
             j for j in running if len(evaluated[j]) < len(points[j])
             and not any(isinstance(o, Exception) or o.failure is not None for o in evaluated[j])
@@ -334,8 +338,8 @@ def network_aware_grid(
     """Evaluate every candidate power regardless of failures, in one kernel
     call: the whole grid, as a per-customer QoS table needs it."""
     power = replace(config, sweep_dimension=SWEEP_POWER)
-    jobs = [(point, power, "network_aware") for point in _points(fleet, power)]
-    return [_raised(result) for result in _evaluate_days(feeder, profiles, jobs)]
+    grid = (_points(fleet, power), power, "network_aware", False)
+    return [_raised(result) for result in _evaluate_days(feeder, profiles, [grid])[0]]
 
 
 @dataclass
@@ -384,12 +388,14 @@ def sensitivity_sweep(
 ) -> list[SweepCell]:
     """Network-aware HC over the (delta_perm, factor) grid per scenario.
 
-    Every cell's search is reduced in the same candidate rounds, in this
-    process. A cell's error stays in its cell.
+    Every cell searches the power grid, as ``threshold_sweep`` does; all
+    are reduced in the same candidate rounds, in this process. A cell's
+    error stays in its cell.
     """
     if not delta_perm_grid or not factor_values or not scenarios:
         raise ValueError("sweep grids must be non-empty")
     grid = [(float(d), float(f)) for d in delta_perm_grid for f in factor_values]
+    config = replace(config, sweep_dimension=SWEEP_POWER)
     cells, searches, searching = [], [], []
     for scenario in scenarios:
         try:
@@ -447,17 +453,13 @@ def threshold_sweep(
     reduction reads a candidate past a scenario's first incident, and those
     candidates stop there. An error at or before that incident is raised.
     """
-    power = replace(config, sweep_dimension=SWEEP_POWER)
-    jobs, searches = [], []
-    for i, scenario in enumerate(scenarios):
-        cfg = replace(power, scenario=scenario.label)
-        for point in _points(fleet_for_scenario(feeder, scenario, cfg), cfg):
-            jobs.append((point, cfg, "network_aware"))
-            searches.append(i)
-    outcomes = _evaluate_days(feeder, profiles, jobs, searches) if jobs else []
-    size, points = len(power.power_grid_kw), []
-    for i, scenario in enumerate(scenarios):
-        grid = outcomes[i * size:(i + 1) * size]
+    grids = []
+    for scenario in scenarios:
+        cfg = replace(config, sweep_dimension=SWEEP_POWER, scenario=scenario.label)
+        fleet = fleet_for_scenario(feeder, scenario, cfg)
+        grids.append((_points(fleet, cfg), cfg, "network_aware", True))
+    points = []
+    for scenario, grid in zip(scenarios, _evaluate_days(feeder, profiles, grids)):
         _raised(next((o for o in grid if isinstance(o, Exception) or o.incidents), None))
         for threshold in thresholds:
             report = reduce_candidates(grid, threshold, "network_aware", scenario.label)

@@ -96,8 +96,6 @@ def _envelope(u, p_max, params):
 
 
 def _apply_envelope(desired, connected, v_house, p_max, params):
-    if np.any(desired < 0):
-        raise ValueError("desired power must be >= 0")
     floor, cap, zone = _envelope(v_house, p_max, params)
     clamped = np.minimum(np.maximum(desired, np.minimum(floor, desired)), cap)
     ev_kw = np.where(connected, clamped, 0.0)
@@ -146,7 +144,8 @@ def reference_day(feeder, profiles, sessions, hc_power, params=None):
     for k in range(steps):
         t = (start + k) % steps
         connected = (t - arrival) % steps < duration
-        desired = np.where(connected, np.minimum(p_max, (requested - delivered) / STEP_HOURS), 0.0)
+        left = np.maximum(requested - delivered, 0.0)
+        desired = np.where(connected, np.minimum(p_max, left / STEP_HOURS), 0.0)
         desired_rec[t] = desired
         if params is None or not connected.any():
             ev_kw = desired

@@ -520,6 +520,27 @@ def test_sweep_doe_verb(tmp_path):
     assert len(lines) == 1 + 3 * 2
 
 
+def test_sweep_doe_searches_the_power_grid_at_either_dimension(tmp_path):
+    """Like the QoS-threshold sweep, the DOE sweep searches the power grid,
+    so the ``ev_count`` copy of the example file writes the power file's
+    ``sweep_doe.csv`` (its ``nahc_kw`` holds no EV counts). The sweep grid
+    is cut to one scenario and two cells, one of which no power passes."""
+    power = tmp_path / "power.yaml"
+    assert main(["init-example", "--output", str(power)]) == 0
+    doc = yaml.safe_load(power.read_text())
+    doc.update(scenarios=["low"], sweep={**doc["sweep"], "delta_perm_max": 0.0,
+                                         "factor_values": [0.0, 0.5]})
+    power.write_text(yaml.safe_dump(doc))
+    doc["search"]["dimension"] = "ev_count"
+    (tmp_path / "ev_count.yaml").write_text(yaml.safe_dump(doc))
+    for name in ("power", "ev_count"):
+        assert main(["sweep", str(tmp_path / f"{name}.yaml"), "--output-dir",
+                     str(tmp_path / name)]) == 0
+    table = (tmp_path / "power" / "sweep_doe.csv").read_text()
+    assert table.splitlines()[1].startswith("low,0,0,,")
+    assert (tmp_path / "ev_count" / "sweep_doe.csv").read_text() == table
+
+
 # an energy scenario whose sessions cover the whole day: no idle step
 ALL_DAY = {
     "energy_min_kwh": 4.0,

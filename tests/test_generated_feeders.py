@@ -6,12 +6,14 @@ one. Here ``hypothesis`` draws feeders of 2 to 25 nodes with random
 branching, impedances and ampacities, some nodes carrying two households,
 and tiles the bundled profiles over the households. Each day rebuilt from
 what the kernel kept must equal ``reference_day`` bit for bit, and each
-judged lane's incidents and two extrema must equal the reference's. A
-search reduced from its whole grid, judged in one kernel call with or
-without its search key, must equal the same search run in candidate rounds,
-at any round width. The power-flow oracle of criterion 4 holds, every
-connected EV draws the clamp of its desire to its recorded envelope, and
-every judged network-aware candidate has a QoS in [0, 1]. Every step keeps
+judged lane's incidents and two extrema must equal the reference's; an
+uncontrolled lane delivers each EV exactly its ``baseline_trajectory``
+energy. A search reduced from its whole grid, judged in one kernel call
+stopping or whole, must equal the same search run in candidate rounds, at
+any round width, and each DOE sweep cell is its search run alone. The
+power-flow oracle of criterion 4 holds, every connected EV draws the clamp
+of its desire to its recorded envelope, and every judged network-aware
+candidate has a QoS in [0, 1]. Every step keeps
 the contract of ``_step``, the one controlled-step function. The walk that
 checks and indexes a feeder must name a cycle's branch, count the branches,
 and index the tree breadth-first with children in node order, whatever the
@@ -19,6 +21,7 @@ order and orientation of its branches.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 
 import evhc.hc
 from evhc.doe import DoeParams, Lane, _raised, _replay, _simulate_lanes
-from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
+from evhc.ev import DEFAULT_SCENARIOS, baseline_trajectory, generate_fleet
 from evhc.feeder import (
     BaselineLoadProfile,
     Branch,
@@ -44,8 +47,11 @@ from evhc.hc import (
     HcSearchConfig,
     _evaluate_days,
     _points,
+    fleet_for_scenario,
+    network_aware_hc,
     reduce_candidates,
     reduce_searches,
+    sensitivity_sweep,
 )
 from evhc.incidents import IncidentLimits
 from evhc.powerflow import VoltageCollapseError, injections_from_loads, solve
@@ -151,6 +157,52 @@ def test_rebuilt_and_judged_days_equal_the_reference_on_random_feeders(study):
         assert np.array_equal(judged_day.delivered_kwh, expected.delivered_kwh)
 
 
+@settings(max_examples=20, **KERNEL_DAYS)
+@given(_fleets(), st.sampled_from([3.0, 7.0, 11.0, 22.0]))
+def test_every_uncontrolled_day_delivers_the_baseline_energy(study, count_mode_power_kw):
+    """Each EV of every uncontrolled judged day, of either dimension, is
+    delivered exactly the energy of its ``baseline_trajectory``, the QoS
+    denominator, bit for bit."""
+    feeder, profiles, fleet = study
+    power = HcSearchConfig(power_grid_kw=(2.0, 7.0, 22.0), count_mode_power_kw=count_mode_power_kw)
+    grids = [(_points(fleet, cfg), cfg, "passive", False)
+             for cfg in (power, replace(power, sweep_dimension=SWEEP_EV_COUNT))]
+    for (points, *_), results in zip(grids, _evaluate_days(feeder, profiles, grids)):
+        for (_, _, kw), result in zip(points, results):
+            if isinstance(result, Exception) or result.day is None:  # no day, or a collapse
+                continue
+            energy = [baseline_trajectory(s, kw).delivered_kwh for s in result.day.sessions]
+            assert result.day.delivered_kwh.tolist() == energy
+
+
+@settings(max_examples=10, **KERNEL_DAYS)
+@given(_fleets(), st.sampled_from(sorted(DEFAULT_SCENARIOS)),
+       st.sampled_from([SWEEP_POWER, SWEEP_EV_COUNT]))
+def test_each_doe_sweep_cell_is_its_search_alone(study, label, dimension):
+    """Each cell of a DOE sweep, report or error, is that cell's power-grid
+    search run alone with ``network_aware_hc``, whatever the dimension of
+    the sweep's config."""
+    feeder, profiles, _ = study
+    config = HcSearchConfig(power_grid_kw=(2.0, 4.0, 7.0, 11.0, 16.0, 22.0),
+                            sweep_dimension=dimension)
+    scenarios = [DEFAULT_SCENARIOS[label]]
+    cells = sensitivity_sweep(feeder, profiles, scenarios, [0.0, 0.05], [0.2, 0.5], config)
+    assert len(cells) == 2 * 2
+    for cell in cells:
+        doe = replace(config.doe, delta_perm=cell.delta_perm, factor=cell.factor)
+        search = replace(config, doe=doe, scenario=cell.scenario, sweep_dimension=SWEEP_POWER)
+        fleet = fleet_for_scenario(feeder, DEFAULT_SCENARIOS[cell.scenario], search)
+        try:
+            report = network_aware_hc(feeder, profiles, fleet, search)
+        except Exception as exc:
+            assert cell.error == f"{type(exc).__name__}: {exc}"
+            continue
+        alone = (report.hc, report.limiting_factor, report.unconstrained, report.qos_at_hc,
+                 report.min_qos_at_hc, None)
+        assert (cell.hc, cell.limiting_factor, cell.unconstrained, cell.qos_at_hc,
+                cell.min_qos_at_hc, cell.error) == alone
+
+
 @settings(max_examples=30, **KERNEL_DAYS)
 @given(
     _fleets(),
@@ -164,9 +216,9 @@ def test_a_whole_grid_reduces_to_the_search_in_rounds(
     study, mode, dimension, doe, count_mode_power_kw, qos_threshold
 ):
     """``evhc run`` judges each search's whole grid in one kernel call and
-    reduces it: a network-aware grid unkeyed, so every lane runs its whole
-    day, and a passive grid under its search key, so lanes past its first
-    incident stop. Either way the report equals the search in candidate
+    reduces it: a network-aware grid whole, so every lane runs its whole
+    day, and a passive grid stopping, so lanes past its first incident
+    stop. Either way the report equals the search in candidate
     rounds, field by field and candidate by candidate."""
     feeder, profiles, fleet = study
     config = HcSearchConfig(
@@ -174,9 +226,9 @@ def test_a_whole_grid_reduces_to_the_search_in_rounds(
         sweep_dimension=dimension, count_mode_power_kw=count_mode_power_kw,
     )
     [expected] = reduce_searches(feeder, profiles, [(fleet, config, mode)])
-    jobs = [(point, config, mode) for point in _points(fleet, config)]
-    for keys in (None, [0] * len(jobs)):
-        outcomes = _evaluate_days(feeder, profiles, jobs, keys)
+    points = _points(fleet, config)
+    for stop in (False, True):
+        [outcomes] = _evaluate_days(feeder, profiles, [(points, config, mode, stop)])
         report = reduce_candidates(outcomes, qos_threshold, mode, config.scenario, dimension)
         _assert_same(report, expected)
 
@@ -247,8 +299,8 @@ def test_every_step_keeps_the_step_contract_on_random_feeders(study):
 def test_every_judged_network_aware_candidate_has_a_qos_in_0_1(study, doe):
     feeder, profiles, fleet = study
     config = HcSearchConfig(power_grid_kw=(2.0, 4.0, 7.0, 11.0, 16.0, 22.0), doe=doe)
-    jobs = [(point, config, "network_aware") for point in _points(fleet, config)]
-    for outcome in _evaluate_days(feeder, profiles, jobs):
+    grid = (_points(fleet, config), config, "network_aware", False)
+    for outcome in _evaluate_days(feeder, profiles, [grid])[0]:
         assert not isinstance(outcome, QosError)
         if isinstance(outcome, Exception) or outcome.qos is None:
             continue

@@ -420,7 +420,7 @@ def _assert_same(a, b):
 def _judged_alone(feeder, profiles, fleet, config, mode):
     """The search from every candidate judged alone, one kernel call each."""
     outcomes = [
-        evhc.hc._evaluate_days(feeder, profiles, [(point, config, mode)])[0]
+        evhc.hc._evaluate_days(feeder, profiles, [([point], config, mode, False)])[0][0]
         for point in evhc.hc._points(fleet, config)
     ]
     return evhc.hc.reduce_candidates(
@@ -493,27 +493,35 @@ def test_rounds_reduce_many_searches_together(feeder, profiles, monkeypatch):
     assert stopped == sorted(expected_stops)
 
 
-def test_each_candidate_carries_the_day_it_was_judged_on(feeder, profiles):
-    """A mixed keyed and unkeyed batch through ``_evaluate_days``: every
-    result that is not a collapse carries the day of the lane its job made.
-    An unkeyed network-aware day replays to exactly the energies its QoS was
-    judged on; a keyed lane keeps nothing to replay; a collapse has no day."""
+def _grids(feeder) -> list:
+    """Six grids of both modes and dimensions, stopping and whole; the first
+    is one candidate that collapses."""
     fleet = fleet_for_scenario(feeder, DEFAULT_SCENARIOS["medium"], HcSearchConfig())
     burst = [EvSession(h, 40, 48, 30.0, 60.0) for h in feeder.household_ids]
     power = HcSearchConfig(power_grid_kw=(2.0, 7.0, 11.0, 22.0))
     count = replace(power, sweep_dimension=SWEEP_EV_COUNT)
     previous = replace(power, doe=DoeParams(factor=0.2, voltage_source="previous_step"))
-    jobs, keys = [((60.0, burst, 60.0), power, "passive")], [None]
-    for key, config, mode in ((None, power, "network_aware"), ("p", power, "passive"),
-                              (None, previous, "network_aware"), ("c", count, "network_aware"),
-                              (None, count, "passive")):
-        points = evhc.hc._points(fleet, config)
-        jobs += [(point, config, mode) for point in points]
-        keys += [key] * len(points)
-    kinds = []
-    for ((_, sessions, kw), config, mode), key, result in zip(
-        jobs, keys, evhc.hc._evaluate_days(feeder, profiles, jobs, keys)
-    ):
+    grids = [([(60.0, burst, 60.0)], power, "passive", False)]
+    for config, mode, stop in ((power, "network_aware", False), (power, "passive", True),
+                               (previous, "network_aware", False), (count, "network_aware", True),
+                               (count, "passive", False)):
+        grids.append((evhc.hc._points(fleet, config), config, mode, stop))
+    return grids
+
+
+def test_each_candidate_carries_the_day_it_was_judged_on(feeder, profiles):
+    """A batch of stopping and whole grids through ``_evaluate_days``: every
+    result that is not a collapse carries the day of the lane its point
+    made, a stopping grid's lanes under a search key of their own. A whole
+    network-aware day replays to exactly the energies its QoS was judged
+    on; a stopping grid's lane keeps nothing to replay; a collapse has no
+    day."""
+    grids, kinds = _grids(feeder), []
+    judged = evhc.hc._evaluate_days(feeder, profiles, grids)
+    assert [len(results) for results in judged] == [len(points) for points, *_ in grids]
+    jobs = [(point, config, mode, g if stop else None)
+            for g, (points, config, mode, stop) in enumerate(grids) for point in points]
+    for ((_, sessions, kw), config, mode, key), result in zip(jobs, sum(judged, [])):
         if isinstance(result, Exception):
             kinds.append(type(result).__name__)
             continue
@@ -535,6 +543,21 @@ def test_each_candidate_carries_the_day_it_was_judged_on(feeder, profiles):
             kinds.append("passive")
     assert kinds.count("diagnostic") == 1 and kinds.count("replayed") == 8
     assert {"keyed", "passive", "_Stopped"} <= set(kinds)
+
+
+def test_an_empty_grid_gets_an_empty_list(feeder, profiles, monkeypatch):
+    """A grid without points gets an empty list, and the grids beside it get
+    the results they get without it; a batch of only empty grids makes no
+    kernel call."""
+    grids = _grids(feeder)
+    empty = ([], grids[1][1], "passive", True)
+    judged = evhc.hc._evaluate_days(feeder, profiles, grids)
+    mixed = evhc.hc._evaluate_days(feeder, profiles, [empty, *grids[:3], empty, *grids[3:], empty])
+    _assert_same(mixed, [[], *judged[:3], [], *judged[3:], []])
+    calls = _kernel_days(monkeypatch)
+    assert evhc.hc._evaluate_days(feeder, profiles, [empty, empty]) == [[], []]
+    assert evhc.hc._evaluate_days(feeder, profiles, []) == []
+    assert calls == []
 
 
 def test_a_batch_that_mixes_voltage_limits_is_refused(feeder, profiles):

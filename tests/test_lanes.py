@@ -245,6 +245,20 @@ def test_judged_lanes_that_all_end_in_one_step_are_their_errors(feeder, profiles
             _assert_same_error(got, want)
 
 
+def test_a_request_met_one_ulp_over_desires_nothing(feeder, profiles):
+    """Energy summed step by step can land one ulp above the request while
+    the EV is still connected (6.078136778867718 kWh of 6.078136778867717 on
+    a generated feeder): it then desires 0 kW, not the tiny negative power
+    that once ended its controlled lane with an error."""
+    h = feeder.household_ids[0]
+    lane = Lane([EvSession(h, 40, 48, 6.078136778867717, 22.0)], 7.0, DoeParams())
+    rows = evhc.doe._start(feeder, profiles, [lane])[3]
+    slot = feeder.compiled.household_slot[h]
+    rows.delivered[0, slot] = np.nextafter(rows.requested[0, slot], np.inf)
+    connected, desired = evhc.doe._demand(rows, np.array([44]))
+    assert connected[0, slot] and desired[0, slot] == 0.0
+
+
 def test_an_uncontrolled_day_rebuilt_alone_ends_in_the_kernels_error(feeder, profiles):
     """Rebuilt without the kernel, an uncontrolled lane raises the error the
     kernel ends it with: the first in the lane's step order, from its quiet
