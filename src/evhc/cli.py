@@ -394,8 +394,11 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def _config_hash(config: ScenarioConfig) -> str:
-    """Hash of the settings, without the loaded inputs."""
+    """Hash of the settings, each input file by its bytes wherever it sits."""
     settings = {f.name: getattr(config, f.name) for f in fields(config) if f.compare}
+    for name in ("feeder_path", "profiles_path", "fleet_file"):
+        if settings[name] not in (None, _BUILTIN):
+            settings[name] = hashlib.sha256(Path(settings[name]).read_bytes()).hexdigest()
     blob = json.dumps(settings, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -33,7 +33,7 @@ import numpy as np
 from .ev import ChargingTrajectory, EvSession, quiet_step
 from .feeder import BaselineLoadProfile, FeederModel
 from .incidents import Incident, IncidentLimits, crossings
-from .powerflow import BASELINE_Q_PER_KW, LaneSolution, VoltageCollapseError, _solve_lanes
+from .powerflow import BASELINE_Q_PER_KW, LaneSolution, VoltageCollapseError, _flows, _solve_lanes
 from .trace import (
     STEP_HOURS,
     STEPS_PER_DAY,
@@ -326,23 +326,24 @@ def _step(feeder, base, t, connected, desired, v_house, env: _Rows) -> _Rows:
 
     Returns, per lane: the ``granted`` power; the ``solution`` rows of its
     final solve (baseline + granted), each solve written over the last,
-    starting from its step's baseline row; the voltages ``v_clamp`` its last
-    clamp read (``v_house`` if none); its ``fallback`` flag; and its own
-    ``error`` (a negative injection or a collapse; also the rows'
-    ``collapse``), else None.
+    starting from its step's baseline row; that solve's household voltages
+    ``v_house``, which the next step's first clamp reads; the voltages
+    ``v_clamp`` its last clamp read (``v_house`` if none); its ``fallback``
+    flag; and its own ``error`` (a negative injection or a collapse; also
+    the rows' ``collapse``), else None.
     """
     clamped = env.controlled & connected.any(axis=1)
     ok, error = np.ones(len(t), dtype=bool), [None] * len(t)
-    granted, v, v_clamp, moved = desired.copy(), v_house.copy(), v_house.copy(), np.zeros(len(t))
+    granted, u, v_clamp, moved = desired.copy(), v_house.copy(), v_house.copy(), np.zeros(len(t))
     rows = LaneSolution(*(a[t] for a in base.solution[:-1]), error)  # unsolved: its baseline row
     todo = np.arange(len(t))
     for it in range(FIXED_POINT_MAX_ITER):
         clamp = todo[clamped[todo]]
         if clamp.size:
             lanes = env.take(clamp, ("p_max", *_SHAPE))
-            kw = _apply_envelope(desired[clamp], connected[clamp], v[clamp], lanes.p_max, lanes)[0]
+            kw = _apply_envelope(desired[clamp], connected[clamp], u[clamp], lanes.p_max, lanes)[0]
             moved[clamp] = np.abs(kw - granted[clamp]).max(axis=1)
-            granted[clamp], v_clamp[clamp] = kw, v[clamp]
+            granted[clamp], v_clamp[clamp] = kw, u[clamp]
         if it:  # a lane whose clamp did not move holds its last solve: it has settled
             todo = todo[moved[todo] > 0]
             if not todo.size:
@@ -359,14 +360,14 @@ def _step(feeder, base, t, connected, desired, v_house, env: _Rows) -> _Rows:
                 error[r] = VoltageCollapseError(exc.min_voltage_pu, exc.iteration, exc.step)
         for kept, new in zip(rows[:-1], sol[:-1]):
             kept[solved] = new
-        v[solved] = sol.voltage_pu[:, feeder.compiled.household_voltage]
+        u[solved] = np.abs(sol.v[:, feeder.compiled.house_pos]) / feeder.base_voltage_v
         todo = solved[env.fixed_point[solved] & clamped[solved] & ok[solved]]
         if it:
             todo = todo[moved[todo] >= FIXED_POINT_TOL_KW]
         if not todo.size:
             break
-    fallback = np.isin(np.arange(len(t)), todo)  # still moving at the iteration cap
-    return _Rows(granted=granted, solution=rows, v_clamp=v_clamp, fallback=fallback, error=error)
+    return _Rows(granted=granted, solution=rows, v_house=u, v_clamp=v_clamp, error=error,
+                 fallback=np.isin(np.arange(len(t)), todo))  # still moving at the iteration cap
 
 
 def _simulate_lanes(
@@ -392,7 +393,6 @@ def _simulate_lanes(
     ``_Stopped``. A ``ValueError`` stops no other lane.
     """
     steps, comp = STEPS_PER_DAY, feeder.compiled
-    labels = tuple(f"{b.from_node}->{b.to_node}" for b in feeder.branches)
     out, started, baseline, rows = _start(feeder, profiles, lanes)
     if not started:
         return out
@@ -422,18 +422,18 @@ def _simulate_lanes(
         alive = np.ones(len(t), dtype=bool)
         for r in np.flatnonzero([exc is not None for exc in step.error]):
             fail(r, step.error[r])
-        sol = step.solution
-        rows.v_house = sol.voltage_pu[:, comp.household_voltage]
+        sol, rows.v_house = step.solution, step.v_house
         rows.delivered += step.granted * STEP_HOURS
         live = np.flatnonzero(alive)
         lane_rows, t_live = rows.row[live], t[live]
         fallback[lane_rows, t_live] = step.fallback[live]
         held = live[rows.kept[live] >= 0]
         clamp_voltage[rows.kept[held], t[held]] = step.v_clamp[held]
-        voltage, kva = sol.voltage_pu[live], np.hypot(sol.slack_p_kw, sol.slack_q_kvar)[live]
+        voltage, current, slack_p, slack_q = _flows(feeder, sol.v[live], sol.i[live])
+        kva = np.hypot(slack_p, slack_q)
         found = crossings(
-            judge, comp.node_ids, labels, t_live[:, np.newaxis], voltage[:, np.newaxis],
-            sol.branch_current_a[live, np.newaxis], kva[:, np.newaxis],
+            judge, comp.node_ids, comp.branch_labels, t_live[:, np.newaxis],
+            voltage[:, np.newaxis], current[:, np.newaxis], kva[:, np.newaxis],
             sol.converged[live, np.newaxis], sol.residual_pu[live, np.newaxis],
         )
         for r, crossed in zip(lane_rows, found):
@@ -513,12 +513,9 @@ def _replay(
         step_count=steps,
         step_hours=STEP_HOURS,
         node_ids=comp.node_ids,
-        branch_labels=tuple(f"{b.from_node}->{b.to_node}" for b in feeder.branches),
+        branch_labels=comp.branch_labels,
         household_ids=tuple(s.household for s in sessions),
-        voltage_pu=sol.voltage_pu,
-        branch_current_a=sol.branch_current_a,
-        slack_p_kw=sol.slack_p_kw,
-        slack_q_kvar=sol.slack_q_kvar,
+        **_flows(feeder, sol.v, sol.i)._asdict(),
         converged=sol.converged,
         iterations=sol.iterations,
         residual_pu=sol.residual_pu,

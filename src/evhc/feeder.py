@@ -124,6 +124,7 @@ class CompiledFeeder:
     impedance: np.ndarray        # (m, m) complex, impedance shared by two nodes' slack paths, ohm
     branch_path: np.ndarray      # (m, m) float, [b, i] = 1 when node b's branch is on node i's path
     branch_of_child: np.ndarray  # feeder branch order -> position of its child node
+    branch_labels: tuple[str, ...]  # feeder branch order, "from->to"
     house_pos: np.ndarray        # household -> position of its node
     voltage_slot: np.ndarray     # node position -> index into node_ids
     household_voltage: np.ndarray  # household -> index into node_ids
@@ -224,6 +225,7 @@ def _compile(feeder: FeederModel) -> CompiledFeeder:
         impedance=(path * z[np.newaxis, :]) @ branch_path,
         branch_path=branch_path,
         branch_of_child=branch_of_child,
+        branch_labels=tuple(f"{b.from_node}->{b.to_node}" for b in feeder.branches),
         house_pos=np.array([pos[h.node] for h in feeder.households], dtype=int),
         voltage_slot=np.array([node_slot[n] for n in pos], dtype=int),
         household_voltage=np.array([node_slot[h.node] for h in feeder.households], dtype=int),

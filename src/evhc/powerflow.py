@@ -11,7 +11,8 @@ where M[i, j] is the impedance shared by the slack paths of nodes i and j.
 Loads are constant power. Voltages are phase quantities per-unit on the
 feeder base voltage; currents are per-phase amperes; household power is
 divided over the three phases of the balanced equivalent. The iteration
-runs on many independent steps ("lanes") at once; ``solve`` is one lane.
+runs on many independent steps ("lanes") at once and returns their complex
+state; ``_flows`` derives what a solved lane reports. ``solve`` is one lane.
 """
 
 from __future__ import annotations
@@ -128,46 +129,56 @@ def solve(
     comp = feeder.compiled
     if injections.households != comp.household_ids:
         raise ValueError("injections must cover the feeder households in order")
-    sol = _solve_lanes(
-        feeder, injections.p_kw[np.newaxis], injections.q_kvar[np.newaxis], [_step]
-    )
+    sol = _solve_lanes(feeder, injections.p_kw[np.newaxis], injections.q_kvar[np.newaxis], [_step])
     if sol.collapse[0] is not None:
         raise sol.collapse[0]
+    voltage, current, slack_p, slack_q = (a[0] for a in _flows(feeder, sol.v, sol.i))
     return PowerFlowSolution(
-        node_ids=comp.node_ids,
-        voltage_pu=sol.voltage_pu[0],
-        branch_current_a=sol.branch_current_a[0],
-        slack_p_kw=float(sol.slack_p_kw[0]),
-        slack_q_kvar=float(sol.slack_q_kvar[0]),
-        converged=bool(sol.converged[0]),
-        iterations=int(sol.iterations[0]),
-        residual_pu=float(sol.residual_pu[0]),
+        comp.node_ids, voltage, current, float(slack_p), float(slack_q),
+        bool(sol.converged[0]), int(sol.iterations[0]), float(sol.residual_pu[0]),
     )
 
 
 class LaneSolution(NamedTuple):
-    """Solved states of many independent steps ("lanes"), one row per lane.
+    """The sweep state of many independent steps ("lanes"), one row per lane.
 
-    ``collapse[l]`` is the ``VoltageCollapseError`` of a lane that collapsed
-    (its other rows are then meaningless), else None.
+    ``v`` and ``i`` are by node position: ``i`` the load currents of a lane's
+    last sweep and ``v`` the voltages they gave; ``_flows`` derives what a row
+    reports. ``collapse[l]`` is the ``VoltageCollapseError`` of a lane that
+    collapsed (its other rows are then meaningless), else None.
     """
 
-    voltage_pu: np.ndarray        # (L, N)
-    branch_current_a: np.ndarray  # (L, B)
-    slack_p_kw: np.ndarray        # (L,)
-    slack_q_kvar: np.ndarray      # (L,)
+    v: np.ndarray                 # (L, m) complex node voltages, V
+    i: np.ndarray                 # (L, m) complex load currents, A per phase
     converged: np.ndarray         # (L,) bool
     iterations: np.ndarray        # (L,) int
     residual_pu: np.ndarray       # (L,)
     collapse: list[VoltageCollapseError | None]
 
 
-def _solve_lanes(
-    feeder: FeederModel,
-    p_kw: np.ndarray,
-    q_kvar: np.ndarray,
-    steps,
-) -> LaneSolution:
+class Flows(NamedTuple):
+    """What solved rows report, one row per lane."""
+
+    voltage_pu: np.ndarray        # (L, N), slack pinned at 1.0
+    branch_current_a: np.ndarray  # (L, B), per-phase magnitude, feeder branch order
+    slack_p_kw: np.ndarray        # (L,) three-phase
+    slack_q_kvar: np.ndarray      # (L,)
+
+
+def _flows(feeder: FeederModel, v: np.ndarray, i: np.ndarray) -> Flows:
+    """What solved ``LaneSolution`` rows ``v`` and ``i`` report, each row on its own."""
+    comp = feeder.compiled
+    i_branch = np.matmul(comp.branch_path, i[:, :, np.newaxis])[:, :, 0]
+    s_slack_phase = complex(feeder.base_voltage_v, 0.0) * np.conj(np.sum(i, axis=1))
+    voltage_pu = np.ones((len(v), len(comp.node_ids)))
+    voltage_pu[:, comp.voltage_slot] = np.abs(v) / feeder.base_voltage_v
+    return Flows(
+        voltage_pu, np.abs(i_branch)[:, comp.branch_of_child],
+        3.0 * s_slack_phase.real / 1000.0, 3.0 * s_slack_phase.imag / 1000.0,
+    )
+
+
+def _solve_lanes(feeder: FeederModel, p_kw: np.ndarray, q_kvar: np.ndarray, steps) -> LaneSolution:
     """Solve (lanes, households) injections, each lane on its own.
 
     A lane leaves the sweep when it converges or collapses, so every lane
@@ -215,18 +226,4 @@ def _solve_lanes(
             if not active.size:
                 break
 
-    i_branch = np.matmul(comp.branch_path, i_out[:, :, np.newaxis])[:, :, 0]
-    s_slack_phase = v0 * np.conj(np.sum(i_out, axis=1))
-    voltage_pu = np.ones((lanes, len(comp.node_ids)))
-    voltage_pu[:, comp.voltage_slot] = np.abs(v_out) / v_base
-    return LaneSolution(
-        voltage_pu=voltage_pu,
-        branch_current_a=np.abs(i_branch)[:, comp.branch_of_child],
-        slack_p_kw=3.0 * s_slack_phase.real / 1000.0,
-        slack_q_kvar=3.0 * s_slack_phase.imag / 1000.0,
-        converged=converged,
-        iterations=iterations,
-        residual_pu=residual,
-        collapse=collapse,
-    )
-
+    return LaneSolution(v_out, i_out, converged, iterations, residual, collapse)

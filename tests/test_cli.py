@@ -457,7 +457,7 @@ def test_reversed_imported_fleet_gives_the_same_results(tmp_path):
     assert Path("table1.csv") in files and Path("network_aware_medium/report.json") in files
     assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
     for rel in files:
-        if rel.name != "manifest.json":  # its config hash covers the fleet file name
+        if rel.name != "manifest.json":  # its config hash covers the fleet file's bytes
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
 
@@ -904,6 +904,31 @@ def test_seed_override_changes_manifest(tmp_path):
     assert main(["run", str(path), "--output-dir", str(out), "--seed", "9"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 9
+
+
+def test_manifest_hashes_the_input_files_not_where_they_sit(tmp_path):
+    """A scenario with its feeder and profile files, copied into two
+    directories, writes the same manifest; editing the feeder file changes it."""
+    from importlib import resources
+
+    from evhc.feeder import bundled_feeder, serialize_feeder
+
+    feeder = serialize_feeder(bundled_feeder())
+    profiles = resources.files("evhc.data").joinpath("baseline_profiles.csv").read_text()
+    edited = feeder.replace("transformer_kva: 100.0", "transformer_kva: 90.0")
+    assert edited != feeder
+    manifests = []
+    for name, text in (("one", feeder), ("two", feeder), ("edited", edited)):
+        where = tmp_path / name
+        where.mkdir()
+        (where / "feeder.yaml").write_text(text)
+        (where / "profiles.csv").write_text(profiles)
+        path = _write_scenario(where, mode="passive", feeder="feeder.yaml",
+                               baseline_profiles="profiles.csv",
+                               search={**BASE["search"], "power_max_kw": 2.0})
+        assert main(["run", str(path), "--output-dir", str(where / "out")]) == 0
+        manifests.append((where / "out" / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1] != manifests[2]
 
 
 def test_timestamp_opt_in(tmp_path):

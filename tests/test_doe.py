@@ -21,6 +21,7 @@ from evhc.doe import (
 )
 from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
 from evhc.feeder import path_to_slack
+from evhc.powerflow import _flows
 from evhc.trace import ZONE_GREEN, ZONE_LABELS, ZONE_NONE, ZONE_RED
 
 
@@ -359,7 +360,7 @@ def test_recorded_envelope_is_the_scalar_envelope(
 
     def recording(feeder, p_kw, q_kvar, steps):
         sol = original(feeder, p_kw, q_kvar, steps)
-        calls.append(list(zip(steps, sol.voltage_pu)))
+        calls.append(list(zip(steps, _flows(feeder, sol.v, sol.i).voltage_pu)))
         return sol
 
     monkeypatch.setattr(evhc.doe, "_solve_lanes", recording)

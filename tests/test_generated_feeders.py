@@ -8,7 +8,9 @@ and tiles the bundled profiles over the households. Each day rebuilt from
 what the kernel kept must equal ``reference_day`` bit for bit, and each
 judged lane's incidents and two extrema must equal the reference's; an
 uncontrolled lane delivers each EV exactly its ``baseline_trajectory``
-energy. A search reduced from its whole grid, judged in one kernel call
+energy. A seeded 81-node, 120-household feeder shaped like the
+benchmark's generated one checks the same days at that size. A search
+reduced from its whole grid, judged in one kernel call
 stopping or whole, must equal the same search run in candidate rounds, at
 any round width, and each DOE sweep cell is its search run alone. The
 power-flow oracle of criterion 4 holds, every connected EV draws the clamp
@@ -20,6 +22,7 @@ and index the tree breadth-first with children in node order, whatever the
 order and orientation of its branches.
 """
 
+import random
 import re
 from dataclasses import replace
 
@@ -132,10 +135,41 @@ def _outcome(run):
         return exc
 
 
-@settings(max_examples=20, **KERNEL_DAYS)
-@given(_studies())
-def test_rebuilt_and_judged_days_equal_the_reference_on_random_feeders(study):
-    feeder, profiles, lanes = study
+def _large_feeder(seed: int):
+    """A seeded radial feeder in the shape of the benchmark's generated one:
+    four trunks of ten nodes, a one-node lateral off each trunk node (81
+    nodes with the slack) and 120 households at random nodes, each with a
+    bundled profile scaled and shifted by a few steps."""
+    rng = random.Random(seed)
+    trunks = [[f"f{f}t{t}" for t in range(10)] for f in range(4)]
+    branches = []
+    for trunk in trunks:
+        for up, node in zip(["tx", *trunk], trunk):
+            r = rng.uniform(0.016, 0.028)
+            branches.append(Branch(up, node, r, 0.39 * r, 400.0))
+    nodes = [node for trunk in trunks for node in trunk]
+    for node in list(nodes):
+        r = rng.uniform(0.008, 0.016)
+        branches.append(Branch(node, f"{node}l0", r, 0.19 * r, 160.0))
+        nodes.append(f"{node}l0")
+    households = tuple(Household(f"h{i:03d}", rng.choice(nodes)) for i in range(1, 121))
+    feeder = build_feeder(
+        nodes=(Node("tx", is_slack=True), *(Node(n) for n in nodes)), branches=tuple(branches),
+        households=households, transformer_kva=1000.0, base_voltage_v=230.0,
+    )
+    bundled = bundled_baseline_profiles()
+    profiles = []
+    for h in households:
+        kw, scale, shift = rng.choice(bundled).power_kw, rng.uniform(0.8, 1.25), rng.randint(-3, 3)
+        profiles.append(BaselineLoadProfile(h.id, tuple(
+            round(kw[(t - shift) % len(kw)] * scale, 4) for t in range(len(kw)))))
+    return feeder, tuple(profiles)
+
+
+def _assert_days_equal_the_reference(feeder, profiles, lanes):
+    """Each day rebuilt from what the kernel kept is ``reference_day``, bit
+    for bit, and each judged lane keeps the reference's incidents, extrema
+    and delivered energy (or ends in its error)."""
     limits = IncidentLimits.from_feeder(feeder)
     judged = _simulate_lanes(feeder, profiles, lanes, judge=limits)
     for lane, judged_day in zip(lanes, judged):
@@ -155,6 +189,24 @@ def test_rebuilt_and_judged_days_equal_the_reference_on_random_feeders(study):
         assert judged_day.min_voltage_pu == summary.overall_min_voltage_pu
         assert judged_day.max_slack_kva == summary.max_slack_kva
         assert np.array_equal(judged_day.delivered_kwh, expected.delivered_kwh)
+
+
+@settings(max_examples=20, **KERNEL_DAYS)
+@given(_studies())
+def test_rebuilt_and_judged_days_equal_the_reference_on_random_feeders(study):
+    _assert_days_equal_the_reference(*study)
+
+
+def test_days_equal_the_reference_at_the_benchmark_feeder_size():
+    """Every random feeder has at most 25 nodes. The kernel must equal the
+    reference on an 81-node feeder the size of the benchmark's too, past the
+    64 nodes at which OpenBLAS may thread the stacked matvecs: uncontrolled,
+    fixed-point and degenerate-band lanes."""
+    feeder, profiles = _large_feeder(seed=1)
+    assert (len(feeder.node_ids), len(feeder.household_ids)) == (81, 120)
+    fleet = generate_fleet(DEFAULT_SCENARIOS["high"], feeder.household_ids, seed=1)
+    lanes = [Lane(fleet, 7.0), Lane(fleet, 7.0, DoeParams()), Lane(fleet, 7.0, ENVELOPES[2])]
+    _assert_days_equal_the_reference(feeder, profiles, lanes)
 
 
 @settings(max_examples=20, **KERNEL_DAYS)

@@ -411,6 +411,26 @@ def test_each_distinct_row_is_solved_once_per_solve(feeder, profiles, batch, mon
                 _assert_equal(getattr(got, f.name), getattr(want, f.name))
 
 
+def test_flows_are_derived_once_per_step_where_the_judge_reads_them(
+    feeder, profiles, batch, monkeypatch
+):
+    """A solve returns the sweep's state; the kernel derives node voltages,
+    branch currents and slack power (``_flows``) at most once per step, on
+    the rows it judges, however many solves the step's fixed point makes."""
+    derived, original = [], evhc.doe._flows
+
+    def counted(feeder, v, i):
+        derived.append(len(v))
+        return original(feeder, v, i)
+
+    monkeypatch.setattr(evhc.doe, "_flows", counted)
+    calls = _solver_rows(monkeypatch)
+    _simulate_lanes(feeder, profiles, batch, judge=IncidentLimits.from_feeder(feeder))
+    assert 0 < len(derived) <= 96
+    # a lane that ends early is judged no more
+    assert sum(derived) < 96 * len(batch) < _lane_solves(calls)
+
+
 def test_rows_that_only_share_a_key_are_solved_apart(feeder, profiles, monkeypatch):
     """Rows whose weighted keys coincide although they differ (by a residue
     the key rounds away) are not shared: each is solved, and every row gets
