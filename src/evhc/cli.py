@@ -361,6 +361,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"baseline_profiles: missing feeder households: {missing}")
     fleet = None
     if v["source"] == "import":
+        if len(labels) > 1:  # each label would search the same sessions again
+            raise ConfigError(
+                f"scenarios: an imported fleet is one fleet and takes one label, got {list(labels)}"
+            )
         if v["fleet_file"] is None:
             raise ConfigError("fleet.fleet_file: required when fleet.source is import")
         where = v["fleet_file"] = resolve("fleet.fleet_file")  # the config keeps it resolved

@@ -135,11 +135,6 @@ def _envelope(u: np.ndarray, p_max: np.ndarray, params) -> tuple[np.ndarray, ...
     return floor, cap, zone
 
 
-def _clamp(desired: np.ndarray, floor: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """Admissible power closest to the desired one, never forced above it."""
-    return np.minimum(np.maximum(desired, np.minimum(floor, desired)), cap)
-
-
 def baseline_matrix(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
@@ -192,15 +187,16 @@ class _Stopped(Exception):
 
 @dataclass
 class LaneDay:
-    """What the kernel keeps of a lane: the lane itself, its ``incidents``
-    (ordered by step) and the two extrema a candidate reports. A controlled
-    lane without a search key also keeps, per step, the household voltages
-    its last clamp read and its fallback flag, from which ``_replay``
-    rebuilds its trace."""
+    """What the kernel keeps of a lane: the lane itself, its energies, its
+    ``incidents`` (ordered by step) and the two extrema a candidate reports.
+    A controlled lane without a search key also keeps, per step, the
+    household voltages its last clamp read and its fallback flag, from
+    which ``_replay`` rebuilds its trace."""
 
     lane: Lane                   # the lane simulated
     sessions: list[EvSession]    # the lane's sessions in feeder order
     delivered_kwh: np.ndarray    # per session, summed arrival first
+    uncontrolled_kwh: np.ndarray  # per session, summed alike but never clamped: QoS denominator
     fallback_steps: int
     incidents: list[Incident]
     min_voltage_pu: float        # the day's lowest node voltage
@@ -283,6 +279,7 @@ def _start(
         requested=np.zeros((count, n_house)),
         p_max=np.array([[lanes[j].hc_power] * n_house for j, _ in started], dtype=float),
         delivered=np.zeros((count, n_house)),
+        uncontrolled=np.zeros((count, n_house)),
     )
     for r, (j, ordered) in enumerate(started):
         for s in ordered:
@@ -301,12 +298,13 @@ def _start(
     return out, started, baseline, rows
 
 
-def _demand(rows: _Rows, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _demand(rows: _Rows, t: np.ndarray, delivered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which EVs of each row are connected at its step ``t``, and the power
-    each desires: as fast as allowed until its request is met (or met one
-    rounding over: the energy left is held at 0)."""
+    each desires having ``delivered`` kWh so far: as fast as allowed until
+    its request is met (or met one rounding over: the energy left is held
+    at 0)."""
     connected = (t[:, np.newaxis] - rows.arrival) % STEPS_PER_DAY < rows.duration
-    desired = np.minimum(rows.p_max, np.maximum(rows.requested - rows.delivered, 0.0) / STEP_HOURS)
+    desired = np.minimum(rows.p_max, np.maximum(rows.requested - delivered, 0.0) / STEP_HOURS)
     return connected, np.where(connected, desired, 0.0)
 
 
@@ -385,7 +383,8 @@ def _simulate_lanes(
     A lane that cannot start (``ValueError``) or whose power flow collapses
     ends as that exception; the other lanes carry on. No lane records its
     trace: each keeps only what ``LaneDay`` lists, with ``judge`` folding in
-    each step's limit crossings and the two extrema as it is solved.
+    each step's limit crossings and the two extrema as it is solved, and
+    its uncontrolled energy summed beside its delivered energy.
 
     Lanes with a ``search`` key are its candidates in candidate order.
     A step that ends with an incident or a collapse in one of them stops the
@@ -418,12 +417,13 @@ def _simulate_lanes(
 
     for k in range(steps):
         t = (rows.start + k) % steps
-        step = _step(feeder, base, t, *_demand(rows, t), rows.v_house, rows)
+        step = _step(feeder, base, t, *_demand(rows, t, rows.delivered), rows.v_house, rows)
         alive = np.ones(len(t), dtype=bool)
         for r in np.flatnonzero([exc is not None for exc in step.error]):
             fail(r, step.error[r])
         sol, rows.v_house = step.solution, step.v_house
         rows.delivered += step.granted * STEP_HOURS
+        rows.uncontrolled += _demand(rows, t, rows.uncontrolled)[1] * STEP_HOURS
         live = np.flatnonzero(alive)
         lane_rows, t_live = rows.row[live], t[live]
         fallback[lane_rows, t_live] = step.fallback[live]
@@ -456,10 +456,11 @@ def _simulate_lanes(
 
     for r, lane in enumerate(rows.row):  # the lanes that ran their whole day
         j, ordered = started[lane]
+        ev = rows.duration[r] > 0
         day = LaneDay(
-            lanes[j], ordered, rows.delivered[r, rows.duration[r] > 0], int(fallback[lane].sum()),
-            sorted(incidents[lane], key=lambda inc: inc.step), float(low_voltage[lane]),
-            float(max_slack_kva[lane]),
+            lanes[j], ordered, rows.delivered[r, ev], rows.uncontrolled[r, ev],
+            int(fallback[lane].sum()), sorted(incidents[lane], key=lambda inc: inc.step),
+            float(low_voltage[lane]), float(max_slack_kva[lane]),
         )
         if rows.kept[r] >= 0:
             day.clamp_voltage_pu = clamp_voltage[rows.kept[r]]
@@ -492,7 +493,7 @@ def _replay(
     zone = np.full(shape, ZONE_NONE, dtype=np.int8)
     order = (rows.start[0] + np.arange(steps)) % steps
     for t in order[:, np.newaxis]:
-        connected, wanted = _demand(rows, t)
+        connected, wanted = _demand(rows, t, rows.delivered)
         ev_kw = wanted
         if controlled:
             ev_kw, (floor[t], cap[t], zone[t]) = _apply_envelope(
@@ -546,7 +547,7 @@ def _apply_envelope(
     """Granted power of every connected EV and its envelope (floor, cap,
     zone) at ``v_house``; NaN and ZONE_NONE where no EV is connected."""
     floor, cap, zone = _envelope(v_house, p_max, params)
-    ev_kw = np.where(connected, _clamp(desired, floor, cap), 0.0)
+    ev_kw = np.where(connected, np.minimum(desired, cap), 0.0)  # min(floor, desired) never binds
     return ev_kw, (
         np.where(connected, floor, np.nan),
         np.where(connected, cap, np.nan),

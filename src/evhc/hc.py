@@ -26,10 +26,9 @@ search and sweep runs in the calling process.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .doe import DoeParams, Lane, LaneDay, _raised, _simulate_lanes
 from .ev import (
@@ -37,7 +36,6 @@ from .ev import (
     DEFAULT_SCENARIOS,
     EnergyScenario,
     EvSession,
-    baseline_trajectory,
     generate_fleet,
 )
 from .feeder import BaselineLoadProfile, FeederModel
@@ -72,14 +70,19 @@ class HcSearchConfig:
     def __post_init__(self) -> None:
         if not self.power_grid_kw:
             raise ValueError("power grid must be non-empty")
+        for kw in self.power_grid_kw:
+            if not 0 < kw < math.inf:
+                raise ValueError(f"power grid entries must be finite and > 0, got {kw}")
         if any(b <= a for a, b in zip(self.power_grid_kw, self.power_grid_kw[1:])):
             raise ValueError("power grid must be strictly increasing")
         if not 0.0 < self.qos_threshold <= 1.0:
             raise ValueError("qos_threshold must lie in (0, 1]")
         if self.sweep_dimension not in (SWEEP_POWER, SWEEP_EV_COUNT):
             raise ValueError(f"unknown sweep dimension {self.sweep_dimension}")
-        if self.count_mode_power_kw <= 0:
-            raise ValueError("count_mode_power_kw must be > 0")
+        if not 0 < self.count_mode_power_kw < math.inf:
+            raise ValueError(
+                f"count_mode_power_kw must be finite and > 0, got {self.count_mode_power_kw}"
+            )
 
 
 @dataclass
@@ -175,19 +178,14 @@ def _evaluate_days(
         feeder, profiles, lanes,
         judge=IncidentLimits.from_feeder(feeder, v_lower, v_upper),
     ))
-    energy: dict = {}  # (session, power) -> its uncontrolled energy, shared by the grids
-    return [[_judge(next(days), point, cfg, mode, energy) for point in points]
+    return [[_judge(next(days), point, cfg, mode) for point in points]
             for points, cfg, mode, _ in grids]
 
 
 def _judge(
-    day: LaneDay | Exception,
-    point: _Point,
-    config: HcSearchConfig,
-    mode: str,
-    energy: dict,
+    day: LaneDay | Exception, point: _Point, config: HcSearchConfig, mode: str
 ) -> CandidateResult | Exception:
-    candidate, _, power = point
+    candidate = point[0]
     if isinstance(day, VoltageCollapseError):
         incident = Incident(KIND_DIAGNOSTIC, day.step or 0, "power-flow", float(day.min_voltage_pu))
         result = CandidateResult(candidate, [incident], qos=None, error=str(day))
@@ -195,13 +193,10 @@ def _judge(
     if isinstance(day, Exception):
         return day
     qos = None
-    if mode != "passive":
-        sessions = day.sessions  # feeder order, as are its delivered energies
-        keys = [(s, power) for s in sessions]
-        energy.update({k: baseline_trajectory(*k).delivered_kwh for k in keys if k not in energy})
-        e_baseline = np.array([energy[k] for k in keys])
+    if mode != "passive":  # the day's sessions are in feeder order, as are its energies
+        households = tuple(s.household for s in day.sessions)
         try:
-            qos = build_report(tuple(s.household for s in sessions), e_baseline, day.delivered_kwh)
+            qos = build_report(households, day.uncontrolled_kwh, day.delivered_kwh)
         except QosError as exc:
             return exc
     result = CandidateResult(

@@ -215,6 +215,17 @@ def test_an_imported_fleet_without_sessions_is_config_error(tmp_path, capsys, di
     assert not (tmp_path / "out").exists()
 
 
+def test_an_imported_fleet_under_many_labels_is_config_error(tmp_path, capsys):
+    """One imported fleet would be searched once per label, each writing the
+    same results under its own label."""
+    path = _write_scenario(tmp_path, mode="compare", scenarios=["low", "medium", "high"],
+                           fleet=_imported_fleet(tmp_path))
+    message = ("configuration error: scenarios: an imported fleet is one fleet and takes one "
+               "label, got ['low', 'medium', 'high']")
+    _assert_config_error(tmp_path, capsys, path, message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_profiles_must_cover_the_feeder_households(tmp_path, capsys):
     from evhc.feeder import Household, bundled_feeder, save_feeder
 
@@ -1177,8 +1188,7 @@ def test_compare_run_loads_each_input_once(tmp_path, monkeypatch, inputs):
         csv = resources.files("evhc.data").joinpath("baseline_profiles.csv").read_text()
         (tmp_path / "profiles.csv").write_text(csv)
         files = {"feeder": "feeder.yaml", "baseline_profiles": "profiles.csv"}
-    path = _write_scenario(tmp_path, mode="compare", scenarios=["low", "medium", "high"],
-                           fleet=fleet, **files)
+    path = _write_scenario(tmp_path, mode="compare", fleet=fleet, **files)
     calls = []
     for name in LOADERS:
         original = getattr(evhc.cli, name)

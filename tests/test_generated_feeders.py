@@ -15,7 +15,9 @@ stopping or whole, must equal the same search run in candidate rounds, at
 any round width, and each DOE sweep cell is its search run alone. The
 power-flow oracle of criterion 4 holds, every connected EV draws the clamp
 of its desire to its recorded envelope, and every judged network-aware
-candidate has a QoS in [0, 1]. Every step keeps
+candidate has a QoS in [0, 1] over its uncontrolled energy, which is its
+``baseline_trajectory`` energy bit for bit, and delivers each EV at most
+that energy and its request. Every step keeps
 the contract of ``_step``, the one controlled-step function. The walk that
 checks and indexes a feeder must name a cycle's branch, count the branches,
 and index the tree breadth-first with children in node order, whatever the
@@ -352,13 +354,19 @@ def test_every_judged_network_aware_candidate_has_a_qos_in_0_1(study, doe):
     feeder, profiles, fleet = study
     config = HcSearchConfig(power_grid_kw=(2.0, 4.0, 7.0, 11.0, 16.0, 22.0), doe=doe)
     grid = (_points(fleet, config), config, "network_aware", False)
-    for outcome in _evaluate_days(feeder, profiles, [grid])[0]:
+    for (_, _, kw), outcome in zip(grid[0], _evaluate_days(feeder, profiles, [grid])[0]):
         assert not isinstance(outcome, QosError)
         if isinstance(outcome, Exception) or outcome.qos is None:
             continue
         qos = outcome.qos
         assert 0.0 <= qos.aggregated <= 1.0
         assert np.all((0.0 <= qos.individual) & (qos.individual <= 1.0))
+        day = outcome.day  # the QoS denominator is the baseline energy, bit for bit
+        assert day.uncontrolled_kwh.tolist() == [
+            baseline_trajectory(s, kw).delivered_kwh for s in day.sessions]
+        requested = np.array([s.requested_kwh for s in day.sessions])
+        assert np.all(day.delivered_kwh <= day.uncontrolled_kwh * (1 + 1e-12))
+        assert np.all(day.delivered_kwh <= requested * (1 + 1e-12))
 
 
 @settings(max_examples=10, **KERNEL_DAYS)

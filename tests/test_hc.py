@@ -67,6 +67,23 @@ def test_config_validation():
         HcSearchConfig(power_grid_kw=())
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "field, config",
+    [
+        ("power grid entries", lambda v: {"power_grid_kw": (1.0, v)}),
+        ("power grid entries", lambda v: {"power_grid_kw": (v, 2.0)}),
+        ("count_mode_power_kw", lambda v: {"count_mode_power_kw": v}),
+    ],
+    ids=["grid_last", "grid_first", "count_mode_power"],
+)
+def test_candidate_powers_must_be_finite_and_positive(field, config, value):
+    """A NaN candidate would be judged on a NaN power flow and an infinite
+    one on an infinite draw, so neither reaches a search."""
+    with pytest.raises(ValueError, match=f"{field} must be finite and > 0, got {value}"):
+        HcSearchConfig(**config(value))
+
+
 def test_unconstrained_on_strong_feeder(strong_feeder, flat_profiles):
     fleet = generate_fleet(DEFAULT_SCENARIOS["low"], strong_feeder.household_ids, seed=1)
     config = HcSearchConfig()
