@@ -6,20 +6,18 @@ candidate grid, and the run mode. The CLI executes it and writes delimited
 result tables plus a JSON summary; reruns with the same file and seed are
 byte-identical.
 
-Verbs: run, sweep, emit-plots, validate, init-example.
+Verbs: run, sweep, validate, init-example.
 Exit codes: 0 success, 1 configuration error, 2 simulation error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import sys
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -58,6 +56,7 @@ from .hc import (
     fleet_for_scenario,
     reduce_candidates,
     sensitivity_sweep,
+    summary_cells,
     threshold_sweep,
 )
 from .incidents import export_incidents_csv
@@ -517,7 +516,6 @@ def _write_search_outputs(
 
 def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
     feeder, profiles = config.feeder, config.profiles
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = {
         "version": __version__,
@@ -557,9 +555,8 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
             label, report = search.scenario, _raised(reduce_candidates(
                 outcomes, search.qos_threshold, mode, search.scenario, search.sweep_dimension))
             _write_search_outputs(out_dir / f"{mode}_{label}", report, feeder, profiles, grid)
-            limiting = "unconstrained" if report.unconstrained else report.limiting_factor
             # a passive report has no QoS, so its QoS cells are empty
-            table.append((label, mode, report.hc, limiting, report.qos_at_hc, report.min_qos_at_hc))
+            table.append((label, mode, *summary_cells(report)))
         if config.mode == "compare":
             _write(out_dir / "table1.csv", csv_table(
                 ("scenario", "mode", "hc", "limiting_factor", "qos_at_hc", "min_qos_at_hc"), table))
@@ -572,60 +569,13 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
                                       list(config.factor_values), search)
             _write(out_dir / "sweep_doe.csv", export_sweep_csv(cells))
         else:
-            points = threshold_sweep(feeder, profiles, scenarios, list(config.qos_thresholds),
-                                     search)
+            reports = threshold_sweep(feeder, profiles, scenarios, list(config.qos_thresholds),
+                                      search)
             _write(out_dir / "threshold_sweep.csv", csv_table(
                 ("scenario", "qos_threshold", "nahc_kw", "limiting_factor", "qos_at_hc",
                  "min_qos_at_hc"),
-                ((p.scenario, p.qos_threshold, p.hc, p.limiting_factor or "unconstrained",
-                  p.qos_at_hc, p.min_qos_at_hc) for p in points),
+                ((r.scenario, r.qos_threshold, *summary_cells(r)) for r in reports),
             ))
-
-
-def _columns(path: Path, names: Sequence[str]) -> list[list[str]]:
-    """The named columns of the result table at ``path``, row by row. A table
-    that is not UTF-8, lacks a column or has a ragged row is a ConfigError."""
-    try:
-        with path.open(encoding="utf-8", newline="") as f:
-            header, *rows = [*csv.reader(f)] or [[]]
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if missing := [name for name in names if name not in header]:
-        raise ConfigError(f"{path}: no column {', '.join(missing)}")
-    if ragged := [n for n, row in enumerate(rows, 2) if len(row) != len(header)]:
-        raise ConfigError(f"{path}: row {ragged[0]} does not have the header's {len(header)} cells")
-    at = [header.index(name) for name in names]
-    return [[row[i] for i in at] for row in rows]
-
-
-def emit_plot_data(results_dir: Path, out_dir: Path) -> list[str]:
-    """Derive tidy plot-ready tables from a finished run's result files,
-    reading each column by its header name. Every table is read before any
-    is written."""
-    figures = {}  # file name -> text
-    if (sweep := results_dir / "sweep_doe.csv").exists():
-        head = ("scenario", "delta_perm", "factor", "nahc_kw", "qos_agg", "limiting_factor")
-        figures["fig_sensitivity.csv"] = csv_table(head, _columns(sweep, head))
-    if (threshold := results_dir / "threshold_sweep.csv").exists():
-        rows = _columns(threshold, ("scenario", "qos_threshold", "nahc_kw", "min_qos_at_hc"))
-        figures["fig_threshold.csv"] = csv_table(
-            ("scenario", "qos_threshold", "nahc_kw", "min_qos"), rows)
-    for sub in sorted(results_dir.glob("network_aware_*")):
-        label = sub.name.removeprefix("network_aware_")
-        if (qbp := sub / "qos_by_power.csv").exists():
-            head = ("candidate_kw", "household", "node", "qos")
-            figures[f"fig_customer_qos_{label}.csv"] = csv_table(
-                ("scenario", *head), ([label, *row] for row in _columns(qbp, head)))
-        for name, unit in (("power", "kw"), ("voltage", "pu")):
-            if (src := sub / f"profiles_{name}.csv").exists():
-                head = ("step", "household", f"baseline_{unit}", f"network_aware_{unit}")
-                figures[f"fig_profiles_{name}_{label}.csv"] = csv_table(head, _columns(src, head))
-
-    if not figures:
-        raise ConfigError(f"no result files found under {results_dir}")
-    for name, text in figures.items():
-        _write(out_dir / name, text)
-    return list(figures)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -652,10 +602,6 @@ def main(argv: list[str] | None = None) -> int:
     sweep_p.add_argument("--seed", type=int)
     sweep_p.add_argument("--workers", type=int)
 
-    plots_p = sub.add_parser("emit-plots", help="derive plot-ready tables from results")
-    plots_p.add_argument("results_dir")
-    plots_p.add_argument("--output-dir", help="defaults to RESULTS_DIR/plots")
-
     val_p = sub.add_parser("validate", help="check a scenario file and exit")
     val_p.add_argument("scenario")
 
@@ -666,17 +612,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.verb == "init-example":
-            Path(args.output).write_text(_example(), encoding="utf-8")
+            try:
+                Path(args.output).write_text(_example(), encoding="utf-8")
+            except OSError as exc:
+                raise ConfigError(f"cannot write {args.output}: {exc.strerror}") from None
             print(f"wrote {args.output}")
-            return 0
-
-        if args.verb == "emit-plots":
-            results = Path(args.results_dir)
-            if not results.is_dir():
-                raise ConfigError(f"results directory not found: {results}")
-            out = Path(args.output_dir) if args.output_dir else results / "plots"
-            for name in emit_plot_data(results, out):
-                print(f"wrote {out / name}")
             return 0
 
         config = load_scenario(args.scenario)
@@ -701,6 +641,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"--workers must be >= 1, got {workers}")
             config = replace(config, workers=workers)
         out_dir = Path(args.output_dir) if args.output_dir else Path(config.output_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_dir}: {exc.strerror}") from None
 
         try:
             run_scenario(config, out_dir)

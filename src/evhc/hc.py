@@ -422,26 +422,15 @@ def sensitivity_sweep(
     return cells
 
 
-@dataclass
-class ThresholdPoint:
-    """Network-aware HC at one aggregated-QoS threshold."""
-
-    scenario: str
-    qos_threshold: float
-    hc: float | None
-    limiting_factor: str | None
-    qos_at_hc: float | None
-    min_qos_at_hc: float | None
-
-
 def threshold_sweep(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
     scenarios: list[EnergyScenario],
     thresholds: list[float],
     config: HcSearchConfig,
-) -> list[ThresholdPoint]:
-    """NAHC versus aggregated-QoS threshold.
+) -> list[HcReport]:
+    """NAHC versus aggregated-QoS threshold: the report of each (scenario,
+    threshold) reduction, scenario by scenario.
 
     Every scenario's power grid is judged in one kernel call and reduced at
     each threshold. Incidents do not depend on the threshold, so no
@@ -453,23 +442,25 @@ def threshold_sweep(
         cfg = replace(config, sweep_dimension=SWEEP_POWER, scenario=scenario.label)
         fleet = fleet_for_scenario(feeder, scenario, cfg)
         grids.append((_points(fleet, cfg), cfg, "network_aware", True))
-    points = []
+    reports = []
     for scenario, grid in zip(scenarios, _evaluate_days(feeder, profiles, grids)):
         _raised(next((o for o in grid if isinstance(o, Exception) or o.incidents), None))
-        for threshold in thresholds:
-            report = reduce_candidates(grid, threshold, "network_aware", scenario.label)
-            points.append(ThresholdPoint(
-                scenario.label, float(threshold), report.hc, report.limiting_factor,
-                report.qos_at_hc, report.min_qos_at_hc,
-            ))
-    return points
+        reports += [reduce_candidates(grid, float(threshold), "network_aware", scenario.label)
+                    for threshold in thresholds]
+    return reports
+
+
+def summary_cells(result: HcReport | SweepCell) -> tuple:
+    """The trailing cells of every summary row: the capacity, what limits it
+    (``unconstrained`` within the grid), and the aggregated and minimum QoS
+    at it. A sweep cell that holds an error has none of them set."""
+    limiting = "unconstrained" if result.unconstrained else result.limiting_factor
+    return result.hc, limiting, result.qos_at_hc, result.min_qos_at_hc
 
 
 def export_sweep_csv(cells: list[SweepCell]) -> str:
     return csv_table(
         ("scenario", "delta_perm", "factor", "nahc_kw", "limiting_factor", "qos_agg", "min_qos",
          "error"),
-        ((c.scenario, c.delta_perm, c.factor, c.hc,
-          "unconstrained" if c.unconstrained else c.limiting_factor, c.qos_at_hc,
-          c.min_qos_at_hc, c.error) for c in cells),
+        ((c.scenario, c.delta_perm, c.factor, *summary_cells(c), c.error) for c in cells),
     )

@@ -317,6 +317,29 @@ def test_workers_override_must_be_positive(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "verb, output",
+    [("init-example", "nodir/x.yaml"), ("init-example", "taken/x.yaml"), ("run", "taken"),
+     ("run", "taken/out"), ("sweep", "taken"), ("sweep", "taken/out")],
+    ids=["init_missing_directory", "init_under_a_file", "run_a_file", "run_under_a_file",
+         "sweep_a_file", "sweep_under_a_file"],
+)
+def test_an_output_path_that_cannot_be_written_is_config_error(
+    tmp_path, capsys, monkeypatch, verb, output
+):
+    """An output path that cannot be written is named in a configuration
+    error before any simulation starts."""
+    (tmp_path / "taken").write_text("")
+    target, calls = tmp_path / output, _kernel_calls(monkeypatch)
+    if verb == "init-example":
+        argv = [verb, "--output", str(target)]
+    else:
+        argv = [verb, str(_write_scenario(tmp_path)), "--output-dir", str(target)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: cannot write {target}: ")
+    assert calls == []
+
+
 def test_network_aware_run_writes_expected_files(tmp_path):
     path = _write_scenario(tmp_path)
     out = tmp_path / "out"
@@ -679,49 +702,6 @@ def test_threshold_sweep_error_exits_2(tmp_path, capsys):
     assert "simulation error: no session-free step" in capsys.readouterr().err
 
 
-def test_emit_plots_from_results(tmp_path):
-    path = _write_scenario(tmp_path)
-    out = tmp_path / "out"
-    assert main(["run", str(path), "--output-dir", str(out)]) == 0
-    assert main(["emit-plots", str(out)]) == 0
-    plots = out / "plots"
-    qos_table = plots / "fig_customer_qos_low.csv"
-    assert qos_table.exists()
-    lines = qos_table.read_text().strip().split("\n")
-    assert lines[0] == "scenario,candidate_kw,household,node,qos"
-    power_table = plots / "fig_profiles_power_low.csv"
-    rows = power_table.read_text().strip().split("\n")
-    assert rows[0] == "step,household,baseline_kw,network_aware_kw"
-    assert len(rows) == 1 + 96 * 12
-    voltage_table = plots / "fig_profiles_voltage_low.csv"
-    vrows = voltage_table.read_text().strip().split("\n")
-    assert len(vrows) == 1 + 96 * 12
-
-
-def test_emit_plots_without_results_fails(tmp_path):
-    empty = tmp_path / "none"
-    empty.mkdir()
-    assert main(["emit-plots", str(empty)]) == 1
-
-
-def test_emit_plots_sensitivity_schema(tmp_path):
-    path = _write_scenario(
-        tmp_path,
-        scenarios=["low"],
-        sweep={
-            "delta_perm_min": 0.05,
-            "delta_perm_max": 0.05,
-            "delta_perm_step": 0.01,
-            "factor_values": [0.5],
-        },
-    )
-    out = tmp_path / "out"
-    assert main(["sweep", str(path), "--output-dir", str(out)]) == 0
-    assert main(["emit-plots", str(out)]) == 0
-    lines = (out / "plots" / "fig_sensitivity.csv").read_text().strip().split("\n")
-    assert lines[0] == "scenario,delta_perm,factor,nahc_kw,qos_agg,limiting_factor"
-
-
 # arrivals can never fall in their window, so fleet generation fails with a
 # message that holds commas
 LATE = {**ALL_DAY, "arrival": {"mean_h": 18.0, "sd_h": 0.01, "lo_h": 20.0, "hi_h": 21.0},
@@ -741,54 +721,44 @@ def test_sweep_error_with_commas_stays_one_cell(tmp_path):
     assert rows[2][0] == "late" and rows[2][7] == (
         "FleetGenerationError: truncated normal(18.0, 0.01) on [20.0, 21.0] rejected 1000 draws"
     )
-    assert main(["emit-plots", str(out)]) == 0
-    assert (out / "plots" / "fig_sensitivity.csv").read_text().splitlines()[2] == "late,0.05,0.5,,,"
+    assert rows[2][3:7] == ["", "", "", ""]  # an error cell has no capacity, limit or QoS
 
 
-SWEEP_HEADER = "scenario,delta_perm,factor,nahc_kw,limiting_factor,qos_agg,min_qos,error\n"
+def test_the_summary_tables_agree(tmp_path):
+    """At the init-example file's operating point, each scenario's
+    network-aware row of table1.csv, its sweep_doe.csv cell and its
+    threshold_sweep.csv point carry the same capacity, limit and QoS."""
+    example, out = tmp_path / "example.yaml", tmp_path / "out"
+    assert main(["init-example", "--output", str(example)]) == 0
+    doc = yaml.safe_load(example.read_text())
+    assert (doc["seed"], doc["doe"]["delta_perm"], doc["doe"]["factor"]) == (1, 0.05, 0.5)
+    assert doc["search"]["qos_threshold"] == 0.8
+    doc["sweep"].update(delta_perm_min=0.05, delta_perm_max=0.05, factor_values=[0.5],
+                        qos_thresholds=[0.8])
+    example.write_text(yaml.safe_dump(doc))
+    for verb in (["run"], ["sweep"], ["sweep", "--which", "qos-threshold"]):
+        assert main([*verb, str(example), "--output-dir", str(out)]) == 0
 
+    def rows(name, *columns):
+        with (out / name).open(encoding="utf-8", newline="") as f:
+            return [tuple(row[c] for c in ("scenario", *columns)) for row in csv.DictReader(f)
+                    if row.get("mode", "network_aware") == "network_aware"]
 
-@pytest.mark.parametrize(
-    "data, message",
-    [
-        ((SWEEP_HEADER + "low,0.05,0.5,6\n").encode(), "row 2 does not have the header's 8 cells"),
-        (SWEEP_HEADER.replace("qos_agg,", "").encode(), "no column qos_agg"),
-        (SWEEP_HEADER.encode() + b"low,0.05,0.5,6,\xff,,,\n", "'utf-8' codec can't decode"),
-    ],
-    ids=["short_row", "missing_column", "not_utf8"],
-)
-def test_emit_plots_refuses_a_malformed_table(tmp_path, capsys, data, message):
-    (tmp_path / "sweep_doe.csv").write_bytes(data)
-    assert main(["emit-plots", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: {tmp_path / 'sweep_doe.csv'}: ")
-    assert message in err
-    assert not (tmp_path / "plots").exists()
-
-
-def test_emit_plots_reads_columns_by_name(tmp_path):
-    header = ["scenario", "qos_threshold", "nahc_kw", "limiting_factor", "qos_at_hc",
-              "min_qos_at_hc"]
-    rows = [["low", "0.7", "7", "aggregated_qos", "0.71", "0.52"],
-            ["low", "0.8", "6", "aggregated_qos", "0.80", "0.61"]]
-    order = [5, 2, 0, 4, 1, 3]
-    for name, columns in (("plain", range(6)), ("permuted", order)):
-        (tmp_path / name).mkdir()
-        with (tmp_path / name / "threshold_sweep.csv").open("w", newline="") as f:
-            csv.writer(f, lineterminator="\n").writerows(
-                [[row[i] for i in columns] for row in [header, *rows]])
-        assert main(["emit-plots", str(tmp_path / name)]) == 0
-    plain, permuted = ((tmp_path / name / "plots" / "fig_threshold.csv").read_text()
-                       for name in ("plain", "permuted"))
-    assert plain == permuted == (
-        "scenario,qos_threshold,nahc_kw,min_qos\nlow,0.7,7,0.52\nlow,0.8,6,0.61\n"
-    )
+    expected = [
+        ("low", "6", "aggregated_qos", "0.8015556558", "0.6080700826"),
+        ("medium", "6", "aggregated_qos", "0.8293768502", "0.7197572573"),
+        ("high", "4", "aggregated_qos", "0.8407615882", "0.6964391042"),
+    ]
+    assert rows("table1.csv", "hc", "limiting_factor", "qos_at_hc", "min_qos_at_hc") == expected
+    assert rows("sweep_doe.csv", "nahc_kw", "limiting_factor", "qos_agg", "min_qos") == expected
+    assert rows("threshold_sweep.csv", "nahc_kw", "limiting_factor", "qos_at_hc",
+                "min_qos_at_hc") == expected
 
 
 # SHA-256 of every file that `evhc run` writes for the init-example scenario
-# (compare mode, bundled feeder and profiles) and that `evhc emit-plots`
-# derives from it. A refactor leaves them as they are; a change that moves a
-# number on purpose updates them and says which number and why.
+# (compare mode, bundled feeder and profiles). A refactor leaves them as they
+# are; a change that moves a number on purpose updates them and says which
+# number and why.
 STUDY_SHA256 = {
     "manifest.json": "057f4cb62622e05104cb7210f7beeaa3256656155fa4732b509e5231641afbfd",
     "network_aware_high/candidates.csv": "9bd93461d1ea60ec4645168b8d0678e2c16b9c91f88ca07062cd2983662c9859",
@@ -824,15 +794,6 @@ STUDY_SHA256 = {
     "passive_medium/candidates.csv": "fab05c275c66b99bd4e0a015e88c72e1f56f0f2b542a9cf78492dfe0926f4e8d",
     "passive_medium/incidents_next.csv": "4c4580225007451a6ae7b42d93f22fa566b1f54b2cbc4b95ba12e01108a2c756",
     "passive_medium/report.json": "5df6c88c5c08f567dc9ecf3dd58025027481c5dbbdcb94e5f437de55a07c13c4",
-    "plots/fig_customer_qos_high.csv": "b9bd149ff68fdce7d09ba4e39755c61144dc4a3ead48d83e764fa90b0beb0c6f",
-    "plots/fig_customer_qos_low.csv": "d6395cc387e94a7190b16194ec19cca42c6b32ff1453e443a8d5ab1bbf46533c",
-    "plots/fig_customer_qos_medium.csv": "149f8d30883a9ede0089dcd7a3ebab24d23aa627077bbf8e236882b430bbe963",
-    "plots/fig_profiles_power_high.csv": "13cc614edf5d1d7466ce7337ad04e5bd91681b6826d908d02a0fbe88b3094092",
-    "plots/fig_profiles_power_low.csv": "d225982ebf912912aec3f3dc43c88e405c9d417aa3879f5548b0970ac0453e87",
-    "plots/fig_profiles_power_medium.csv": "10d32c4562765cff5a1dae720f539fff8f275c44fa31be865ee73eb2fce7abe2",
-    "plots/fig_profiles_voltage_high.csv": "925abe37b46382e1b7d59ff6dbfde7cf44d0963bbb015fb8f4980ae8472c3b87",
-    "plots/fig_profiles_voltage_low.csv": "5f1859582585cf0a4e44bb015d5962b936f8005d0203f1733fd0ceb3c3783e03",
-    "plots/fig_profiles_voltage_medium.csv": "ec02b26ddf7a51bd9c51aee0326bec8c38b35a6cdd6d653e90e0db8bfc05b624",
     "table1.csv": "ba2d7ae2ebed26a9d9bdb93976391c0f314d752f447678217faaa86551c613b4",
 }
 
@@ -874,27 +835,16 @@ EV_COUNT_STUDY_SHA256 = {
     "passive_medium/candidates.csv": "8da1148f5b3a01b4d8102f62ebdfb0cbf8c796d017e8ddb2cb614e139ec635ba",
     "passive_medium/incidents_next.csv": "b3d0371901d9130888fde1cb321cab0373edb4f9934092f5577125d2ed33b597",
     "passive_medium/report.json": "d1753f36aa55d9ef77a71046120ffcd6404cc3f6d68ff2bbe4bcb3ddc3dd603b",
-    "plots/fig_customer_qos_high.csv": "b9bd149ff68fdce7d09ba4e39755c61144dc4a3ead48d83e764fa90b0beb0c6f",
-    "plots/fig_customer_qos_low.csv": "d6395cc387e94a7190b16194ec19cca42c6b32ff1453e443a8d5ab1bbf46533c",
-    "plots/fig_customer_qos_medium.csv": "149f8d30883a9ede0089dcd7a3ebab24d23aa627077bbf8e236882b430bbe963",
-    "plots/fig_profiles_power_high.csv": "7c2b5066dccbf9443c3a6413b572803e2e02801af0cf8b7389bcd803b5889fde",
-    "plots/fig_profiles_power_low.csv": "29979989b68377fa28ad05bb946e3de8213f4e2933c8652acfdf3ff7080fbaee",
-    "plots/fig_profiles_power_medium.csv": "b22adf0b877e21d803f486ddf7942a209fd7ef6079808b0b32926b5c7e280723",
-    "plots/fig_profiles_voltage_high.csv": "30a9fc65b5ee2c1928e4b8f773585d10f742b91e292cf58a0e20cd68ae917ec9",
-    "plots/fig_profiles_voltage_low.csv": "2f51ddfe465840d7e09082a9ac281e05209c4ae72ec77bde5dc8fe223c4902d5",
-    "plots/fig_profiles_voltage_medium.csv": "bae6a52a56f180cef926be80f0cc8b7ccae0c8807baa83095a37f94213da59ef",
     "table1.csv": "9bf6586b7a9841c465559bdb3d23600601cc88e02935ec2b1ad2375136aebed7",
 }
 
 
 def _study_digests(tmp_path, dimension: str) -> dict:
-    """The SHA-256 of each file of the ``init-example`` study at ``dimension``
-    and of its ``emit-plots`` tables."""
+    """The SHA-256 of each file of the ``init-example`` study at ``dimension``."""
     example, out = tmp_path / "example.yaml", tmp_path / "out"
     assert main(["init-example", "--output", str(example)]) == 0
     example.write_text(example.read_text().replace("dimension: power", f"dimension: {dimension}"))
     assert main(["run", str(example), "--output-dir", str(out)]) == 0
-    assert main(["emit-plots", str(out)]) == 0
     return {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*")) if path.is_file()

@@ -19,7 +19,6 @@ from evhc.hc import (
     HcSearchConfig,
     LIMIT_AGGREGATED_QOS,
     SWEEP_EV_COUNT,
-    ThresholdPoint,
     export_sweep_csv,
     fleet_for_scenario,
     network_aware_grid,
@@ -206,17 +205,20 @@ def test_threshold_sweep_equals_the_reduced_full_grid(feeder, profiles, override
     config = HcSearchConfig(**overrides)
     scenarios = [DEFAULT_SCENARIOS[label] for label in ("low", "medium", "high")]
     thresholds = [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+
+    def point(r):  # a QosReport holds arrays, so the reports are compared by field
+        return r.scenario, r.qos_threshold, r.hc, r.limiting_factor, r.qos_at_hc, r.min_qos_at_hc
+
     expected, collapses = [], 0
     for scenario in scenarios:
         cfg = replace(config, scenario=scenario.label)
         grid = network_aware_grid(feeder, profiles, fleet_for_scenario(feeder, scenario, cfg), cfg)
         collapses += sum(c.error is not None for c in grid)
-        for threshold in thresholds:
-            r = reduce_candidates(grid, threshold, "network_aware", scenario.label)
-            expected.append(ThresholdPoint(
-                scenario.label, threshold, r.hc, r.limiting_factor, r.qos_at_hc, r.min_qos_at_hc
-            ))
-    assert threshold_sweep(feeder, profiles, scenarios, thresholds, config) == expected
+        expected += [point(reduce_candidates(grid, t, "network_aware", scenario.label))
+                     for t in thresholds]
+    swept = threshold_sweep(feeder, profiles, scenarios, thresholds, config)
+    assert all(isinstance(r, HcReport) for r in swept)
+    assert [point(r) for r in swept] == expected
     assert collapses or overrides is not HEAVY
 
 
