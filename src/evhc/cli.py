@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,7 +25,9 @@ from typing import NamedTuple
 import yaml
 
 from . import __version__
-from .doe import VOLTAGE_SOURCES, DoeParams, _raised, _replay, export_envelope_csv
+from .doe import (
+    VOLTAGE_SOURCES, DoeParams, _raised, _replay, _sessions_in_feeder_order, export_envelope_csv,
+)
 from .ev import (
     DEFAULT_RATED_POWER_KW,
     DEFAULT_SCENARIOS,
@@ -369,15 +370,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         where = v["fleet_file"] = resolve("fleet.fleet_file")  # the config keeps it resolved
         try:
             fleet = load_fleet(where)
+            _sessions_in_feeder_order(feeder, fleet)
         except ValueError as exc:
             raise ConfigError(f"fleet.fleet_file: {where}: {exc}") from exc
-        sessions = Counter(s.household for s in fleet)
-        for problem, households in (
-            ("households not on the feeder:", set(sessions) - set(feeder.household_ids)),
-            ("more than one session for", {h for h, n in sessions.items() if n > 1}),
-        ):
-            if households:
-                raise ConfigError(f"fleet.fleet_file: {where}: {problem} {sorted(households)}")
 
     # every setting whose key names a config field fills it
     return ScenarioConfig(
@@ -428,8 +423,13 @@ def _search_config(config: ScenarioConfig, label: str) -> HcSearchConfig:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    """Write ``text`` to ``path``; a path that cannot be written is a
+    configuration error, also when it is found after the simulation."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _report_json(report: HcReport) -> str:
@@ -457,8 +457,10 @@ def _candidates_csv(report: HcReport) -> str:
          "min_qos", "min_voltage_pu", "max_slack_kva", "fallback_steps", "error"),
         ((c.candidate, c.failure is None, c.failure, len(c.incidents),
           c.incidents[0].kind if c.incidents else None, c.qos and c.qos.aggregated,
-          c.qos and c.qos.minimum, c.overall_min_voltage_pu, c.max_slack_kva,
-          c.fixed_point_fallback_steps, c.error) for c in report.candidates),
+          c.qos and c.qos.minimum,
+          *((c.day.min_voltage_pu, c.day.max_slack_kva, c.day.fallback_steps) if c.day
+            else (None, None, 0)),  # a collapse has no day
+          c.error) for c in report.candidates),
     )
 
 

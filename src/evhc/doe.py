@@ -139,34 +139,34 @@ def baseline_matrix(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
 ) -> np.ndarray:
-    """Baseline demand as a (steps, households) array in feeder order."""
+    """Baseline demand as a (steps, households) array in feeder order; each
+    profile is a day of finite powers >= 0 (``BaselineLoadProfile``)."""
     by_household = {p.household: p for p in profiles}
     missing = [h for h in feeder.household_ids if h not in by_household]
     if missing:
         raise ValueError(f"baseline profiles missing households: {missing}")
     mat = np.zeros((STEPS_PER_DAY, len(feeder.household_ids)))
     for j, h in enumerate(feeder.household_ids):
-        series = by_household[h].power_kw
-        if len(series) != STEPS_PER_DAY:
-            raise ValueError(f"profile {h} has {len(series)} steps, expected {STEPS_PER_DAY}")
-        mat[:, j] = series
+        mat[:, j] = by_household[h].power_kw
     return mat
 
 
 def _sessions_in_feeder_order(
     feeder: FeederModel, sessions: list[EvSession]
 ) -> list[EvSession]:
-    """Sessions sorted into feeder household order.
-
-    At most one session per household; households without a session simply
+    """Sessions sorted into feeder household order: the session rule, which
+    an imported fleet file is checked against too. Sessions lie only on the
+    feeder's households, at most one each; households without a session
     have no EV that day (used by the EV-count penetration sweep).
     """
     by_household = {s.household: s for s in sessions}
-    if len(by_household) != len(sessions):
-        raise ValueError("duplicate household in session list")
-    extra = [h for h in by_household if h not in feeder.compiled.household_slot]
-    if extra:
-        raise ValueError(f"sessions reference unknown households: {extra}")
+    unknown = sorted(set(by_household) - set(feeder.compiled.household_slot))
+    if unknown:
+        raise ValueError(f"households not on the feeder: {unknown}")
+    if len(by_household) < len(sessions):
+        named = [s.household for s in sessions]
+        repeated = sorted({h for h in named if named.count(h) > 1})
+        raise ValueError(f"more than one session for {repeated}")
     return [by_household[h] for h in feeder.household_ids if h in by_household]
 
 
@@ -228,12 +228,12 @@ def passive_horizon(
     return _replay(feeder, profiles, Lane(sessions, hc_power))
 
 
-def _raised(outcome):
-    """``outcome`` itself, unless it is the exception that ended a lane or a
+def _raised(result):
+    """``result`` itself, unless it is the exception that ended a lane or a
     search: then that exception is raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 class _Rows(SimpleNamespace):
@@ -250,7 +250,8 @@ def _start(
     """The set-up the kernel and ``_replay`` share: each lane's ``ValueError``
     if it cannot start, else None; ``(lane index, sessions in feeder order)``
     of the others; the baseline; and their rows. EVs are indexed by household
-    slot; a household without a session has an EV of duration 0."""
+    slot; a household without a session has an EV of duration 0. A lane
+    starts only at a finite ``hc_power`` > 0, so its injections are >= 0."""
     comp = feeder.compiled
     n_house = len(comp.household_ids)
     out: list = [None] * len(lanes)
@@ -261,8 +262,8 @@ def _start(
     started, first = [], []
     for j, lane in enumerate(lanes):
         try:
-            if lane.hc_power <= 0:
-                raise ValueError("hc_power must be > 0")
+            if not 0 < lane.hc_power < np.inf:
+                raise ValueError(f"hc_power must be finite and > 0, got {lane.hc_power}")
             ordered = _sessions_in_feeder_order(feeder, lane.sessions)
             if baseline_error is not None:
                 raise baseline_error
@@ -327,11 +328,12 @@ def _step(feeder, base, t, connected, desired, v_house, env: _Rows) -> _Rows:
     starting from its step's baseline row; that solve's household voltages
     ``v_house``, which the next step's first clamp reads; the voltages
     ``v_clamp`` its last clamp read (``v_house`` if none); its ``fallback``
-    flag; and its own ``error`` (a negative injection or a collapse; also
-    the rows' ``collapse``), else None.
+    flag; and its own ``error``, a voltage collapse (also the rows'
+    ``collapse``), else None. A lane's injections are finite and >= 0
+    (``_start``), so a collapse is the only way a step fails.
     """
     clamped = env.controlled & connected.any(axis=1)
-    ok, error = np.ones(len(t), dtype=bool), [None] * len(t)
+    error = [None] * len(t)
     granted, u, v_clamp, moved = desired.copy(), v_house.copy(), v_house.copy(), np.zeros(len(t))
     rows = LaneSolution(*(a[t] for a in base.solution[:-1]), error)  # unsolved: its baseline row
     todo = np.arange(len(t))
@@ -346,20 +348,15 @@ def _step(feeder, base, t, connected, desired, v_house, env: _Rows) -> _Rows:
             todo = todo[moved[todo] > 0]
             if not todo.size:
                 break
-        p_kw = base.p[t[todo]] + granted[todo]
-        negative = (p_kw < 0).any(axis=1)
-        for r in todo[negative]:
-            ok[r], error[r] = False, ValueError("active injections must be >= 0 (loads only)")
-        solved = todo[~negative]
-        sol = _solve_distinct(feeder, p_kw[~negative], t[solved], base)
-        for r, exc in zip(solved, sol.collapse):
+        sol = _solve_distinct(feeder, base.p[t[todo]] + granted[todo], t[todo], base)
+        for r, exc in zip(todo, sol.collapse):
             if exc is not None:  # each lane its own error, also of a shared row
-                ok[r] = False
                 error[r] = VoltageCollapseError(exc.min_voltage_pu, exc.iteration, exc.step)
         for kept, new in zip(rows[:-1], sol[:-1]):
-            kept[solved] = new
-        u[solved] = np.abs(sol.v[:, feeder.compiled.house_pos]) / feeder.base_voltage_v
-        todo = solved[env.fixed_point[solved] & clamped[solved] & ok[solved]]
+            kept[todo] = new
+        u[todo] = np.abs(sol.v[:, feeder.compiled.house_pos]) / feeder.base_voltage_v
+        collapsed = np.array([exc is not None for exc in sol.collapse], dtype=bool)
+        todo = todo[env.fixed_point[todo] & clamped[todo] & ~collapsed]
         if it:
             todo = todo[moved[todo] >= FIXED_POINT_TOL_KW]
         if not todo.size:
@@ -380,8 +377,8 @@ def _simulate_lanes(
     wrapped sessions are visited arrival-first, and ``_step`` grants and
     solves every step of all lanes, each lane as if alone.
 
-    A lane that cannot start (``ValueError``) or whose power flow collapses
-    ends as that exception; the other lanes carry on. No lane records its
+    A lane that cannot start (``ValueError``, from ``_start``) or whose power
+    flow collapses ends as that exception; the other lanes carry on. No lane records its
     trace: each keeps only what ``LaneDay`` lists, with ``judge`` folding in
     each step's limit crossings and the two extrema as it is solved, and
     its uncontrolled energy summed beside its delivered energy.
@@ -389,7 +386,7 @@ def _simulate_lanes(
     Lanes with a ``search`` key are its candidates in candidate order.
     A step that ends with an incident or a collapse in one of them stops the
     later lanes of that search, which lie past a certain failure, as
-    ``_Stopped``. A ``ValueError`` stops no other lane.
+    ``_Stopped``. A lane that cannot start stops no other lane.
     """
     steps, comp = STEPS_PER_DAY, feeder.compiled
     out, started, baseline, rows = _start(feeder, profiles, lanes)
@@ -441,9 +438,8 @@ def _simulate_lanes(
         low_voltage[lane_rows] = np.minimum(low_voltage[lane_rows], voltage.min(axis=1))
         max_slack_kva[lane_rows] = np.maximum(max_slack_kva[lane_rows], kva)
         if len(keys) > 1:  # a search's first incident or collapse this step stops later lanes
-            hit, ended = np.zeros(len(t), dtype=bool), np.flatnonzero(~alive)
+            hit = ~alive
             hit[live] = [bool(crossed) for crossed in found]
-            hit[ended] = [not isinstance(out[started[i][0]], ValueError) for i in rows.row[ended]]
             first = np.full(len(keys), count)  # id -1 holds the unkeyed lanes: no stop
             np.minimum.at(first, rows.search[hit], rows.row[hit])
             first[-1] = count
@@ -481,8 +477,8 @@ def _replay(
     all steps are solved in one call. A row's solution depends on that row
     alone and the envelope is elementwise, so this is the kernel's trace,
     bit for bit. An uncontrolled lane needs no ``day`` and is granted its
-    desired power; it raises the first error of its day in step order, as
-    the kernel would (a negative injection before a collapse)."""
+    desired power; it raises the first collapse of its day in the lane's
+    walk order, from its quiet step, as the kernel would."""
     steps, comp, controlled = STEPS_PER_DAY, feeder.compiled, lane.params is not None
     out, started, baseline, rows = _start(feeder, profiles, [lane])
     _raised(out[0])
@@ -501,12 +497,8 @@ def _replay(
             )
         granted[t], desired[t] = ev_kw, wanted
         rows.delivered += ev_kw * STEP_HOURS
-    p_kw = baseline + granted
-    sol = _solve_lanes(feeder, p_kw, baseline * BASELINE_Q_PER_KW, list(range(steps)))
-    negative = (p_kw < 0).any(axis=1)
+    sol = _solve_lanes(feeder, baseline + granted, baseline * BASELINE_Q_PER_KW, list(range(steps)))
     for t in order:
-        if negative[t]:
-            raise ValueError("active injections must be >= 0 (loads only)")
         _raised(sol.collapse[t])
 
     ev, sessions = rows.duration[0] > 0, started[0][1]

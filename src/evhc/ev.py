@@ -166,8 +166,8 @@ class ChargingTrajectory:
 def baseline_trajectory(session: EvSession, hc_power: float) -> ChargingTrajectory:
     """Uncontrolled charging: full allowed power from arrival until the
     requested energy is delivered (the energy left held at 0) or the EV departs."""
-    if hc_power <= 0:
-        raise ValueError("hc_power must be > 0")
+    if not 0 < hc_power < math.inf:
+        raise ValueError(f"hc_power must be finite and > 0, got {hc_power}")
     cap = min(hc_power, session.rated_kw)
     power = np.zeros(STEPS_PER_DAY)
     delivered = 0.0

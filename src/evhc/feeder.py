@@ -235,10 +235,22 @@ def _compile(feeder: FeederModel) -> CompiledFeeder:
 
 @dataclass(frozen=True)
 class BaselineLoadProfile:
-    """Fixed (non-EV) demand of one household, kW per time step."""
+    """Fixed (non-EV) demand of one household, kW per time step: one day of
+    finite powers >= 0, the only check the simulation makes of them."""
 
     household: str
     power_kw: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.power_kw) != STEPS_PER_DAY:
+            raise FeederError(
+                f"profile {self.household} has {len(self.power_kw)} steps, expected {STEPS_PER_DAY}"
+            )
+        bad = [p for p in self.power_kw if not 0 <= p < math.inf]
+        if bad:
+            raise FeederError(
+                f"household {self.household}: baseline power must be >= 0 and finite, got {bad[0]}"
+            )
 
 
 def _validate(model: FeederModel) -> None:
@@ -382,11 +394,6 @@ def parse_baseline_profiles(text: str) -> tuple[BaselineLoadProfile, ...]:
             series = tuple(float(r[col]) for r in data)
         except ValueError as exc:
             raise FeederError(f"bad value in profile column {household}: {exc}") from exc
-        bad = [p for p in series if not 0 <= p < math.inf]
-        if bad:
-            raise FeederError(
-                f"household {household}: baseline power must be >= 0 and finite, got {bad[0]}"
-            )
         profiles.append(BaselineLoadProfile(household=household, power_kw=series))
     return tuple(profiles)
 

@@ -92,11 +92,7 @@ class CandidateResult:
     candidate: float
     incidents: list[Incident]
     qos: QosReport | None
-    overall_min_voltage_pu: float | None = None  # the day's lowest node voltage; None: no day
-    max_slack_kva: float | None = None           # the day's largest slack apparent power
-    qos_breach: bool = False
     failure: str | None = None     # None when the candidate passed
-    fixed_point_fallback_steps: int = 0
     error: str | None = None
     day: LaneDay | None = field(default=None, compare=False, repr=False)  # None: a collapse
 
@@ -133,15 +129,15 @@ def _failure(result: CandidateResult, qos_threshold: float) -> CandidateResult:
     """The one failure rule: ``result`` judged at ``qos_threshold``.
 
     A candidate fails on its first incident, else on an aggregated-QoS
-    breach. The breach flag is set either way, so a breach that coincides
-    with an incident stays visible.
+    breach; a breach that coincides with an incident stays visible in its
+    ``qos``.
     """
     breach = result.qos is not None and result.qos.aggregated < qos_threshold
     if result.incidents:
         failure = result.incidents[0].kind
     else:
         failure = LIMIT_AGGREGATED_QOS if breach else None
-    return replace(result, qos_breach=breach, failure=failure)
+    return replace(result, failure=failure)
 
 
 _Point = tuple[float, list[EvSession], float]  # (candidate, sessions, power)
@@ -199,15 +195,7 @@ def _judge(
             qos = build_report(households, day.uncontrolled_kwh, day.delivered_kwh)
         except QosError as exc:
             return exc
-    result = CandidateResult(
-        candidate=candidate,
-        incidents=day.incidents,
-        qos=qos,
-        overall_min_voltage_pu=day.min_voltage_pu,
-        max_slack_kva=day.max_slack_kva,
-        fixed_point_fallback_steps=day.fallback_steps,
-        day=day,
-    )
+    result = CandidateResult(candidate, day.incidents, qos, day=day)
     return _failure(result, config.qos_threshold)
 
 

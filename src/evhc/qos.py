@@ -84,14 +84,12 @@ def build_report(
     keep = e_base > 0
     kept = tuple(h for h, k in zip(households, keep) if k)
     dropped = tuple(h for h, k in zip(households, keep) if not k)
-    if not kept:
-        raise QosError("aggregated QoS undefined: every baseline energy is zero")
     e_base_k = e_base[keep]
     e_na_k = e_na[keep]
     individual = np.array(
         [qos_individual(b, n) for b, n in zip(e_base_k, e_na_k)]
     )
-    aggregated = qos_aggregated(list(zip(e_base_k, e_na_k)))
+    aggregated = qos_aggregated(list(zip(e_base_k, e_na_k)))  # raises when none is kept
     at_min = int(np.argmin(individual))
     return QosReport(
         households=kept,

@@ -340,6 +340,32 @@ def test_an_output_path_that_cannot_be_written_is_config_error(
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "argv, taken, written, strerror",
+    [(["run"], "network_aware_low", "network_aware_low/report.json", "File exists"),
+     (["sweep", "--which", "qos-threshold"], "threshold_sweep.csv/", "threshold_sweep.csv",
+      "Is a directory")],
+    ids=["run_a_result_directory_is_a_file", "sweep_a_result_file_is_a_directory"],
+)
+def test_a_result_path_that_cannot_be_written_is_config_error(
+    tmp_path, capsys, argv, taken, written, strerror
+):
+    """A result path inside the output directory is known only once the
+    results decide which files there are, so it is found after the
+    simulation, and named in a configuration error all the same."""
+    path = _write_scenario(tmp_path, sweep={"qos_thresholds": [0.8]})
+    out = tmp_path / "out"
+    out.mkdir()
+    if taken.endswith("/"):  # a directory where a file goes
+        (out / taken).mkdir()
+    else:  # a file where a directory goes
+        (out / taken).write_text("")
+    assert main([*argv, str(path), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot write {out / written}: {strerror}\n"
+    )
+
+
 def test_network_aware_run_writes_expected_files(tmp_path):
     path = _write_scenario(tmp_path)
     out = tmp_path / "out"

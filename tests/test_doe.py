@@ -6,6 +6,8 @@ threshold, full power at and above the green boundary, a continuous
 monotone ramp in between.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,8 +21,9 @@ from evhc.doe import (
     network_aware_horizon,
     passive_horizon,
 )
-from evhc.ev import DEFAULT_SCENARIOS, generate_fleet
+from evhc.ev import DEFAULT_SCENARIOS, baseline_trajectory, generate_fleet
 from evhc.feeder import path_to_slack
+from evhc.hc import HcSearchConfig, evaluate_network_aware_candidate
 from evhc.powerflow import _flows
 from evhc.trace import ZONE_GREEN, ZONE_LABELS, ZONE_NONE, ZONE_RED
 
@@ -220,6 +223,22 @@ GREEN_EVERYWHERE = DoeParams(delta_perm=0.4, factor=0.5, u_min=0.55)
 
 def _fleet(feeder, label="low", seed=1):
     return generate_fleet(DEFAULT_SCENARIOS[label], feeder.household_ids, seed=seed)
+
+
+@pytest.mark.parametrize("hc_power", [math.nan, math.inf, 0.0])
+def test_a_charging_power_that_is_not_finite_and_positive_is_refused(feeder, profiles, hc_power):
+    """No day starts at such a power: a NaN once ran on to an unrecorded
+    grant or an undefined QoS, and an infinite one charged at rated power."""
+    fleet = _fleet(feeder)
+    for run in (
+        lambda: passive_horizon(feeder, profiles, fleet, hc_power),
+        lambda: network_aware_horizon(feeder, profiles, fleet, hc_power, DoeParams()),
+        lambda: evaluate_network_aware_candidate(
+            feeder, profiles, fleet, hc_power, HcSearchConfig()),
+        lambda: baseline_trajectory(fleet[0], hc_power),
+    ):
+        with pytest.raises(ValueError, match=f"hc_power must be finite and > 0, got {hc_power}"):
+            run()
 
 
 def test_all_green_reproduces_baseline_bit_for_bit(feeder, profiles):

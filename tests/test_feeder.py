@@ -1,17 +1,21 @@
 """Feeder model: ingestion, validation, tree queries, round-trips, and the
 compiled index that every solve reads."""
 
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 import evhc.cli
 import evhc.feeder
 from evhc.doe import DoeParams, network_aware_horizon
 from evhc.ev import DEFAULT_SCENARIOS, generate_fleet, load_fleet, serialize_fleet
 from evhc.feeder import (
+    BaselineLoadProfile,
     Branch,
     FeederError,
     FeederModel,
@@ -193,6 +197,29 @@ def test_bundled_profiles_cover_households(feeder, profiles):
 def test_negative_profile_rejected():
     with pytest.raises(FeederError, match="must be >= 0"):
         parse_baseline_profiles("h1\n" + "\n".join(["-1.0"] + ["0.1"] * 95))
+
+
+@given(
+    household=st.text("abh0123456789", min_size=1, max_size=6),
+    power=st.lists(st.floats(0.0, 1e3), min_size=96, max_size=96),
+    at=st.integers(0, 95),
+    bad=st.one_of(st.floats(max_value=0.0, exclude_max=True),
+                  st.sampled_from([math.nan, math.inf, -math.inf])),
+    length=st.integers(0, 192).filter(lambda n: n != 96),
+)
+def test_a_baseline_profile_is_a_day_of_finite_powers_at_least_zero(
+    household, power, at, bad, length
+):
+    """Built from a file or not, a profile refuses a value that is negative,
+    NaN or infinite, and any length but 96 steps, naming its household."""
+    BaselineLoadProfile(household, tuple(power))
+    for series, message in (
+        ((*power[:at], bad, *power[at + 1:]), f"household {household}: baseline power must be"),
+        ((0.5,) * length, f"profile {household} has {length} steps, expected 96"),
+    ):
+        with pytest.raises(FeederError) as refused:
+            BaselineLoadProfile(household, series)
+        assert str(refused.value).startswith(message)
 
 
 def path_impedance(feeder, node_id):

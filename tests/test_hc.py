@@ -275,7 +275,8 @@ def test_tie_reports_incident_over_qos(feeder, profiles, low_fleet):
     incident wins, and the breach stays visible in the detail."""
     config = HcSearchConfig(doe=DoeParams(0.0, 0.0))
     report = network_aware_hc(feeder, profiles, low_fleet, config)
-    breached = [c for c in report.candidates if c.qos_breach and c.incidents]
+    breached = [c for c in report.candidates
+                if c.qos and c.qos.aggregated < config.qos_threshold and c.incidents]
     for c in breached:
         assert c.failure == c.incidents[0].kind
 
@@ -295,18 +296,22 @@ def test_ev_count_mode(feeder, profiles, low_fleet):
     assert na.hc is None or 1.0 <= na.hc <= 12.0
 
 
+@pytest.mark.parametrize("bad, message", [
+    (EvSession("zz9", 70, 80, 5.0, 22.0), "households not on the feeder: ['zz9']"),
+    (EvSession("h01", 10, 20, 5.0, 22.0), "more than one session for ['h01']"),
+])
+def test_a_fleet_that_does_not_fit_the_feeder_is_refused(feeder, profiles, low_fleet, bad,
+                                                         message):
+    """The kernel states the fleet file's session rule, in its words."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        passive_hc(feeder, profiles, [*low_fleet, bad], HcSearchConfig())
+
+
 def test_below_range_reported_as_none(feeder, profiles, low_fleet):
     config = HcSearchConfig(power_grid_kw=(15.0, 16.0))
     report = passive_hc(feeder, profiles, low_fleet, config)
     assert report.hc is None
     assert report.limiting_factor == "undervoltage"
-
-
-def test_qos_breach_flag_consistency(feeder, profiles, low_fleet):
-    config = HcSearchConfig(doe=DoeParams(0.05, 0.5))
-    for c in network_aware_grid(feeder, profiles, low_fleet, config):
-        if c.qos is not None:
-            assert c.qos_breach == (c.qos.aggregated < config.qos_threshold)
 
 
 # --- the one reduction ---------------------------------------------------------

@@ -259,23 +259,20 @@ def test_a_request_met_one_ulp_over_desires_nothing(feeder, profiles):
 
 
 def test_an_uncontrolled_day_rebuilt_alone_ends_in_the_kernels_error(feeder, profiles):
-    """Rebuilt without the kernel, an uncontrolled lane raises the error the
-    kernel ends it with: the first in the lane's step order, from its quiet
-    step 4, and a negative injection before a collapse at the same step."""
+    """Rebuilt without the kernel, an uncontrolled lane raises the collapse
+    the kernel ends it with, bit for bit: the first in the lane's walk order
+    from its quiet step 4, not the first in index order."""
     ids = feeder.household_ids
-    sessions = [EvSession(h, 40, 48, 30.0, 60.0) for h in ids if h != ids[1]]  # collapse at 40
-    lane = Lane([*sessions, EvSession(ids[1], 90, 100, 1.0, 22.0)], 60.0)
-    by_household = {p.household: p for p in profiles}
-    collapse = VoltageCollapseError
-    for negative_at, kind in ((40, ValueError), (41, collapse), (2, collapse)):
-        power = list(by_household[ids[1]].power_kw)
-        power[negative_at] = -5.0
-        bad = tuple(
-            replace(p, power_kw=tuple(power)) if p.household == ids[1] else p for p in profiles
-        )
-        [day] = _simulate_lanes(feeder, bad, [lane], judge=IncidentLimits.from_feeder(feeder))
-        assert type(day) is kind
-        _assert_same_error(_rebuilt(feeder, bad, lane, None), day)
+    late = [EvSession(h, 40, 48, 30.0, 60.0) for h in ids[:6]]
+    early = [EvSession(h, 0, 4, 30.0, 60.0) for h in ids[6:]]  # before the quiet step
+    lane = Lane([*late, *early], 60.0)
+    assert quiet_step(lane.sessions) == 4
+    limits = IncidentLimits.from_feeder(feeder)
+    [alone] = _simulate_lanes(feeder, profiles, [lane._replace(sessions=early)], judge=limits)
+    assert isinstance(alone, VoltageCollapseError) and alone.step == 0  # first in index order
+    [day] = _simulate_lanes(feeder, profiles, [lane], judge=limits)
+    assert isinstance(day, VoltageCollapseError) and day.step == 40
+    _assert_same_error(_rebuilt(feeder, profiles, lane, None), day)
 
 
 # --- rows shared within a solve ------------------------------------------------
