@@ -17,6 +17,8 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -422,14 +424,20 @@ def _search_config(config: ScenarioConfig, label: str) -> HcSearchConfig:
     )
 
 
-def _write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``; a path that cannot be written is a
-    configuration error, also when it is found after the simulation."""
+@contextmanager
+def _writing(path: Path | str) -> Iterator[None]:
+    """A path that cannot be written is a configuration error, also when it
+    is found after the simulation."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        yield
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _write(path: Path, text: str) -> None:
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
 
 
 def _report_json(report: HcReport) -> str:
@@ -455,12 +463,12 @@ def _candidates_csv(report: HcReport) -> str:
     return csv_table(
         ("candidate", "passed", "failure", "n_incidents", "first_incident_kind", "qos_agg",
          "min_qos", "min_voltage_pu", "max_slack_kva", "fallback_steps", "error"),
-        ((c.candidate, c.failure is None, c.failure, len(c.incidents),
+        ((c.candidate, failure is None, failure, len(c.incidents),
           c.incidents[0].kind if c.incidents else None, c.qos and c.qos.aggregated,
           c.qos and c.qos.minimum,
           *((c.day.min_voltage_pu, c.day.max_slack_kva, c.day.fallback_steps) if c.day
             else (None, None, 0)),  # a collapse has no day
-          c.error) for c in report.candidates),
+          c.error) for c in report.candidates for failure in [c.failure_at(report.qos_threshold)]),
     )
 
 
@@ -476,9 +484,8 @@ def _write_search_outputs(
     passive day of that lane, and per-customer QoS over its power ``grid``."""
     _write(out / "report.json", _report_json(report))
     _write(out / "candidates.csv", _candidates_csv(report))
-    failing = report.candidates[-1] if report.candidates and not report.unconstrained else None
-    if failing is not None:
-        _write(out / "incidents_next.csv", export_incidents_csv(failing.incidents))
+    if not report.unconstrained:
+        _write(out / "incidents_next.csv", export_incidents_csv(report.candidates[-1].incidents))
     at_hc = report.at_hc
     if report.mode != "network_aware" or at_hc is None:
         return
@@ -614,10 +621,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.verb == "init-example":
-            try:
+            with _writing(args.output):
                 Path(args.output).write_text(_example(), encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(f"cannot write {args.output}: {exc.strerror}") from None
             print(f"wrote {args.output}")
             return 0
 
@@ -643,10 +648,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"--workers must be >= 1, got {workers}")
             config = replace(config, workers=workers)
         out_dir = Path(args.output_dir) if args.output_dir else Path(config.output_dir)
-        try:
+        with _writing(out_dir):
             out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out_dir}: {exc.strerror}") from None
 
         try:
             run_scenario(config, out_dir)

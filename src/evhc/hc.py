@@ -11,17 +11,17 @@ quality) and the QoS breach is still visible in the candidate detail.
 Every candidate is simulated independently of the others. A search is its
 candidates' first-failure reduction, ``reduce_candidates``: its report, or
 the error before its first failure, exactly what an exhaustive per-
-candidate scan returns. The capacity is found by position, as the last
-candidate before the failure (``HcReport.at_hc``). Every batch reaches the
-kernel (``doe._simulate_lanes``) as candidate grids through
-``_evaluate_days``: one kernel call, one list of results per grid, and the
-lanes of a stopping grid stop past its first incident. Searches run in
-candidate rounds: each round passes the next four (``ROUND_WIDTH``)
-candidates of every search still running, each a stopping grid. At most
-three candidates past a search's first failure are simulated, and none is
-read. The QoS-threshold sweep passes every scenario's whole power grid in
-one call, each a stopping grid. Both sweeps search the power grid. Every
-search and sweep runs in the calling process.
+candidate scan returns; ``CandidateResult.failure_at`` is its one failure
+rule. The capacity is the last candidate before the failure (``at_hc``).
+Every batch reaches the kernel (``doe._simulate_lanes``) as candidate
+grids through ``_evaluate_days``: one kernel call, one list of results per
+grid, and the lanes of a stopping grid stop past its first incident.
+Searches run in candidate rounds: each round passes the next four
+(``ROUND_WIDTH``) candidates of every search still running, each a
+stopping grid. At most three candidates past a search's first failure are
+simulated, and none is read. The QoS-threshold sweep passes every
+scenario's whole power grid in one call, each a stopping grid. Both sweeps
+search the power grid. Every search and sweep runs in the calling process.
 """
 
 from __future__ import annotations
@@ -92,23 +92,40 @@ class CandidateResult:
     candidate: float
     incidents: list[Incident]
     qos: QosReport | None
-    failure: str | None = None     # None when the candidate passed
     error: str | None = None
     day: LaneDay | None = field(default=None, compare=False, repr=False)  # None: a collapse
+
+    def failure_at(self, qos_threshold: float) -> str | None:
+        """The one failure rule: the kind of the first incident, else an
+        aggregated-QoS breach of ``qos_threshold``, else None (passed). A
+        breach that coincides with an incident stays visible in ``qos``."""
+        if self.incidents:
+            return self.incidents[0].kind
+        if self.qos is not None and self.qos.aggregated < qos_threshold:
+            return LIMIT_AGGREGATED_QOS
+        return None
 
 
 @dataclass
 class HcReport:
-    """Result of one hosting-capacity search."""
+    """Result of one hosting-capacity search: its candidates in order, up to
+    and including the first that fails at ``qos_threshold``. The capacity,
+    its limit and ``unconstrained`` derive from them by ``failure_at``."""
 
     mode: str                      # "passive" | "network_aware"
     dimension: str                 # "power" (kW per EV) | "ev_count"
     scenario: str
-    hc: float | None               # None: even the smallest candidate failed
-    limiting_factor: str | None    # None: unconstrained within the grid
-    unconstrained: bool
     qos_threshold: float
     candidates: list[CandidateResult] = field(default_factory=list)
+
+    @property
+    def limiting_factor(self) -> str | None:
+        """The last candidate's failure; None: unconstrained within the grid."""
+        return self.candidates[-1].failure_at(self.qos_threshold) if self.candidates else None
+
+    @property
+    def unconstrained(self) -> bool:
+        return self.limiting_factor is None
 
     @property
     def at_hc(self) -> CandidateResult | None:
@@ -117,27 +134,16 @@ class HcReport:
         return passed[-1] if passed else None
 
     @property
+    def hc(self) -> float | None:  # None: even the smallest candidate failed
+        return None if self.at_hc is None else self.at_hc.candidate
+
+    @property
     def qos_at_hc(self) -> float | None:
         return self.at_hc and self.at_hc.qos and self.at_hc.qos.aggregated
 
     @property
     def min_qos_at_hc(self) -> float | None:
         return self.at_hc and self.at_hc.qos and self.at_hc.qos.minimum
-
-
-def _failure(result: CandidateResult, qos_threshold: float) -> CandidateResult:
-    """The one failure rule: ``result`` judged at ``qos_threshold``.
-
-    A candidate fails on its first incident, else on an aggregated-QoS
-    breach; a breach that coincides with an incident stays visible in its
-    ``qos``.
-    """
-    breach = result.qos is not None and result.qos.aggregated < qos_threshold
-    if result.incidents:
-        failure = result.incidents[0].kind
-    else:
-        failure = LIMIT_AGGREGATED_QOS if breach else None
-    return replace(result, failure=failure)
 
 
 _Point = tuple[float, list[EvSession], float]  # (candidate, sessions, power)
@@ -174,29 +180,26 @@ def _evaluate_days(
         feeder, profiles, lanes,
         judge=IncidentLimits.from_feeder(feeder, v_lower, v_upper),
     ))
-    return [[_judge(next(days), point, cfg, mode) for point in points]
-            for points, cfg, mode, _ in grids]
+    return [[_judge(next(days), candidate) for candidate, *_ in points] for points, *_ in grids]
 
 
-def _judge(
-    day: LaneDay | Exception, point: _Point, config: HcSearchConfig, mode: str
-) -> CandidateResult | Exception:
-    candidate = point[0]
+def _judge(day: LaneDay | Exception, candidate: float) -> CandidateResult | Exception:
+    """The result of one candidate's day, threshold-free: its incidents, a
+    collapse as a diagnostic incident, and a QoS report when the lane has an
+    envelope; an error that stopped the day, or its QoS, as it is."""
     if isinstance(day, VoltageCollapseError):
         incident = Incident(KIND_DIAGNOSTIC, day.step or 0, "power-flow", float(day.min_voltage_pu))
-        result = CandidateResult(candidate, [incident], qos=None, error=str(day))
-        return _failure(result, config.qos_threshold)
+        return CandidateResult(candidate, [incident], qos=None, error=str(day))
     if isinstance(day, Exception):
         return day
     qos = None
-    if mode != "passive":  # the day's sessions are in feeder order, as are its energies
+    if day.lane.params is not None:  # the day's sessions are in feeder order, as are its energies
         households = tuple(s.household for s in day.sessions)
         try:
             qos = build_report(households, day.uncontrolled_kwh, day.delivered_kwh)
         except QosError as exc:
             return exc
-    result = CandidateResult(candidate, day.incidents, qos, day=day)
-    return _failure(result, config.qos_threshold)
+    return CandidateResult(candidate, day.incidents, qos, day=day)
 
 
 def evaluate_network_aware_candidate(
@@ -248,10 +251,9 @@ def reduce_searches(
                    for j in running]
         for j, results in zip(running, _evaluate_days(feeder, profiles, windows)):
             evaluated[j] += results
-        running = [
-            j for j in running if len(evaluated[j]) < len(points[j])
-            and not any(isinstance(o, Exception) or o.failure is not None for o in evaluated[j])
-        ]
+        running = [j for j in running if len(evaluated[j]) < len(points[j]) and not any(
+            isinstance(o, Exception) or o.failure_at(searches[j][1].qos_threshold) is not None
+            for o in evaluated[j])]
     return [
         reduce_candidates(outcomes, cfg.qos_threshold, mode, cfg.scenario, cfg.sweep_dimension)
         for outcomes, (_, cfg, mode) in zip(evaluated, searches)
@@ -266,29 +268,22 @@ def reduce_candidates(
     dimension: str = SWEEP_POWER,
 ) -> HcReport | Exception:
     """First-failure reduction of a candidate stream: the search's report,
-    or the exception that ended it when one comes before the first failure.
+    its results as they are up to and including the first that fails at
+    ``qos_threshold``, or the exception that ended it when one comes before.
 
     Results are pulled only up to that failure, so reducing the lazy
     candidate stream is the sequential search. Candidate results are
     threshold-independent, so one evaluated grid can also be reduced at
     many thresholds.
     """
-    hc: float | None = None
-    limiting: str | None = None
     kept: list[CandidateResult] = []
     for r in results:
         if isinstance(r, Exception):
             return r
-        judged = _failure(r, qos_threshold)
-        kept.append(judged)
-        if judged.failure is not None:
-            limiting = judged.failure
+        kept.append(r)
+        if r.failure_at(qos_threshold) is not None:
             break
-        hc = judged.candidate
-    return HcReport(
-        mode=mode, dimension=dimension, scenario=scenario, hc=hc, limiting_factor=limiting,
-        unconstrained=limiting is None, qos_threshold=qos_threshold, candidates=kept,
-    )
+    return HcReport(mode, dimension, scenario, qos_threshold, kept)
 
 
 def passive_hc(
@@ -423,7 +418,8 @@ def threshold_sweep(
     Every scenario's power grid is judged in one kernel call and reduced at
     each threshold. Incidents do not depend on the threshold, so no
     reduction reads a candidate past a scenario's first incident, and those
-    candidates stop there. An error at or before that incident is raised.
+    candidates stop there. An error at or before that incident, which the
+    reduction at threshold 0 (where only incidents fail) ends as, is raised.
     """
     grids = []
     for scenario in scenarios:
@@ -432,7 +428,7 @@ def threshold_sweep(
         grids.append((_points(fleet, cfg), cfg, "network_aware", True))
     reports = []
     for scenario, grid in zip(scenarios, _evaluate_days(feeder, profiles, grids)):
-        _raised(next((o for o in grid if isinstance(o, Exception) or o.incidents), None))
+        _raised(reduce_candidates(grid, 0.0, "network_aware", scenario.label))
         reports += [reduce_candidates(grid, float(threshold), "network_aware", scenario.label)
                     for threshold in thresholds]
     return reports

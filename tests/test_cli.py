@@ -781,6 +781,30 @@ def test_the_summary_tables_agree(tmp_path):
                 "min_qos_at_hc") == expected
 
 
+def test_candidates_csv_agrees_with_report_json(tmp_path):
+    """Each search of the init-example compare run: every row of its
+    candidates.csv but the last passed, the last fails on report.json's
+    limiting factor (or passes too, when the search is unconstrained), and
+    the capacity is the candidate of the last passed row."""
+    example, out = tmp_path / "example.yaml", tmp_path / "out"
+    assert main(["init-example", "--output", str(example)]) == 0
+    assert main(["run", str(example), "--output-dir", str(out)]) == 0
+    searches = sorted(out.glob("*/report.json"))
+    assert len(searches) == 6  # passive and network-aware, three scenarios
+    for path in searches:
+        report = json.loads(path.read_text(encoding="utf-8"))
+        with (path.parent / "candidates.csv").open(encoding="utf-8", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [float(r["candidate"]) for r in rows] == report["candidates_evaluated"]
+        assert all(r["passed"] == "True" and r["failure"] == "" for r in rows[:-1])
+        if report["unconstrained"]:
+            assert report["limiting_factor"] is None and rows[-1]["passed"] == "True"
+        else:
+            assert (rows[-1]["passed"], rows[-1]["failure"]) == ("False", report["limiting_factor"])
+        passed = [float(r["candidate"]) for r in rows if r["passed"] == "True"]
+        assert report["hc"] == (passed[-1] if passed else None)
+
+
 # SHA-256 of every file that `evhc run` writes for the init-example scenario
 # (compare mode, bundled feeder and profiles). A refactor leaves them as they
 # are; a change that moves a number on purpose updates them and says which

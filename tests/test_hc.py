@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import evhc.hc
 from evhc.cli import main
@@ -111,7 +113,7 @@ def test_search_equals_brute_force(feeder, profiles, low_fleet):
     outcomes = {}
     for p in config.power_grid_kw:
         alone = passive_hc(feeder, profiles, low_fleet, replace(config, power_grid_kw=(p,)))
-        outcomes[p] = alone.candidates[0].failure
+        outcomes[p] = alone.limiting_factor
     first_fail = next((p for p in config.power_grid_kw if outcomes[p]), None)
     expected_hc = (
         config.power_grid_kw[-1]
@@ -168,6 +170,32 @@ def test_full_grid_plus_reduction_matches_search(feeder, profiles, low_fleet):
     search = network_aware_hc(feeder, profiles, low_fleet, config)
     assert reduced.hc == search.hc
     assert reduced.limiting_factor == search.limiting_factor
+
+
+@pytest.fixture(scope="module")
+def low_grid(feeder, profiles, low_fleet):
+    """The low fleet's whole network-aware power grid, judged in one call."""
+    return network_aware_grid(feeder, profiles, low_fleet, HcSearchConfig())
+
+
+@settings(max_examples=50, deadline=None)
+@given(threshold=st.floats(0.0, 1.0, exclude_min=True))
+@example(threshold=0.8)
+@example(threshold=1.0)
+def test_the_report_derives_from_its_candidates(low_grid, threshold):
+    """A report's capacity, limit and ``unconstrained`` equal a scan of its
+    grid written here from each candidate's incidents and aggregated QoS."""
+    hc, limit = None, None
+    for c in low_grid:
+        if c.incidents:
+            limit = c.incidents[0].kind
+            break
+        if c.qos is not None and c.qos.aggregated < threshold:
+            limit = LIMIT_AGGREGATED_QOS
+            break
+        hc = c.candidate
+    report = reduce_candidates(low_grid, threshold, "network_aware", "low")
+    assert (report.hc, report.limiting_factor, report.unconstrained) == (hc, limit, limit is None)
 
 
 def test_threshold_monotonicity(feeder, profiles):
@@ -272,13 +300,14 @@ def test_sweep_csv_schema(feeder, profiles):
 
 def test_tie_reports_incident_over_qos(feeder, profiles, low_fleet):
     """When an incident and a QoS breach land on the same candidate the
-    incident wins, and the breach stays visible in the detail."""
-    config = HcSearchConfig(doe=DoeParams(0.0, 0.0))
+    incident wins, and the breach stays visible in the detail. At 8 kW the
+    low fleet both breaches the aggregated QoS and sees undervoltage."""
+    config = HcSearchConfig(doe=DoeParams(0.05, 0.5), power_grid_kw=(8.0,))
     report = network_aware_hc(feeder, profiles, low_fleet, config)
-    breached = [c for c in report.candidates
-                if c.qos and c.qos.aggregated < config.qos_threshold and c.incidents]
-    for c in breached:
-        assert c.failure == c.incidents[0].kind
+    [tie] = report.candidates
+    assert tie.incidents and tie.qos.aggregated < config.qos_threshold  # the tie exists
+    assert report.limiting_factor == tie.incidents[0].kind == "undervoltage"
+    assert report.hc is None and not report.unconstrained
 
 
 def test_ev_count_mode(feeder, profiles, low_fleet):
@@ -550,7 +579,7 @@ def test_each_candidate_carries_the_day_it_was_judged_on(feeder, profiles):
             kinds.append(type(result).__name__)
             continue
         if result.day is None:  # a collapse
-            kinds.append(result.failure)
+            kinds.append(result.failure_at(config.qos_threshold))
             continue
         aware = mode == "network_aware"
         assert result.day.lane == Lane(sessions, kw, config.doe if aware else None, key)
