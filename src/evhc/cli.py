@@ -6,7 +6,9 @@ candidate grid, and the run mode. The CLI executes it and writes delimited
 result tables plus a JSON summary; reruns with the same file and seed are
 byte-identical.
 
-Verbs: run, sweep, validate, init-example.
+Verbs: run, sweep, validate, init-example. The flags ``--mode`` (or
+``sweep --which``), ``--seed`` and ``--workers`` replace the file's value
+after it is checked, and are checked by the same field-table row.
 Exit codes: 0 success, 1 configuration error, 2 simulation error.
 """
 
@@ -74,6 +76,8 @@ DELTA_PERM_RANGE = (0.0, 0.1)
 MAX_GRID_POINTS = 1000
 
 _BUILTIN = "builtin"
+
+_SWEEPS = {"doe": "sweep_doe", "qos-threshold": "sweep_qos_threshold"}  # sweep --which: mode
 
 
 class ConfigError(ValueError):
@@ -306,8 +310,11 @@ def _definition(label: str, body) -> EnergyScenario:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    """The scenario file at ``path``, checked, with its inputs loaded."""
+def load_scenario(path: str | Path, flags: dict | None = None) -> ScenarioConfig:
+    """The scenario file at ``path``, checked, with its inputs loaded. Each
+    of ``flags`` (top-level keys such as ``mode``, ``seed``, ``workers``)
+    replaces the file's value once that is checked, converted and checked by
+    its field's row; every rule across fields reads the values so replaced."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
@@ -320,6 +327,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must be a mapping")
     v = _settings(raw)
+    v |= {key: _settings({key: value})[key] for key, value in (flags or {}).items()}
     labels = v["scenarios"]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
@@ -363,6 +371,11 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"baseline_profiles: missing feeder households: {missing}")
     fleet = None
     if v["source"] == "import":
+        if v["mode"].startswith("sweep_"):
+            raise ConfigError(
+                f"fleet.source: mode {v['mode']} generates each scenario's fleet, "
+                "so 'import' works only in passive, network_aware and compare modes"
+            )
         if len(labels) > 1:  # each label would search the same sessions again
             raise ConfigError(
                 f"scenarios: an imported fleet is one fleet and takes one label, got {list(labels)}"
@@ -410,17 +423,13 @@ def _fleet(config: ScenarioConfig, feeder: FeederModel, search: HcSearchConfig):
 
 
 def _search_config(config: ScenarioConfig, label: str) -> HcSearchConfig:
+    """The search of scenario ``label``: every search field that names a
+    config field is filled from it, as ``load_scenario`` fills the config."""
+    shared = {f.name for f in fields(ScenarioConfig)}
     return HcSearchConfig(
-        power_grid_kw=config.power_grid_kw,
-        qos_threshold=config.qos_threshold,
-        doe=config.doe,
+        **{f.name: getattr(config, f.name) for f in fields(HcSearchConfig) if f.name in shared},
         scenario=label,
-        seed=config.seed,
-        rated_power_kw=config.rated_power_kw,
-        v_lower_pu=config.v_lower_pu,
-        v_upper_pu=config.v_upper_pu,
         sweep_dimension=config.dimension,
-        count_mode_power_kw=config.count_mode_power_kw,
     )
 
 
@@ -594,22 +603,21 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    run_p = sub.add_parser("run", help="execute the scenario file's run mode")
-    run_p.add_argument("scenario", help="path to the scenario YAML")
-    run_p.add_argument("--output-dir", help="override the file's output_dir")
-    run_p.add_argument("--seed", type=int, help="override the file's seed")
-    run_p.add_argument("--mode", choices=MODES, help="override the file's run mode")
-    run_p.add_argument("--workers", type=int, help="accepted for old command lines; no effect")
+    study = argparse.ArgumentParser(add_help=False)  # what run and sweep share
+    study.add_argument("scenario", help="path to the scenario YAML")
+    study.add_argument("--output-dir", help="override the file's output_dir")
+    study.add_argument("--seed", type=int, help="override the file's seed")
+    study.add_argument("--workers", type=int, help="accepted for old command lines; no effect")
 
-    sweep_p = sub.add_parser("sweep", help="run a parameter sweep from the scenario file")
-    sweep_p.add_argument("scenario")
+    run_p = sub.add_parser("run", parents=[study], help="execute the scenario file's run mode")
+    run_p.add_argument("--mode", choices=MODES, help="override the file's run mode")
+
+    sweep_p = sub.add_parser("sweep", parents=[study],
+                             help="run a parameter sweep from the scenario file")
     sweep_p.add_argument(
-        "--which", choices=("doe", "qos-threshold"), default="doe",
+        "--which", choices=_SWEEPS, default="doe",
         help="doe: (delta_perm, factor) grid; qos-threshold: QoS threshold grid",
     )
-    sweep_p.add_argument("--output-dir")
-    sweep_p.add_argument("--seed", type=int)
-    sweep_p.add_argument("--workers", type=int)
 
     val_p = sub.add_parser("validate", help="check a scenario file and exit")
     val_p.add_argument("scenario")
@@ -626,27 +634,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.output}")
             return 0
 
-        config = load_scenario(args.scenario)
+        flags = {key: value for key in ("mode", "seed", "workers")
+                 if (value := getattr(args, key, None)) is not None}
         if args.verb == "sweep":
-            mode = "sweep_doe" if args.which == "doe" else "sweep_qos_threshold"
-            config = replace(config, mode=mode)
-        elif getattr(args, "mode", None):
-            config = replace(config, mode=args.mode)
-        if config.fleet_source == "import" and config.mode.startswith("sweep_"):
-            raise ConfigError(
-                f"fleet.source: mode {config.mode} generates each scenario's fleet, "
-                "so 'import' works only in passive, network_aware and compare modes"
-            )
+            flags["mode"] = _SWEEPS[args.which]
+        config = load_scenario(args.scenario, flags)
         if args.verb == "validate":
             print("scenario file is valid")
             return 0
-        if args.seed is not None:
-            config = replace(config, seed=_settings({"seed": args.seed})["seed"])
-        workers = getattr(args, "workers", None)
-        if workers is not None:
-            if workers < 1:
-                raise ConfigError(f"--workers must be >= 1, got {workers}")
-            config = replace(config, workers=workers)
         out_dir = Path(args.output_dir) if args.output_dir else Path(config.output_dir)
         with _writing(out_dir):
             out_dir.mkdir(parents=True, exist_ok=True)

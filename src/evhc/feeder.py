@@ -75,7 +75,8 @@ class Household:
 
 @dataclass(frozen=True)
 class FeederModel:
-    """Validated radial feeder. Immutable; safe to share across runs."""
+    """Radial feeder, checked when it is built, by ``dataclasses.replace`` too:
+    a broken one is a ``FeederError``. Immutable; safe to share across runs."""
 
     nodes: tuple[Node, ...]
     branches: tuple[Branch, ...]
@@ -83,10 +84,13 @@ class FeederModel:
     transformer_kva: float
     base_voltage_v: float
 
+    def __post_init__(self) -> None:
+        self.compiled  # the walk that indexes the feeder checks every invariant
+
     @cached_property
     def compiled(self) -> CompiledFeeder:
         """The tree index that every solve and day simulation reads, built
-        (and the feeder checked) at load and kept for the life of the model."""
+        (and the feeder checked) with the model and kept for its life."""
         return _compile(self)
 
     @property
@@ -253,10 +257,6 @@ class BaselineLoadProfile:
             )
 
 
-def _validate(model: FeederModel) -> None:
-    model.compiled  # the walk that indexes the feeder checks every invariant
-
-
 def build_feeder(
     nodes: tuple[Node, ...],
     branches: tuple[Branch, ...],
@@ -264,20 +264,18 @@ def build_feeder(
     transformer_kva: float,
     base_voltage_v: float,
 ) -> FeederModel:
-    """Assemble and validate a FeederModel from already-built parts."""
-    model = FeederModel(
+    """A FeederModel of already-built parts, which checks itself as it is built."""
+    return FeederModel(
         nodes=tuple(nodes),
         branches=tuple(branches),
         households=tuple(households),
         transformer_kva=float(transformer_kva),
         base_voltage_v=float(base_voltage_v),
     )
-    _validate(model)
-    return model
 
 
 def parse_feeder(text: str) -> FeederModel:
-    """Parse a feeder document (YAML) and validate all invariants."""
+    """Parse a feeder document (YAML) into a checked model."""
     try:
         raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
@@ -303,19 +301,12 @@ def parse_feeder(text: str) -> FeederModel:
             Household(id=str(h["id"]), node=str(h["node"]))
             for h in raw.get("households", [])
         )
-        model = FeederModel(
-            nodes=nodes,
-            branches=branches,
-            households=households,
-            transformer_kva=float(raw["transformer_kva"]),
-            base_voltage_v=float(raw["base_voltage_v"]),
-        )
+        return build_feeder(nodes, branches, households,
+                            raw["transformer_kva"], raw["base_voltage_v"])
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FeederError):
             raise
         raise FeederError(f"feeder document missing or malformed field: {exc}") from exc
-    _validate(model)
-    return model
 
 
 def load_feeder(path: str | Path) -> FeederModel:

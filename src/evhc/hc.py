@@ -219,8 +219,11 @@ def _points(fleet: list[EvSession], config: HcSearchConfig) -> list[_Point]:
     dimension, in search order.
 
     A power candidate charges the whole fleet at that power; an EV-count
-    candidate k charges the first k sessions at ``count_mode_power_kw``.
+    candidate k charges the first k sessions at ``count_mode_power_kw``. A
+    fleet without sessions has no capacity to find: a ``ValueError``.
     """
+    if not fleet:
+        raise ValueError("a search needs at least one EV session")
     if config.sweep_dimension == SWEEP_EV_COUNT:
         return [(float(k), fleet[:k], config.count_mode_power_kw) for k in range(1, len(fleet) + 1)]
     return [(p, fleet, p) for p in config.power_grid_kw]
@@ -245,7 +248,7 @@ def reduce_searches(
     """
     points = [_points(fleet, config) for fleet, config, _ in searches]
     evaluated: list[list[CandidateResult | Exception]] = [[] for _ in searches]
-    running = [j for j, p in enumerate(points) if p]
+    running = list(range(len(searches)))
     while running:
         windows = [(points[j][len(evaluated[j]):][:ROUND_WIDTH], *searches[j][1:], True)
                    for j in running]
@@ -420,7 +423,11 @@ def threshold_sweep(
     reduction reads a candidate past a scenario's first incident, and those
     candidates stop there. An error at or before that incident, which the
     reduction at threshold 0 (where only incidents fail) ends as, is raised.
+    Each threshold is checked as ``HcSearchConfig.qos_threshold`` is.
     """
+    if not thresholds or not scenarios:
+        raise ValueError("sweep grids must be non-empty")
+    thresholds = [replace(config, qos_threshold=float(t)).qos_threshold for t in thresholds]
     grids = []
     for scenario in scenarios:
         cfg = replace(config, sweep_dimension=SWEEP_POWER, scenario=scenario.label)
@@ -429,7 +436,7 @@ def threshold_sweep(
     reports = []
     for scenario, grid in zip(scenarios, _evaluate_days(feeder, profiles, grids)):
         _raised(reduce_candidates(grid, 0.0, "network_aware", scenario.label))
-        reports += [reduce_candidates(grid, float(threshold), "network_aware", scenario.label)
+        reports += [reduce_candidates(grid, threshold, "network_aware", scenario.label)
                     for threshold in thresholds]
     return reports
 

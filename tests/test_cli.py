@@ -313,8 +313,45 @@ def test_workers_override_must_be_positive(tmp_path, capsys, workers):
     path = _write_scenario(tmp_path, mode="passive")
     out = tmp_path / "out"
     assert main(["run", str(path), "--output-dir", str(out), "--workers", workers]) == 1
-    assert "--workers" in capsys.readouterr().err
+    assert f"configuration error: workers: must be > 0, got {workers}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_a_flag_and_a_file_value_print_one_message(tmp_path, capsys, workers):
+    """A flag is checked by its field's row: the message is the file's."""
+    out = tmp_path / "out"
+    argv = ["--output-dir", str(out)]
+    assert main(["run", str(_write_scenario(tmp_path)), *argv, "--workers", str(workers)]) == 1
+    flagged = capsys.readouterr().err
+    assert main(["run", str(_write_scenario(tmp_path, workers=workers)), *argv]) == 1
+    assert flagged == capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "file_value, flag",
+    [({"seed": -1}, ["--seed", "3"]), ({"mode": "bogus"}, ["--mode", "compare"]),
+     ({"workers": 0}, ["--workers", "2"])],
+    ids=["seed", "mode", "workers"],
+)
+def test_a_file_value_a_flag_overrides_is_still_checked(tmp_path, capsys, file_value, flag):
+    path = _write_scenario(tmp_path, **file_value)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out), *flag]) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: {next(iter(file_value))}: ")
+    assert not out.exists()
+
+
+def test_flags_give_the_config_of_a_file_holding_their_values(tmp_path):
+    """``load_scenario``'s flags replace the file's values before any rule
+    reads them, so the config, and its hash, is that of the edited file."""
+    flagged = evhc.cli.load_scenario(_write_scenario(tmp_path), {"seed": 100, "workers": 2})
+    edited = evhc.cli.load_scenario(_write_scenario(tmp_path, seed=100, workers=2))
+    assert flagged == edited and (flagged.seed, flagged.workers) == (100, 2)
+    assert evhc.cli._config_hash(flagged) == evhc.cli._config_hash(edited)
+    with pytest.raises(evhc.cli.ConfigError, match=r"^seed: expected int, got 1.5$"):
+        evhc.cli.load_scenario(_write_scenario(tmp_path), {"seed": 1.5})
 
 
 @pytest.mark.parametrize(
@@ -676,6 +713,18 @@ def test_validate_rejects_an_imported_fleet_in_a_sweep_mode(tmp_path, capsys):
     path = _write_scenario(tmp_path, mode="sweep_qos_threshold", fleet=_imported_fleet(tmp_path))
     assert main(["validate", str(path)]) == 1
     assert SWEEP_IMPORT_ERROR in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "file_mode, flags", [("sweep_doe", None), ("passive", {"mode": "sweep_qos_threshold"})]
+)
+def test_load_scenario_rejects_an_imported_fleet_in_a_sweep_mode(tmp_path, file_mode, flags):
+    """A library caller that loads such a file cannot run it: the rule sits
+    in ``load_scenario`` and reads the mode a flag gives."""
+    path = _write_scenario(tmp_path, mode=file_mode, fleet=_imported_fleet(tmp_path))
+    with pytest.raises(evhc.cli.ConfigError, match="^fleet.source: mode sweep_"):
+        evhc.cli.load_scenario(path, flags)
+    assert evhc.cli.load_scenario(path, {"mode": "compare"}).fleet is not None
 
 
 def test_sweep_qos_threshold_verb(tmp_path):

@@ -2,6 +2,7 @@
 compiled index that every solve reads."""
 
 import math
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -117,6 +118,14 @@ def test_household_attachment_validated():
             transformer_kva=100.0,
             base_voltage_v=230.0,
         )
+
+
+def test_a_model_is_checked_when_it_is_built(feeder):
+    """``dataclasses.replace`` builds a model too, so a broken one never
+    reaches its first use."""
+    stray = feeder.households + (Household("h99", "nowhere"),)
+    with pytest.raises(FeederError, match="household h99 attached to unknown node nowhere"):
+        replace(feeder, households=stray)
 
 
 def test_path_to_slack_root_case(feeder):

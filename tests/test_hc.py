@@ -21,6 +21,7 @@ from evhc.hc import (
     HcSearchConfig,
     LIMIT_AGGREGATED_QOS,
     SWEEP_EV_COUNT,
+    SWEEP_POWER,
     export_sweep_csv,
     fleet_for_scenario,
     network_aware_grid,
@@ -211,6 +212,30 @@ def test_threshold_monotonicity(feeder, profiles):
     for p in points:
         if p.qos_at_hc is not None:
             assert p.min_qos_at_hc <= p.qos_at_hc + 1e-12
+
+
+@pytest.mark.parametrize("labels, thresholds, message", [
+    (["low"], [1.5], "qos_threshold must lie in"), (["low"], [0.0], "qos_threshold must lie in"),
+    (["low"], [0.8, -0.2], "qos_threshold must lie in"),
+    (["low"], [math.nan], "qos_threshold must lie in"),
+    (["low"], [], "sweep grids must be non-empty"), ([], [0.8], "sweep grids must be non-empty"),
+], ids=["above_1", "zero", "negative", "nan", "no_thresholds", "no_scenarios"])
+def test_threshold_sweep_checks_its_thresholds_as_the_search_does(feeder, profiles, labels,
+                                                                  thresholds, message):
+    """A threshold the search config would refuse is refused before any day
+    is simulated, and an empty list is no sweep."""
+    scenarios = [DEFAULT_SCENARIOS[label] for label in labels]
+    with pytest.raises(ValueError, match=message):
+        threshold_sweep(feeder, profiles, scenarios, thresholds, HcSearchConfig())
+
+
+@pytest.mark.parametrize("dimension", [SWEEP_POWER, SWEEP_EV_COUNT])
+@pytest.mark.parametrize("search", [passive_hc, network_aware_hc, network_aware_grid])
+def test_a_search_over_no_sessions_is_one_value_error(feeder, profiles, search, dimension):
+    """Neither regime, at either dimension, reports a capacity for a fleet
+    without sessions."""
+    with pytest.raises(ValueError, match="a search needs at least one EV session"):
+        search(feeder, profiles, [], HcSearchConfig(sweep_dimension=dimension))
 
 
 HEAVY = {"rated_power_kw": 60.0, "power_grid_kw": tuple(float(k) for k in range(5, 65, 5))}
