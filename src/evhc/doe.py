@@ -33,7 +33,7 @@ import numpy as np
 from .ev import ChargingTrajectory, EvSession, quiet_step
 from .feeder import BaselineLoadProfile, FeederModel
 from .incidents import Incident, IncidentLimits, crossings
-from .powerflow import BASELINE_Q_PER_KW, LaneSolution, VoltageCollapseError, _flows, _solve_lanes
+from .powerflow import BASELINE_Q_PER_KW, LaneSolution, _collapse_error, _flows, _solve_lanes
 from .trace import (
     STEP_HOURS,
     STEPS_PER_DAY,
@@ -327,15 +327,14 @@ def _step(feeder, base, t, connected, desired, v_house, env: _Rows) -> _Rows:
     final solve (baseline + granted), each solve written over the last,
     starting from its step's baseline row; that solve's household voltages
     ``v_house``, which the next step's first clamp reads; the voltages
-    ``v_clamp`` its last clamp read (``v_house`` if none); its ``fallback``
-    flag; and its own ``error``, a voltage collapse (also the rows'
-    ``collapse``), else None. A lane's injections are finite and >= 0
-    (``_start``), so a collapse is the only way a step fails.
+    ``v_clamp`` its last clamp read (``v_house`` if none); and its
+    ``fallback`` flag. A lane's injections are finite and >= 0 (``_start``),
+    so a collapse, recorded in its rows' ``collapse_pu``, is the only way a
+    step fails; a lane stops iterating at its collapse.
     """
     clamped = env.controlled & connected.any(axis=1)
-    error = [None] * len(t)
     granted, u, v_clamp, moved = desired.copy(), v_house.copy(), v_house.copy(), np.zeros(len(t))
-    rows = LaneSolution(*(a[t] for a in base.solution[:-1]), error)  # unsolved: its baseline row
+    rows = LaneSolution(*(a[t] for a in base.solution))  # unsolved: its baseline row
     todo = np.arange(len(t))
     for it in range(FIXED_POINT_MAX_ITER):
         clamp = todo[clamped[todo]]
@@ -349,19 +348,15 @@ def _step(feeder, base, t, connected, desired, v_house, env: _Rows) -> _Rows:
             if not todo.size:
                 break
         sol = _solve_distinct(feeder, base.p[t[todo]] + granted[todo], t[todo], base)
-        for r, exc in zip(todo, sol.collapse):
-            if exc is not None:  # each lane its own error, also of a shared row
-                error[r] = VoltageCollapseError(exc.min_voltage_pu, exc.iteration, exc.step)
-        for kept, new in zip(rows[:-1], sol[:-1]):
+        for kept, new in zip(rows, sol):
             kept[todo] = new
         u[todo] = np.abs(sol.v[:, feeder.compiled.house_pos]) / feeder.base_voltage_v
-        collapsed = np.array([exc is not None for exc in sol.collapse], dtype=bool)
-        todo = todo[env.fixed_point[todo] & clamped[todo] & ~collapsed]
+        todo = todo[env.fixed_point[todo] & clamped[todo] & np.isnan(sol.collapse_pu)]
         if it:
             todo = todo[moved[todo] >= FIXED_POINT_TOL_KW]
         if not todo.size:
             break
-    return _Rows(granted=granted, solution=rows, v_house=u, v_clamp=v_clamp, error=error,
+    return _Rows(granted=granted, solution=rows, v_house=u, v_clamp=v_clamp,
                  fallback=np.isin(np.arange(len(t)), todo))  # still moving at the iteration cap
 
 
@@ -396,7 +391,7 @@ def _simulate_lanes(
     baseline_q = baseline * BASELINE_Q_PER_KW
     base = SimpleNamespace(p=baseline, q=baseline_q, weights=np.sqrt(np.arange(2.0, n_house + 2.0)))
     base.key = np.arange(steps) + 1j * np.einsum("ij,j->i", baseline, base.weights)
-    base.solution = _solve_lanes(feeder, baseline, baseline_q, list(range(steps)))
+    base.solution = _solve_lanes(feeder, baseline, baseline_q)
 
     rows.v_house = np.ones((count, n_house))  # the voltages the next clamp reads, pu
     keys: dict = {None: -1}  # search key -> id; rows run in lane order
@@ -415,10 +410,10 @@ def _simulate_lanes(
     for k in range(steps):
         t = (rows.start + k) % steps
         step = _step(feeder, base, t, *_demand(rows, t, rows.delivered), rows.v_house, rows)
-        alive = np.ones(len(t), dtype=bool)
-        for r in np.flatnonzero([exc is not None for exc in step.error]):
-            fail(r, step.error[r])
         sol, rows.v_house = step.solution, step.v_house
+        alive = np.ones(len(t), dtype=bool)
+        for r in np.flatnonzero(~np.isnan(sol.collapse_pu)):  # each lane its own error
+            fail(r, _collapse_error(sol, r, int(t[r])))
         rows.delivered += step.granted * STEP_HOURS
         rows.uncontrolled += _demand(rows, t, rows.uncontrolled)[1] * STEP_HOURS
         live = np.flatnonzero(alive)
@@ -497,9 +492,10 @@ def _replay(
             )
         granted[t], desired[t] = ev_kw, wanted
         rows.delivered += ev_kw * STEP_HOURS
-    sol = _solve_lanes(feeder, baseline + granted, baseline * BASELINE_Q_PER_KW, list(range(steps)))
-    for t in order:
-        _raised(sol.collapse[t])
+    sol = _solve_lanes(feeder, baseline + granted, baseline * BASELINE_Q_PER_KW)
+    collapsed = order[~np.isnan(sol.collapse_pu[order])]
+    if collapsed.size:
+        raise _collapse_error(sol, collapsed[0], int(collapsed[0]))
 
     ev, sessions = rows.duration[0] > 0, started[0][1]
     trace = SimulationTrace(
@@ -559,7 +555,7 @@ def _solve_distinct(feeder, p_kw, t, base) -> LaneSolution:
     first = order[head]  # a row of each key
     at_idle = key[first] == base.key[t[first]]
     if head.all() and not at_idle.any():
-        return _solve_lanes(feeder, p_kw, base.q[t], t.tolist())
+        return _solve_lanes(feeder, p_kw, base.q[t])
     group = (head.cumsum() - 1)[order.argsort()]  # each row's key, counted in key order
     alone = np.flatnonzero((p_kw[first[group]] != p_kw).any(axis=1))  # a weighting clash
     group[alone] = len(first) + np.arange(len(alone))
@@ -568,10 +564,9 @@ def _solve_distinct(feeder, p_kw, t, base) -> LaneSolution:
     solve, known = first[~at_idle], base.solution
     source = np.where(at_idle, t[first], (~at_idle).cumsum() + (len(base.p) - 1))[group]
     if solve.size:
-        sol = _solve_lanes(feeder, p_kw[solve], base.q[t[solve]], t[solve].tolist())
+        sol = _solve_lanes(feeder, p_kw[solve], base.q[t[solve]])
         known = LaneSolution(*(np.concatenate(pair) for pair in zip(known, sol)))
-    errors = [known.collapse[i] for i in source] if any(known.collapse) else [None] * len(t)
-    return LaneSolution(*(a[source] for a in known[:-1]), errors)
+    return LaneSolution(*(a[source] for a in known))
 
 
 def export_envelope_csv(trace: SimulationTrace, feeder: FeederModel) -> str:

@@ -209,7 +209,9 @@ def evaluate_network_aware_candidate(
     hc_power: float,
     config: HcSearchConfig,
 ) -> CandidateResult:
-    """Simulate envelope-controlled charging at one candidate power."""
+    """Simulate envelope-controlled charging at one candidate power; a fleet
+    without sessions is the searches' ``ValueError``."""
+    _points(fleet, config)
     grid = ([(hc_power, fleet, hc_power)], config, "network_aware", False)
     return _raised(_evaluate_days(feeder, profiles, [grid])[0][0])
 

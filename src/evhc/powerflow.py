@@ -118,20 +118,15 @@ class PowerFlowSolution:
         return float(self.voltage_pu[self.node_ids.index(node_id)])
 
 
-def solve(
-    feeder: FeederModel,
-    injections: InjectionSet,
-    *,
-    _step: int | None = None,
-) -> PowerFlowSolution:
+def solve(feeder: FeederModel, injections: InjectionSet) -> PowerFlowSolution:
     """Solve one step. Non-convergence is reported in the solution, voltage
     collapse below the floor raises ``VoltageCollapseError``."""
     comp = feeder.compiled
     if injections.households != comp.household_ids:
         raise ValueError("injections must cover the feeder households in order")
-    sol = _solve_lanes(feeder, injections.p_kw[np.newaxis], injections.q_kvar[np.newaxis], [_step])
-    if sol.collapse[0] is not None:
-        raise sol.collapse[0]
+    sol = _solve_lanes(feeder, injections.p_kw[np.newaxis], injections.q_kvar[np.newaxis])
+    if not np.isnan(sol.collapse_pu[0]):
+        raise _collapse_error(sol, 0)
     voltage, current, slack_p, slack_q = (a[0] for a in _flows(feeder, sol.v, sol.i))
     return PowerFlowSolution(
         comp.node_ids, voltage, current, float(slack_p), float(slack_q),
@@ -144,8 +139,9 @@ class LaneSolution(NamedTuple):
 
     ``v`` and ``i`` are by node position: ``i`` the load currents of a lane's
     last sweep and ``v`` the voltages they gave; ``_flows`` derives what a row
-    reports. ``collapse[l]`` is the ``VoltageCollapseError`` of a lane that
-    collapsed (its other rows are then meaningless), else None.
+    reports. ``collapse_pu`` records a collapse as data: a lane that
+    collapsed (its other rows are then meaningless) has its lowest |V| there;
+    ``_collapse_error`` makes it an error where a solve or a lane ends.
     """
 
     v: np.ndarray                 # (L, m) complex node voltages, V
@@ -153,7 +149,12 @@ class LaneSolution(NamedTuple):
     converged: np.ndarray         # (L,) bool
     iterations: np.ndarray        # (L,) int
     residual_pu: np.ndarray       # (L,)
-    collapse: list[VoltageCollapseError | None]
+    collapse_pu: np.ndarray       # (L,) lowest |V| of a collapsed lane, pu; NaN if none
+
+
+def _collapse_error(sol: LaneSolution, row: int, step: int | None = None) -> VoltageCollapseError:
+    """The collapse that row ``row`` of ``sol`` records, labelled with ``step``."""
+    return VoltageCollapseError(float(sol.collapse_pu[row]), int(sol.iterations[row]), step)
 
 
 class Flows(NamedTuple):
@@ -178,14 +179,13 @@ def _flows(feeder: FeederModel, v: np.ndarray, i: np.ndarray) -> Flows:
     )
 
 
-def _solve_lanes(feeder: FeederModel, p_kw: np.ndarray, q_kvar: np.ndarray, steps) -> LaneSolution:
+def _solve_lanes(feeder: FeederModel, p_kw: np.ndarray, q_kvar: np.ndarray) -> LaneSolution:
     """Solve (lanes, households) injections, each lane on its own.
 
     A lane leaves the sweep when it converges or collapses, so every lane
     does exactly the arithmetic of a one-lane solve: the stacked matvecs
     ``matmul(Z, I[..., None])`` round like ``Z @ i`` for each lane, which
-    ``I @ Z.T`` does not. ``steps`` (one per lane, or None) only labels
-    collapse errors.
+    ``I @ Z.T`` does not.
     """
     comp = feeder.compiled
     v_base = feeder.base_voltage_v
@@ -201,7 +201,7 @@ def _solve_lanes(feeder: FeederModel, p_kw: np.ndarray, q_kvar: np.ndarray, step
     converged = np.full(lanes, m == 0)
     iterations = np.zeros(lanes, dtype=int)
     residual = np.full(lanes, 0.0 if m == 0 else np.inf)
-    collapse: list[VoltageCollapseError | None] = [None] * lanes
+    collapse_pu = np.full(lanes, np.nan)
     # the lanes still iterating, and their working arrays
     active, s_act, v = np.arange(lanes), s_node, v_out
     for it in range(1, (MAX_ITERATIONS if m else 0) + 1):
@@ -219,11 +219,10 @@ def _solve_lanes(feeder: FeederModel, p_kw: np.ndarray, q_kvar: np.ndarray, step
             v_out[lane], i_out[lane] = v[leave], i_act[leave]
             residual[lane], iterations[lane] = res[leave], it
             converged[active[done & ~collapsed]] = True
-            for k in np.flatnonzero(collapsed):
-                collapse[active[k]] = VoltageCollapseError(float(low[k]), it, step=steps[active[k]])
+            collapse_pu[active[collapsed]] = low[collapsed]
             stay = ~leave
             active, s_act, v = active[stay], s_act[stay], v[stay]
             if not active.size:
                 break
 
-    return LaneSolution(v_out, i_out, converged, iterations, residual, collapse)
+    return LaneSolution(v_out, i_out, converged, iterations, residual, collapse_pu)

@@ -371,37 +371,55 @@ def test_seeded_fleet_curtailment_concentrates_at_the_far_end(feeder, profiles):
 def test_recorded_envelope_is_the_scalar_envelope(
     feeder, profiles, monkeypatch, label, power, params
 ):
-    """At every connected (step, EV) the recorded floor, cap and zone are
-    ``envelope_bound`` at the voltage the envelope used, and the granted
-    power is ``reference_clamp`` of the desired power, exactly."""
-    calls = []
-    original = evhc.doe._solve_lanes
+    """Every clamp of the kernel reads its lane's latest solve: the previous
+    step's last solve at a step's first clamp (the only one of a
+    ``previous_step`` lane), else the step's own last solve. At every
+    connected (step, EV) the recorded floor, cap and zone are
+    ``envelope_bound`` at the voltages the step's last clamp read, and the
+    granted power is ``reference_clamp`` of the desired power, exactly."""
+    comp, events = feeder.compiled, []
+    step, apply_envelope = evhc.doe._step, evhc.doe._apply_envelope
+    solve_distinct = evhc.doe._solve_distinct
 
-    def recording(feeder, p_kw, q_kvar, steps):
-        sol = original(feeder, p_kw, q_kvar, steps)
-        calls.append(list(zip(steps, _flows(feeder, sol.v, sol.i).voltage_pu)))
-        return sol
+    def stepping(feeder, base, t, *args):
+        [k] = t.tolist()  # the one lane's step
 
-    monkeypatch.setattr(evhc.doe, "_solve_lanes", recording)
+        def clamping(desired, connected, v_house, *rest):
+            events.append(("clamp", k, v_house[0].copy()))
+            return apply_envelope(desired, connected, v_house, *rest)
+
+        def solving(*solve_args):
+            sol = solve_distinct(*solve_args)
+            [v] = _flows(feeder, sol.v, sol.i).voltage_pu[:, comp.household_voltage]
+            events.append(("solve", k, v))
+            return sol
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evhc.doe, "_apply_envelope", clamping)
+            patch.setattr(evhc.doe, "_solve_distinct", solving)
+            return step(feeder, base, t, *args)
+
+    monkeypatch.setattr(evhc.doe, "_step", stepping)
     fleet = _fleet(feeder, label)
     _, trace = network_aware_horizon(feeder, profiles, fleet, power, params)
-    # the last call solves the rebuilt day's rows; the kernel's calls come before it
-    *kernel, rebuilt = calls
-    assert [t for t, _ in rebuilt] == list(range(trace.step_count))
-    solved = [row for call in kernel for row in call]
-    # a step's last clamp used the voltage of the solve just before its last
-    # solve: the previous step's (previous_step) or the previous iterate's
-    # (fixed point)
-    used = {t: solved[k - 1][1] for k, (t, _) in enumerate(solved)}
-    vu = feeder.compiled.household_voltage
+    latest, used = None, {}  # the lane's latest solve; each step's last clamp
+    for kind, t, v in events:
+        if kind == "clamp":
+            assert latest is not None and np.array_equal(v, latest)
+            used[t] = v
+        else:
+            latest = v
+    assert sorted({t for kind, t, _ in events if kind == "solve"}) == list(range(trace.step_count))
+    by_household = {s.household: s for s in fleet}
     zones = set()
     for t in range(trace.step_count):
-        for e, session in enumerate(fleet):
+        for e, h in enumerate(trace.household_ids):
+            session = by_household[h]
             if not session.is_connected(t):
                 assert np.isnan(trace.envelope_cap_kw[t, e])
                 assert trace.envelope_zone[t, e] == ZONE_NONE
                 continue
-            u = float(used[t][vu[e]])
+            u = float(used[t][comp.household_slot[h]])
             bound = envelope_bound(u, min(power, session.rated_kw), params)
             assert trace.envelope_floor_kw[t, e] == bound.floor_kw
             assert trace.envelope_cap_kw[t, e] == bound.cap_kw

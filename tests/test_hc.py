@@ -23,6 +23,7 @@ from evhc.hc import (
     SWEEP_EV_COUNT,
     SWEEP_POWER,
     export_sweep_csv,
+    evaluate_network_aware_candidate,
     fleet_for_scenario,
     network_aware_grid,
     network_aware_hc,
@@ -229,11 +230,17 @@ def test_threshold_sweep_checks_its_thresholds_as_the_search_does(feeder, profil
         threshold_sweep(feeder, profiles, scenarios, thresholds, HcSearchConfig())
 
 
+def _candidate_at_5_kw(feeder, profiles, fleet, config):
+    return evaluate_network_aware_candidate(feeder, profiles, fleet, 5.0, config)
+
+
 @pytest.mark.parametrize("dimension", [SWEEP_POWER, SWEEP_EV_COUNT])
-@pytest.mark.parametrize("search", [passive_hc, network_aware_hc, network_aware_grid])
+@pytest.mark.parametrize(
+    "search", [passive_hc, network_aware_hc, network_aware_grid, _candidate_at_5_kw]
+)
 def test_a_search_over_no_sessions_is_one_value_error(feeder, profiles, search, dimension):
     """Neither regime, at either dimension, reports a capacity for a fleet
-    without sessions."""
+    without sessions, nor evaluates one of its candidates."""
     with pytest.raises(ValueError, match="a search needs at least one EV session"):
         search(feeder, profiles, [], HcSearchConfig(sweep_dimension=dimension))
 

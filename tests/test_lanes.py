@@ -33,7 +33,7 @@ from evhc.doe import (
 )
 from evhc.ev import DEFAULT_SCENARIOS, EvSession, generate_fleet, quiet_step
 from evhc.incidents import IncidentLimits, crossings, detect
-from evhc.powerflow import LaneSolution, VoltageCollapseError, _solve_lanes
+from evhc.powerflow import BASELINE_Q_PER_KW, LaneSolution, VoltageCollapseError, _solve_lanes
 from evhc.trace import SimulationTrace, summarize
 from reference_day import reference_day, reference_detect, reference_summarize
 
@@ -280,15 +280,16 @@ def test_an_uncontrolled_day_rebuilt_alone_ends_in_the_kernels_error(feeder, pro
 
 def assert_step_contract(feeder, profiles, lanes) -> tuple[int, int, int]:
     """Run the kernel on ``lanes`` and check each ``_step`` call's contract
-    for every lane it did not end in an error: the granted power is the
-    clamp of the desired power to the envelope at the returned clamp
-    voltages (the desired power itself when uncontrolled); the returned rows
-    are ``_solve_lanes`` of baseline + granted, bit for bit; only a
-    fixed-point lane falls back; and an uncontrolled or ``previous_step``
-    lane, stepped alone, makes one one-row solve (none when its row is its
-    step's baseline row, solved once per kernel call) and is granted what
-    it was in the batch. Returns the fallback lane-steps, the lane-steps
-    that ended in an error, and the lanes stepped alone."""
+    for every lane, collapsed or not: the granted power is the clamp of the
+    desired power to the envelope at the returned clamp voltages (the
+    desired power itself when uncontrolled); the returned rows are
+    ``_solve_lanes`` of baseline + granted, bit for bit, collapse record
+    included; only a fixed-point lane falls back; and an uncontrolled or
+    ``previous_step`` lane, stepped alone, makes one one-row solve (none
+    when its row is its step's baseline row, solved once per kernel call)
+    and is granted what it was in the batch. Returns the fallback
+    lane-steps, the lane-steps that ended in a collapse, and the lanes
+    stepped alone."""
     calls, step, solve = [], evhc.doe._step, evhc.doe._solve_lanes
 
     def recorded(*args):
@@ -306,16 +307,16 @@ def assert_step_contract(feeder, profiles, lanes) -> tuple[int, int, int]:
         _simulate_lanes(feeder, profiles, lanes, judge=IncidentLimits.from_feeder(feeder))
     fallbacks = errors = alone = 0
     for (_, base, t, connected, desired, v_house, env), got in calls:
-        ok = np.array([exc is None for exc in got.error])
+        ok = np.isnan(got.solution.collapse_pu)
         floor, cap, _ = _envelope(got.v_clamp, env.p_max, env)
         clamp = np.minimum(np.maximum(desired, np.minimum(floor, desired)), cap)  # with floor edge
         clamped = np.where(connected, clamp, 0.0)
         granted = np.where(env.controlled[:, np.newaxis], clamped, desired)
-        assert np.array_equal(got.granted[ok], granted[ok])
+        assert np.array_equal(got.granted, granted)
         p_kw = base.p[t] + got.granted
-        rows = _solve_lanes(feeder, p_kw[ok], base.q[t[ok]], t[ok].tolist())
-        for name in LaneSolution._fields[:-1]:
-            _assert_equal(getattr(got.solution, name)[ok], getattr(rows, name))
+        rows = _solve_lanes(feeder, p_kw, base.q[t])
+        for name in LaneSolution._fields:
+            _assert_equal(getattr(got.solution, name), getattr(rows, name))
         assert not got.fallback[~env.fixed_point].any()
         for r in np.flatnonzero(ok & ~env.fixed_point):
             solves.clear()
@@ -336,22 +337,30 @@ def test_every_step_keeps_the_step_contract(feeder, profiles, batch):
     assert fallbacks and errors and alone
 
 
-def _solver_rows(monkeypatch) -> list:
-    """The ``(steps, p_kw)`` of every ``_solve_lanes`` call the kernel makes
-    from here on."""
-    calls = []
-    original = evhc.doe._solve_lanes
+def _solver_rows(monkeypatch) -> tuple[list, list]:
+    """The ``(p_kw, q_kvar)`` of every ``_solve_lanes`` call the kernel makes
+    from here on, and the ``(t, p_kw, made)`` of every ``_solve_distinct``
+    call, where ``made`` lists the ``_solve_lanes`` calls that one made."""
+    solves, distinct = [], []
+    solve_lanes, solve_distinct = evhc.doe._solve_lanes, evhc.doe._solve_distinct
 
-    def recording(feeder, p_kw, q_kvar, steps):
-        calls.append((list(steps), p_kw.copy()))
-        return original(feeder, p_kw, q_kvar, steps)
+    def recording_lanes(feeder, p_kw, q_kvar):
+        solves.append((p_kw.copy(), q_kvar.copy()))
+        return solve_lanes(feeder, p_kw, q_kvar)
 
-    monkeypatch.setattr(evhc.doe, "_solve_lanes", recording)
-    return calls
+    def recording_distinct(feeder, p_kw, t, base):
+        first = len(solves)
+        sol = solve_distinct(feeder, p_kw, t, base)
+        distinct.append((t.copy(), p_kw.copy(), solves[first:]))
+        return sol
+
+    monkeypatch.setattr(evhc.doe, "_solve_lanes", recording_lanes)
+    monkeypatch.setattr(evhc.doe, "_solve_distinct", recording_distinct)
+    return solves, distinct
 
 
-def _lane_solves(calls) -> int:
-    return sum(len(steps) for steps, _ in calls)
+def _lane_solves(solves) -> int:
+    return sum(len(p_kw) for p_kw, _ in solves)
 
 
 def test_shared_rows_equal_the_reference_loop(feeder, profiles, monkeypatch):
@@ -371,12 +380,12 @@ def test_shared_rows_equal_the_reference_loop(feeder, profiles, monkeypatch):
         Lane(low, 2.0, green),
     ]
     limits = IncidentLimits.from_feeder(feeder)
-    calls = _solver_rows(monkeypatch)
+    solves, _ = _solver_rows(monkeypatch)
     _simulate_lanes(feeder, profiles, batch[:1], judge=limits)
-    alone = _lane_solves(calls)
-    calls.clear()
+    alone = _lane_solves(solves)
+    solves.clear()
     days = _simulate_lanes(feeder, profiles, batch, judge=limits)
-    assert _lane_solves(calls) == alone
+    assert _lane_solves(solves) == alone
     for lane, day in zip(batch, days):
         _, trace = _reference(feeder, profiles, lane)
         _assert_same_trace(_rebuilt(feeder, profiles, lane, day), trace)
@@ -384,22 +393,28 @@ def test_shared_rows_equal_the_reference_loop(feeder, profiles, monkeypatch):
 
 def test_each_distinct_row_is_solved_once_per_solve(feeder, profiles, batch, monkeypatch):
     """The kernel first solves the baseline of every step; after that each
-    solve call gets pairwise distinct ``(t, p_kw)`` rows, none of them its
-    step's baseline. A batch doubled lane for lane costs no extra solve and
-    simulates the same days."""
+    ``_solve_distinct`` call solves its distinct ``(t, p_kw)`` rows that are
+    not its step's baseline, each once, in at most one ``_solve_lanes`` call
+    at its step's baseline reactive power. A batch doubled lane for lane
+    costs no extra solve and simulates the same days."""
     baseline, limits = baseline_matrix(feeder, profiles), IncidentLimits.from_feeder(feeder)
-    calls = _solver_rows(monkeypatch)
+    baseline_q = baseline * BASELINE_Q_PER_KW
+    solves, distinct = _solver_rows(monkeypatch)
     single = _simulate_lanes(feeder, profiles, batch, judge=limits)
-    alone = _lane_solves(calls)
-    calls.clear()
+    alone = _lane_solves(solves)
+    solves.clear()
+    distinct.clear()
     doubled = _simulate_lanes(feeder, profiles, batch + batch, judge=limits)
-    assert _lane_solves(calls) == alone
-    (steps, p_kw), *solves = calls
-    assert steps == list(range(96)) and np.array_equal(p_kw, baseline)
-    for steps, p_kw in solves:
-        rows = {(t, row.tobytes()) for t, row in zip(steps, p_kw)}
-        assert len(rows) == len(steps)
-        assert not (p_kw == baseline[steps]).all(axis=1).any()
+    assert _lane_solves(solves) == alone
+    (p_kw, q_kvar), *later = solves
+    assert np.array_equal(p_kw, baseline) and np.array_equal(q_kvar, baseline_q)
+    assert sum(len(made) for *_, made in distinct) == len(later)
+    for t, p_kw, made in distinct:
+        idle = (p_kw == baseline[t]).all(axis=1)
+        rows = {(s, row.tobytes()) for s, row in zip(t[~idle].tolist(), p_kw[~idle])}
+        expected = sorted((row, baseline_q[s].tobytes()) for s, row in rows)
+        solved = [(p.tobytes(), q.tobytes()) for call in made for p, q in zip(*call)]
+        assert len(made) == bool(rows) and sorted(solved) == expected
     for got, want in zip(doubled, single + single):
         if isinstance(want, Exception):
             _assert_same_error(got, want)
@@ -421,11 +436,11 @@ def test_flows_are_derived_once_per_step_where_the_judge_reads_them(
         return original(feeder, v, i)
 
     monkeypatch.setattr(evhc.doe, "_flows", counted)
-    calls = _solver_rows(monkeypatch)
+    solves, _ = _solver_rows(monkeypatch)
     _simulate_lanes(feeder, profiles, batch, judge=IncidentLimits.from_feeder(feeder))
     assert 0 < len(derived) <= 96
     # a lane that ends early is judged no more
-    assert sum(derived) < 96 * len(batch) < _lane_solves(calls)
+    assert sum(derived) < 96 * len(batch) < _lane_solves(solves)
 
 
 def test_rows_that_only_share_a_key_are_solved_apart(feeder, profiles, monkeypatch):
@@ -437,7 +452,7 @@ def test_rows_that_only_share_a_key_are_solved_apart(feeder, profiles, monkeypat
     q = baseline * 0.33
     base = SimpleNamespace(p=baseline, q=q, weights=np.sqrt(np.arange(2.0, baseline.shape[1] + 2)))
     base.key = np.arange(96) + 1j * np.einsum("ij,j->i", baseline, base.weights)
-    base.solution = _solve_lanes(feeder, baseline, q, list(range(96)))
+    base.solution = _solve_lanes(feeder, baseline, q)
     t = np.array([50, 50, 50, 50, 50, 70])
     p_kw = baseline[t]
     p_kw[1, 0] += 1e-16  # a residue on the baseline
@@ -445,11 +460,11 @@ def test_rows_that_only_share_a_key_are_solved_apart(feeder, profiles, monkeypat
     p_kw[4, 5] += 1e-16  # ... of which one carries a residue
     key = t + 1j * np.einsum("ij,j->i", p_kw, base.weights)
     assert key[1] == base.key[50] and key[4] == key[2] and not (p_kw[1] == p_kw[0]).all()
-    expected = _solve_lanes(feeder, p_kw, q[t], t.tolist())
-    calls = _solver_rows(monkeypatch)
+    expected = _solve_lanes(feeder, p_kw, q[t])
+    solves, _ = _solver_rows(monkeypatch)
     got = evhc.doe._solve_distinct(feeder, p_kw, t, base)
-    [(steps, rows)] = calls
-    assert sorted(steps) == [50, 50, 50] and sorted(map(bytes, rows)) == sorted(
+    [(rows, q_rows)] = solves
+    assert np.array_equal(q_rows, q[[50, 50, 50]]) and sorted(map(bytes, rows)) == sorted(
         bytes(p_kw[i]) for i in (1, 2, 4)
     )
     for name, want in expected._asdict().items():
@@ -463,9 +478,9 @@ def test_a_shared_collapse_is_each_lanes_own_error(feeder, profiles, monkeypatch
     lanes = [Lane(burst, 60.0), Lane(burst, 60.0, DoeParams(factor=1.0)), Lane(burst, 60.0)]
     expected = _reference(feeder, profiles, lanes[0])
     assert isinstance(expected, VoltageCollapseError) and expected.step == 40
-    calls = _solver_rows(monkeypatch)
+    solves, _ = _solver_rows(monkeypatch)
     days = _simulate_lanes(feeder, profiles, lanes, judge=IncidentLimits.from_feeder(feeder))
-    assert [len(steps) for steps, _ in calls[-1:]] == [1]  # the collapsing row, once
+    assert [len(p_kw) for p_kw, _ in solves[-1:]] == [1]  # the collapsing row, once
     assert len({id(day) for day in days}) == len(lanes)
     for day in days:
         _assert_same_error(day, expected)

@@ -15,8 +15,10 @@ import pytest
 
 from evhc.feeder import path_to_slack
 from evhc.powerflow import (
+    COLLAPSE_FLOOR_PU,
     InjectionSet,
     VoltageCollapseError,
+    _solve_lanes,
     injections_from_loads,
     solve,
 )
@@ -160,13 +162,30 @@ def test_horizon_locality_of_single_nonzero_step(feeder):
         assert flat == (t != 40)
 
 
-def test_horizon_step_index_in_collapse_error(two_node_feeder):
-    steps = [InjectionSet(("h1",), np.array([0.0]), np.array([0.0])) for _ in range(5)]
-    steps[3] = InjectionSet(("h1",), np.array([500.0]), np.array([0.0]))
-    with pytest.raises(VoltageCollapseError) as info:
-        for t, inj in enumerate(steps):
-            solve(two_node_feeder, inj, _step=t)
-    assert info.value.step == 3
+def test_a_collapse_is_each_rows_own_record(feeder):
+    """Rows stacked in one ``_solve_lanes`` call, some of them collapsing,
+    each get the record a one-row call gives, every field a numeric array;
+    ``collapse_pu`` is NaN exactly where a row did not collapse. ``solve``
+    of a collapsing row raises with its record's voltage and iteration."""
+    n = len(feeder.household_ids)
+    p_kw = np.array([0.0, 4.0, 60.0, 8.0, 30.0, 500.0])[:, np.newaxis] * np.ones(n)
+    q_kvar = 0.3 * p_kw
+    stacked = _solve_lanes(feeder, p_kw, q_kvar)
+    collapsed = ~np.isnan(stacked.collapse_pu)
+    assert collapsed.any() and not collapsed.all()
+    assert (stacked.collapse_pu[collapsed] < COLLAPSE_FLOOR_PU).all()
+    for r in range(len(p_kw)):
+        alone = _solve_lanes(feeder, p_kw[[r]], q_kvar[[r]])
+        for name, got in stacked._asdict().items():
+            want = getattr(alone, name)
+            assert isinstance(got, np.ndarray) and got.dtype.kind in "biufc"
+            assert got.dtype == want.dtype
+            assert np.array_equal(got[[r]], want, equal_nan=got.dtype.kind == "f")
+    for r in np.flatnonzero(collapsed):
+        with pytest.raises(VoltageCollapseError) as info:
+            solve(feeder, InjectionSet(feeder.household_ids, p_kw[r], q_kvar[r]))
+        got = (info.value.min_voltage_pu, info.value.iteration, info.value.step)
+        assert got == (stacked.collapse_pu[r], stacked.iterations[r], None)
 
 
 def test_reactive_power_defaults_to_zero(two_node_feeder):
