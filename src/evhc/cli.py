@@ -93,18 +93,10 @@ class ScenarioConfig:
     feeder_path: str            # "builtin" or a file path
     profiles_path: str
     output_dir: str
-    seed: int
     scenario_labels: tuple[str, ...]
     fleet_source: str           # "generate" | "import"
     fleet_file: str | None
-    rated_power_kw: float
-    doe: DoeParams
-    v_lower_pu: float
-    v_upper_pu: float
-    power_grid_kw: tuple[float, ...]
-    qos_threshold: float
-    dimension: str
-    count_mode_power_kw: float
+    search: HcSearchConfig      # every label's search; each sets its own scenario
     delta_perm_grid: tuple[float, ...]
     factor_values: tuple[float, ...]
     qos_thresholds: tuple[float, ...]
@@ -389,15 +381,21 @@ def load_scenario(path: str | Path, flags: dict | None = None) -> ScenarioConfig
         except ValueError as exc:
             raise ConfigError(f"fleet.fleet_file: {where}: {exc}") from exc
 
-    # every setting whose key names a config field fills it
+    # every setting whose key names a config or search field fills it
+    grid = _grid(v, "search", "power_min_kw", "power_max_kw", "power_step_kw")
+    doe = DoeParams(**{f.name: v[f.name] for f in fields(DoeParams)})
+    try:
+        search = HcSearchConfig(**{f.name: v[f.name] for f in fields(HcSearchConfig) if f.name in v},
+                                doe=doe, power_grid_kw=grid, sweep_dimension=v["dimension"])
+    except ValueError as exc:  # each field is checked: only a step below the grid's rounding
+        raise ConfigError(f"search.power_step_kw: {exc}") from exc
     return ScenarioConfig(
         **{f.name: v[f.name] for f in fields(ScenarioConfig) if f.compare and f.name in v},
         feeder_path=feeder_path,
         profiles_path=profiles_path,
         scenario_labels=labels,
         fleet_source=v["source"],
-        doe=DoeParams(**{f.name: v[f.name] for f in fields(DoeParams)}),
-        power_grid_kw=_grid(v, "search", "power_min_kw", "power_max_kw", "power_step_kw"),
+        search=search,
         delta_perm_grid=_grid(v, "sweep", "delta_perm_min", "delta_perm_max", "delta_perm_step"),
         scenario_definitions=definitions,
         feeder=feeder,
@@ -407,8 +405,12 @@ def load_scenario(path: str | Path, flags: dict | None = None) -> ScenarioConfig
 
 
 def _config_hash(config: ScenarioConfig) -> str:
-    """Hash of the settings, each input file by its bytes wherever it sits."""
+    """Hash of the settings, each search setting under its file key and each
+    input file by its bytes wherever it sits."""
     settings = {f.name: getattr(config, f.name) for f in fields(config) if f.compare}
+    search = settings.pop("search")
+    settings |= {f.name: getattr(search, f.name) for f in fields(search) if f.name != "scenario"}
+    settings["dimension"] = settings.pop("sweep_dimension")
     for name in ("feeder_path", "profiles_path", "fleet_file"):
         if settings[name] not in (None, _BUILTIN):
             settings[name] = hashlib.sha256(Path(settings[name]).read_bytes()).hexdigest()
@@ -420,17 +422,6 @@ def _fleet(config: ScenarioConfig, feeder: FeederModel, search: HcSearchConfig):
     if config.fleet is not None:
         return config.fleet
     return fleet_for_scenario(feeder, config.scenario_definitions[search.scenario], search)
-
-
-def _search_config(config: ScenarioConfig, label: str) -> HcSearchConfig:
-    """The search of scenario ``label``: every search field that names a
-    config field is filled from it, as ``load_scenario`` fills the config."""
-    shared = {f.name for f in fields(ScenarioConfig)}
-    return HcSearchConfig(
-        **{f.name: getattr(config, f.name) for f in fields(HcSearchConfig) if f.name in shared},
-        scenario=label,
-        sweep_dimension=config.dimension,
-    )
 
 
 @contextmanager
@@ -538,7 +529,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
     manifest = {
         "version": __version__,
         "config_sha256": _config_hash(config),
-        "seed": config.seed,
+        "seed": config.search.seed,
         "mode": config.mode,
         "scenarios": list(config.scenario_labels),
     }
@@ -555,7 +546,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
         modes = [m for m in ("passive", "network_aware") if config.mode in (m, "compare")]
         runs, grids = [], []  # run: (search, mode, whether it adds its power grid)
         for label in config.scenario_labels:
-            search = _search_config(config, label)
+            search = replace(config.search, scenario=label)
             fleet = _fleet(config, feeder, search)
             for mode in modes:
                 adds_power = mode != "passive" and search.sweep_dimension != SWEEP_POWER
@@ -581,14 +572,13 @@ def run_scenario(config: ScenarioConfig, out_dir: Path) -> None:
 
     else:  # a sweep: one table over every scenario
         scenarios = [config.scenario_definitions[s] for s in config.scenario_labels]
-        search = _search_config(config, config.scenario_labels[0])
         if config.mode == "sweep_doe":
             cells = sensitivity_sweep(feeder, profiles, scenarios, list(config.delta_perm_grid),
-                                      list(config.factor_values), search)
+                                      list(config.factor_values), config.search)
             _write(out_dir / "sweep_doe.csv", export_sweep_csv(cells))
         else:
             reports = threshold_sweep(feeder, profiles, scenarios, list(config.qos_thresholds),
-                                      search)
+                                      config.search)
             _write(out_dir / "threshold_sweep.csv", csv_table(
                 ("scenario", "qos_threshold", "nahc_kw", "limiting_factor", "qos_at_hc",
                  "min_qos_at_hc"),

@@ -324,17 +324,16 @@ def _step(feeder, base, t, connected, desired, v_house, env: _Rows) -> _Rows:
     and one still moving after ``FIXED_POINT_MAX_ITER`` solves is a fallback.
 
     Returns, per lane: the ``granted`` power; the ``solution`` rows of its
-    final solve (baseline + granted), each solve written over the last,
-    starting from its step's baseline row; that solve's household voltages
-    ``v_house``, which the next step's first clamp reads; the voltages
-    ``v_clamp`` its last clamp read (``v_house`` if none); and its
+    final solve (baseline + granted), each solve written over the rows of
+    the step's first, which solves every lane; that solve's household
+    voltages ``v_house``, which the next step's first clamp reads; the
+    voltages ``v_clamp`` its last clamp read (``v_house`` if none); and its
     ``fallback`` flag. A lane's injections are finite and >= 0 (``_start``),
     so a collapse, recorded in its rows' ``collapse_pu``, is the only way a
     step fails; a lane stops iterating at its collapse.
     """
     clamped = env.controlled & connected.any(axis=1)
     granted, u, v_clamp, moved = desired.copy(), v_house.copy(), v_house.copy(), np.zeros(len(t))
-    rows = LaneSolution(*(a[t] for a in base.solution))  # unsolved: its baseline row
     todo = np.arange(len(t))
     for it in range(FIXED_POINT_MAX_ITER):
         clamp = todo[clamped[todo]]
@@ -348,8 +347,11 @@ def _step(feeder, base, t, connected, desired, v_house, env: _Rows) -> _Rows:
             if not todo.size:
                 break
         sol = _solve_distinct(feeder, base.p[t[todo]] + granted[todo], t[todo], base)
-        for kept, new in zip(rows, sol):
-            kept[todo] = new
+        if it:
+            for kept, new in zip(rows, sol):
+                kept[todo] = new
+        else:  # every lane, in arrays of its own: no view of base.solution
+            rows = sol
         u[todo] = np.abs(sol.v[:, feeder.compiled.house_pos]) / feeder.base_voltage_v
         todo = todo[env.fixed_point[todo] & clamped[todo] & np.isnan(sol.collapse_pu)]
         if it:

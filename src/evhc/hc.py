@@ -21,7 +21,8 @@ Searches run in candidate rounds: each round passes the next four
 stopping grid. At most three candidates past a search's first failure are
 simulated, and none is read. The QoS-threshold sweep passes every
 scenario's whole power grid in one call, each a stopping grid. Both sweeps
-search the power grid. Every search and sweep runs in the calling process.
+build their power-grid searches in ``_sweep_searches``, one fleet draw per
+scenario. Every search and sweep runs in the calling process.
 """
 
 from __future__ import annotations
@@ -327,17 +328,17 @@ def network_aware_grid(
 
 @dataclass
 class SweepCell:
-    """One (scenario, delta_perm, factor) cell of the sensitivity sweep."""
+    """One (scenario, delta_perm, factor) cell of the sensitivity sweep: a report or an error."""
 
     scenario: str
     delta_perm: float
     factor: float
-    hc: float | None = None
-    limiting_factor: str | None = None
-    unconstrained: bool = False
-    qos_at_hc: float | None = None
-    min_qos_at_hc: float | None = None
+    report: HcReport | None = None
     error: str | None = None
+
+    @property
+    def limiting_factor(self) -> str | None:
+        return self.report and self.report.limiting_factor
 
 
 def fleet_for_scenario(
@@ -361,6 +362,26 @@ def fleet_for_scenario(
     )
 
 
+def _sweep_searches(feeder, scenarios, envelopes, config):
+    """Every search of a sweep, scenario by scenario: ``(label, delta_perm,
+    factor, search)`` per ``(delta_perm, factor)`` envelope, the search being
+    the network-aware power-grid search ``(fleet, config, mode)``, or else the
+    error of its envelope, or of its fleet, which is drawn once per scenario."""
+    for scenario in scenarios:
+        cfg = replace(config, sweep_dimension=SWEEP_POWER, scenario=scenario.label)
+        try:
+            fleet = fleet_for_scenario(feeder, scenario, cfg)
+        except Exception as exc:  # every search of the scenario carries it
+            fleet = exc
+        for delta_perm, factor in envelopes:
+            try:
+                doe = replace(cfg.doe, delta_perm=delta_perm, factor=factor)
+                search = (_raised(fleet), replace(cfg, doe=doe), "network_aware")
+            except Exception as exc:
+                search = exc
+            yield scenario.label, delta_perm, factor, search
+
+
 def sensitivity_sweep(
     feeder: FeederModel,
     profiles: tuple[BaselineLoadProfile, ...],
@@ -377,37 +398,16 @@ def sensitivity_sweep(
     """
     if not delta_perm_grid or not factor_values or not scenarios:
         raise ValueError("sweep grids must be non-empty")
-    grid = [(float(d), float(f)) for d in delta_perm_grid for f in factor_values]
-    config = replace(config, sweep_dimension=SWEEP_POWER)
-    cells, searches, searching = [], [], []
-    for scenario in scenarios:
-        try:
-            fleet = fleet_for_scenario(feeder, scenario, config)
-        except Exception as exc:  # every cell of the scenario carries it
-            fleet = exc
-        for delta_perm, factor in grid:
-            cell = SweepCell(scenario=scenario.label, delta_perm=delta_perm, factor=factor)
-            cells.append(cell)
-            try:
-                doe = replace(config.doe, delta_perm=delta_perm, factor=factor)
-                if isinstance(fleet, Exception):
-                    raise fleet
-            except Exception as exc:  # cell failures stay in-cell, the sweep continues
-                cell.error = f"{type(exc).__name__}: {exc}"
-                continue
-            cell_config = replace(config, doe=doe, scenario=scenario.label)
-            searches.append((fleet, cell_config, "network_aware"))
-            searching.append(cell)
-    for cell, report in zip(searching, reduce_searches(feeder, profiles, searches)):
-        if isinstance(report, Exception):
-            cell.error = f"{type(report).__name__}: {report}"
-            continue
-        cell.hc = report.hc
-        cell.limiting_factor = report.limiting_factor
-        cell.unconstrained = report.unconstrained
-        cell.qos_at_hc = report.qos_at_hc
-        cell.min_qos_at_hc = report.min_qos_at_hc
-    return cells
+    envelopes = [(float(d), float(f)) for d in delta_perm_grid for f in factor_values]
+    built = list(_sweep_searches(feeder, scenarios, envelopes, config))
+    reports = iter(reduce_searches(
+        feeder, profiles, [s for *_, s in built if not isinstance(s, Exception)]))
+    outcomes = [s if isinstance(s, Exception) else next(reports) for *_, s in built]
+    return [  # a cell's failure stays in its cell, and the sweep continues
+        SweepCell(label, d, f, report=o) if isinstance(o, HcReport)
+        else SweepCell(label, d, f, error=f"{type(o).__name__}: {o}")
+        for (label, d, f, _), o in zip(built, outcomes)
+    ]
 
 
 def threshold_sweep(
@@ -423,37 +423,38 @@ def threshold_sweep(
     Every scenario's power grid is judged in one kernel call and reduced at
     each threshold. Incidents do not depend on the threshold, so no
     reduction reads a candidate past a scenario's first incident, and those
-    candidates stop there. An error at or before that incident, which the
-    reduction at threshold 0 (where only incidents fail) ends as, is raised.
-    Each threshold is checked as ``HcSearchConfig.qos_threshold`` is.
+    candidates stop there. A fleet error is raised before that call, and an
+    error at or before a first incident, which the reduction at threshold 0
+    (where only incidents fail) ends as, after it. Each threshold is checked
+    as ``HcSearchConfig.qos_threshold`` is.
     """
     if not thresholds or not scenarios:
         raise ValueError("sweep grids must be non-empty")
     thresholds = [replace(config, qos_threshold=float(t)).qos_threshold for t in thresholds]
-    grids = []
-    for scenario in scenarios:
-        cfg = replace(config, sweep_dimension=SWEEP_POWER, scenario=scenario.label)
-        fleet = fleet_for_scenario(feeder, scenario, cfg)
-        grids.append((_points(fleet, cfg), cfg, "network_aware", True))
+    envelope = [(config.doe.delta_perm, config.doe.factor)]
+    searches = (_raised(s) for *_, s in _sweep_searches(feeder, scenarios, envelope, config))
+    grids = [(_points(fleet, cfg), cfg, mode, True) for fleet, cfg, mode in searches]
     reports = []
-    for scenario, grid in zip(scenarios, _evaluate_days(feeder, profiles, grids)):
-        _raised(reduce_candidates(grid, 0.0, "network_aware", scenario.label))
-        reports += [reduce_candidates(grid, threshold, "network_aware", scenario.label)
+    for (_, cfg, mode, _), grid in zip(grids, _evaluate_days(feeder, profiles, grids)):
+        _raised(reduce_candidates(grid, 0.0, mode, cfg.scenario))
+        reports += [reduce_candidates(grid, threshold, mode, cfg.scenario)
                     for threshold in thresholds]
     return reports
 
 
-def summary_cells(result: HcReport | SweepCell) -> tuple:
+def summary_cells(report: HcReport | None) -> tuple:
     """The trailing cells of every summary row: the capacity, what limits it
     (``unconstrained`` within the grid), and the aggregated and minimum QoS
-    at it. A sweep cell that holds an error has none of them set."""
-    limiting = "unconstrained" if result.unconstrained else result.limiting_factor
-    return result.hc, limiting, result.qos_at_hc, result.min_qos_at_hc
+    at it. An error cell (no report) has none of them."""
+    if report is None:
+        return None, None, None, None
+    limiting = "unconstrained" if report.unconstrained else report.limiting_factor
+    return report.hc, limiting, report.qos_at_hc, report.min_qos_at_hc
 
 
 def export_sweep_csv(cells: list[SweepCell]) -> str:
     return csv_table(
         ("scenario", "delta_perm", "factor", "nahc_kw", "limiting_factor", "qos_agg", "min_qos",
          "error"),
-        ((c.scenario, c.delta_perm, c.factor, *summary_cells(c), c.error) for c in cells),
+        ((c.scenario, c.delta_perm, c.factor, *summary_cells(c.report), c.error) for c in cells),
     )

@@ -348,7 +348,7 @@ def test_flags_give_the_config_of_a_file_holding_their_values(tmp_path):
     reads them, so the config, and its hash, is that of the edited file."""
     flagged = evhc.cli.load_scenario(_write_scenario(tmp_path), {"seed": 100, "workers": 2})
     edited = evhc.cli.load_scenario(_write_scenario(tmp_path, seed=100, workers=2))
-    assert flagged == edited and (flagged.seed, flagged.workers) == (100, 2)
+    assert flagged == edited and (flagged.search.seed, flagged.workers) == (100, 2)
     assert evhc.cli._config_hash(flagged) == evhc.cli._config_hash(edited)
     with pytest.raises(evhc.cli.ConfigError, match=r"^seed: expected int, got 1.5$"):
         evhc.cli.load_scenario(_write_scenario(tmp_path), {"seed": 1.5})
@@ -525,7 +525,7 @@ def test_compare_reports_equal_the_library_searches(tmp_path, overrides):
     config = evhc.cli.load_scenario(path)
     feeder, profiles = bundled_feeder(), bundled_baseline_profiles()
     for label in config.scenario_labels:
-        search = evhc.cli._search_config(config, label)
+        search = replace(config.search, scenario=label)
         fleet = evhc.cli._fleet(config, feeder, search)
         for mode, library in (("passive", passive_hc), ("network_aware", network_aware_hc)):
             report = library(feeder, profiles, fleet, search)
@@ -762,7 +762,7 @@ def test_threshold_sweep_judges_every_scenario_in_one_call(tmp_path, monkeypatch
     config = evhc.cli.load_scenario(path)
     feeder, profiles = bundled_feeder(), bundled_baseline_profiles()
     for label in labels:
-        search = evhc.cli._search_config(config, label)
+        search = replace(config.search, scenario=label)
         network_aware_grid(feeder, profiles, evhc.cli._fleet(config, feeder, search), search)
     assert 0 < swept < sum(solves)
 
@@ -1106,11 +1106,23 @@ def test_grid_of_more_than_1000_points_is_config_error(tmp_path, capsys, overrid
     assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
 
 
+def test_power_step_below_the_grid_rounding_is_config_error(tmp_path, capsys):
+    """A step so small that rounding the grid to 1e-9 kW repeats a point
+    leaves no strictly increasing search grid, so the file is refused."""
+    path = _write_scenario(
+        tmp_path, search={"power_min_kw": 1.0, "power_max_kw": 1.0, "power_step_kw": 3e-10}
+    )
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: search.power_step_kw: power grid must be strictly increasing\n"
+    )
+
+
 def test_grid_of_1000_points_is_accepted(tmp_path):
     path = _write_scenario(
         tmp_path, search={"power_min_kw": 0.01, "power_max_kw": 10.0, "power_step_kw": 0.01}
     )
-    assert len(evhc.cli.load_scenario(path).power_grid_kw) == evhc.cli.MAX_GRID_POINTS
+    assert len(evhc.cli.load_scenario(path).search.power_grid_kw) == evhc.cli.MAX_GRID_POINTS
 
 
 def test_example_parses_like_an_empty_file(tmp_path):
@@ -1208,8 +1220,8 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, overrides, field, v
 def test_integral_numbers_are_accepted_as_integers(tmp_path):
     path = _write_scenario(tmp_path, seed=3.0, workers=2.0, fleet={"rated_power_kw": 11})
     config = evhc.cli.load_scenario(path)
-    assert (config.seed, config.workers, config.rated_power_kw) == (3, 2, 11.0)
-    assert type(config.seed) is int and type(config.rated_power_kw) is float
+    assert (config.search.seed, config.workers, config.search.rated_power_kw) == (3, 2, 11.0)
+    assert type(config.search.seed) is int and type(config.search.rated_power_kw) is float
 
 
 def test_repeated_scenario_label_is_config_error(tmp_path, capsys):

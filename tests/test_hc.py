@@ -14,7 +14,14 @@ from hypothesis import strategies as st
 import evhc.hc
 from evhc.cli import main
 from evhc.doe import DoeParams, Lane, _replay, _Stopped
-from evhc.ev import DEFAULT_SCENARIOS, EvSession, generate_fleet
+from evhc.ev import (
+    DEFAULT_SCENARIOS,
+    EnergyScenario,
+    EvSession,
+    FleetGenerationError,
+    HourDistribution,
+    generate_fleet,
+)
 from evhc.hc import (
     CandidateResult,
     HcReport,
@@ -293,10 +300,51 @@ def test_single_cell_sweep_equals_direct_search(feeder, profiles):
     direct = network_aware_hc(
         feeder, profiles, fleet, HcSearchConfig(seed=1, doe=DoeParams(0.05, 0.5), scenario="low")
     )
-    assert cell.hc == direct.hc
+    assert cell.report.hc == direct.hc
     assert cell.limiting_factor == direct.limiting_factor
-    assert cell.qos_at_hc == direct.qos_at_hc
+    assert cell.report.qos_at_hc == direct.qos_at_hc
     assert cell.error is None
+
+
+# arrivals can never fall in their window: this scenario's fleet cannot be drawn
+LATE = EnergyScenario("late", 4.0, 8.0, HourDistribution(18.0, 0.01, 20.0, 21.0),
+                      HourDistribution(0.7, 0.15, 0.5, 1.0))
+
+
+def test_each_sweep_draws_each_scenarios_fleet_once(feeder, profiles, monkeypatch):
+    """However many envelopes or thresholds a scenario is searched at, each
+    sweep draws its fleet once, a fleet that cannot be drawn included: the
+    DOE sweep keeps that error in each of the scenario's cells, and the
+    threshold sweep raises it before any kernel call."""
+    drawn, original = [], evhc.hc.generate_fleet
+
+    def drawing(scenario, *args, **kwargs):
+        drawn.append(scenario.label)
+        return original(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(evhc.hc, "generate_fleet", drawing)
+    calls = _kernel_days(monkeypatch)
+    low, high = DEFAULT_SCENARIOS["low"], DEFAULT_SCENARIOS["high"]
+    config = HcSearchConfig(power_grid_kw=(2.0, 4.0))
+
+    cells = sensitivity_sweep(feeder, profiles, [low, LATE, high], [0.03, 0.05], [0.2, 0.5],
+                              config)
+    assert drawn == ["low", "late", "high"] and len(calls) == 1
+    assert [c.scenario for c in cells] == ["low"] * 4 + ["late"] * 4 + ["high"] * 4
+    for cell in cells:
+        failed = cell.scenario == "late"
+        assert (cell.report is None, cell.error is not None) == (failed, failed)
+        assert not failed or cell.error.startswith("FleetGenerationError: truncated normal")
+
+    drawn.clear()
+    calls.clear()
+    reports = threshold_sweep(feeder, profiles, [low, high], [0.6, 0.7, 0.8], config)
+    assert drawn == ["low", "high"] and len(calls) == 1 and len(reports) == 6
+    drawn.clear()
+    calls.clear()
+    with pytest.raises(FleetGenerationError, match="truncated normal"):
+        threshold_sweep(feeder, profiles, [low, LATE, high], [0.6, 0.7, 0.8], config)
+    assert drawn == ["low", "late"] and not calls
 
 
 def test_sweep_worker_count_does_not_change_results(tmp_path):
